@@ -111,79 +111,62 @@ def _genus1_seed_table(geom, args):
     return load_genus1_seeds(packaged_seed_text(name), geom)
 
 
+def _degree_box(text: str, geom: TargetGeometry) -> tuple[int, ...]:
+    """--dmax as one non-negative bound per divisor class, total at least 1."""
+    n = len(geom.divisors)
+    try:
+        box = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        box = ()
+    if len(box) != n or min(box) < 0 or sum(box) < 1:
+        want = "a degree D" if n == 1 else "a bidegree D1,D2" if n == 2 else f"{n} degrees D1,...,D{n}"
+        raise ValueError(f"{geom.name} needs {want} (non-negative, total >= 1), got --dmax {text!r}")
+    return box
+
+
 def cmd_compute(args, out) -> int:
     geom = _geometry(args.target)
-    if geom.name == "p2":
-        dmax = int(args.dmax)
-        if args.genus == 2 and dmax < 4:
-            sys.stderr.write(
-                "out of enumerative scope: genus-2 output needs d >= 4 (the degree-2 and "
-                "degree-3 degenerate-cover terms are never evaluated)\n"
-            )
-            return EXIT_MISSING_SEEDS
-        gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
-        g0 = charnum_genus0(gw, dmax)
-        if args.genus == 0:
-            table = g0
-        else:
-            try:
-                seeds = _genus1_seed_table(geom, args)
-            except FileNotFoundError as e:
-                sys.stderr.write(f"missing seed file: {e}\n")
-                return EXIT_MISSING_SEEDS
-            seeds_by_d = {b[0]: v for b, v in seeds.items()}
-            for d in range(1, dmax + 1):
-                if d not in seeds_by_d:
-                    sys.stderr.write(f"missing seed file entry: genus-1 degree {d}\n")
-                    return EXIT_MISSING_SEEDS
-            g1 = charnum_genus1(g0, seeds_by_d, dmax)
-            if args.genus == 1:
-                table = g1
-            else:
-                if not args.virtual2:
-                    sys.stderr.write(
-                        "missing seed file: genus-2 virtual numbers "
-                        "(pass --virtual2 <path>; records d;a,b,c;p/q)\n"
-                    )
-                    return EXIT_MISSING_SEEDS
-                virtual2 = load_virtual2(read_seed_file(args.virtual2), dmax)
-                table = charnum_genus2(g0, g1, virtual2, dmax)
-    elif geom.name == "p1xp1":
-        if args.genus > 1:
-            sys.stderr.write("p1xp1 supports genus 0 and 1 only\n")
-            return EXIT_USAGE
-        d1, d2 = (int(x) for x in str(args.dmax).split(","))
-        total = d1 + d2
-        gw = wdvv_solve(geom, default_gw_seeds(geom), total)
-        g0 = quadric_genus0(gw, total)
-        if args.genus == 0:
-            table = g0
-        else:
-            try:
-                seeds = _genus1_seed_table(geom, args)
-            except FileNotFoundError as e:
-                sys.stderr.write(f"missing seed file: {e}\n")
-                return EXIT_MISSING_SEEDS
-            for beta in (b for t in range(1, total + 1) for b in geom.curve_classes(t)):
-                if tuple(beta) not in seeds:
-                    sys.stderr.write(f"missing seed file entry: genus-1 bidegree {beta}\n")
-                    return EXIT_MISSING_SEEDS
-            table = quadric_genus1(geom, gw, g0, seeds, total)
-        table = table.filter_keys(lambda deg, mono: deg[0] <= d1 and deg[1] <= d2)
-    else:
+    if geom.name not in ("p2", "p1xp1"):
         sys.stderr.write("compute supports --target p2 or p1xp1\n")
         return EXIT_USAGE
+    quadric = geom.name == "p1xp1"
+    if quadric and args.genus > 1:
+        sys.stderr.write("p1xp1 supports genus 0 and 1 only\n")
+        return EXIT_USAGE
+    box = _degree_box(args.dmax, geom)
+    dmax = sum(box)
+    if args.genus == 2 and dmax < 4:
+        sys.stderr.write(
+            "out of enumerative scope: genus-2 output needs d >= 4 (the degree-2 and "
+            "degree-3 degenerate-cover terms are never evaluated)\n"
+        )
+        return EXIT_MISSING_SEEDS
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
+    g0 = table = (quadric_genus0 if quadric else charnum_genus0)(gw, dmax)
+    if args.genus > 0:
+        seeds = _genus1_seed_table(geom, args)
+        for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t)):
+            if beta not in seeds:
+                what = f"degree {beta[0]}" if len(beta) == 1 else f"bidegree {beta}"
+                sys.stderr.write(f"missing seed file entry: genus-1 {what}\n")
+                return EXIT_MISSING_SEEDS
+        if quadric:
+            table = quadric_genus1(geom, gw, g0, seeds, dmax)
+        else:
+            table = charnum_genus1(g0, {b[0]: v for b, v in seeds.items()}, dmax)
+    if args.genus == 2:
+        if not args.virtual2:
+            raise FileNotFoundError("genus-2 virtual numbers (pass --virtual2 <path>; records d;a,b,c;p/q)")
+        virtual2 = load_virtual2(read_seed_file(args.virtual2), dmax)
+        table = charnum_genus2(g0, table, virtual2, dmax)
+    table = table.filter_keys(lambda deg, mono: all(d <= b for d, b in zip(deg, box)))
     _emit(_char_records(table, geom), ["d", "a", "b", "c", "value"], args.format, out)
     return EXIT_OK
 
 
 def cmd_gw(args, out) -> int:
     geom = _geometry(args.target)
-    if geom.name == "p1xp1":
-        d1, d2 = (int(x) for x in str(args.dmax).split(","))
-        dmax = d1 + d2
-    else:
-        dmax = int(args.dmax)
+    dmax = sum(_degree_box(args.dmax, geom))
     seeds = default_gw_seeds(geom)
     if args.seeds:
         from .gw import parse_seed_records
@@ -208,7 +191,14 @@ def parse_descendant(text: str):
         insertions.extend([(int(m.group(1)), int(m.group(2)))] * power)
     if not insertions:
         raise ValueError(f"no insertions parsed from {head!r}")
-    opts = dict(kv.split("=") for kv in tail.split())
+    opts = {}
+    for kv in tail.split():
+        key, eq, val = kv.partition("=")
+        if not (key and eq):
+            raise ValueError(f"expected key=value after '@', got {kv!r}")
+        opts[key] = val
+    if "d" not in opts:
+        raise ValueError("missing the curve class: add d=<degree> after '@'")
     genus = int(opts.get("g", "0"))
     degrees = tuple(int(x) for x in opts["d"].split(","))
     return genus, degrees, tuple(insertions), opts.get("target", "p2")
@@ -240,11 +230,7 @@ def cmd_descendant(args, out) -> int:
             return EXIT_USAGE
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
         g0 = genus0_tangency_potential(geom, gw, dmax)
-        try:
-            seeds = _genus1_seed_table(geom, args)
-        except FileNotFoundError as e:
-            sys.stderr.write(f"missing seed file: {e}\n")
-            return EXIT_MISSING_SEEDS
+        seeds = _genus1_seed_table(geom, args)
         g1 = genus1_tangency_potential(geom, g0, seeds, dmax)
         value = _extract_first_descendant(geom, g1, degrees, insertions)
     else:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .geometry import CurveClass, TargetGeometry
-from .series import Rat, SeriesTable, VarSpace, format_rat, parse_rat
+from .series import Rat, SeriesTable, VarSpace, parse_rat
 
 __all__ = [
     "GWTable",
@@ -446,12 +446,3 @@ def parse_seed_records(text: str, geom: TargetGeometry) -> dict[GWKey, Rat]:
         key = tuple(sorted(i for i in range(geom.rank) for _ in range(counts[i])))
         out[(beta, key)] = parse_rat(v)
     return out
-
-
-def format_seed_records(table: GWTable) -> str:
-    geom = table.geom
-    lines = []
-    for (beta, key), val in sorted(table.entries.items()):
-        counts = [key.count(i) for i in range(geom.rank)]
-        lines.append(",".join(map(str, beta)) + ";" + ",".join(map(str, counts)) + ";" + format_rat(val))
-    return "\n".join(lines) + "\n"

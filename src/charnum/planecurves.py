@@ -48,9 +48,11 @@ from .descend import (
 from .geometry import TargetGeometry
 from .gw import GWTable
 from .series import DiffOperator, Rat, SeriesTable, VarSpace
+from .surface import Surface
 
 __all__ = [
     "P2_SPACE",
+    "PLANE",
     "line_operator",
     "point_operator",
     "cover_polynomials",
@@ -75,15 +77,11 @@ def point_operator() -> DiffOperator:
     return DiffOperator.build([(2, {"v": 1}, "s"), (2, {"v": 2}, "u"), (2, {"w": 1}, "u")])
 
 
+PLANE = Surface("p2", P2_SPACE, (line_operator(),), point_operator(), c1=3, d_sq=1)
+
+
 def dim_ok(genus: int, d: int, a: int, b: int, c: int) -> bool:
     return a + b + 2 * c == 3 * d + genus - 1
-
-
-def _strata(genus: int, d: int):
-    top = 3 * d + genus - 1
-    for c in range(top // 2 + 1):
-        for b in range(top - 2 * c + 1):
-            yield top - b - 2 * c, b, c
 
 
 def cover_polynomials() -> tuple[SeriesTable, SeriesTable]:
@@ -138,66 +136,31 @@ def tangency_expand(a: int, b: int, c: int, d: int, genus: int = 0):
     return out
 
 
-def _quad_coeff(table: SeriesTable, d: int, key: tuple[int, int, int]) -> Rat:
-    return table.coeff((d,), key)
-
-
 def charnum_genus0(gw: GWTable, dmax: int) -> SeriesTable:
     """All genus-0 characteristic numbers of the plane up to degree dmax."""
-    if gw.geom.name != "p2":
-        raise ValueError("the plane pipeline needs the p2 geometry")
-    L, P = line_operator(), point_operator()
-    entries: dict = {}
-    for d in range(1, dmax + 1):
-        entries[((d,), (3 * d - 1, 0, 0))] = gw.lookup((d,), [2] * (3 * d - 1))
-        lower = SeriesTable(P2_SPACE, dmax, {k: v for k, v in entries.items() if k[0][0] < d})
-        g_s = lower.partial("s")
-        g_ss = g_s.partial("s")
-        qv = (g_ss * L(g_s) + g_s.partial("u") * P(g_s)).scale(Fraction(1, 2))
-        qw = g_s.partial("u") * L(g_ss) + lower.partial("u").partial("u") * P(g_ss)
-        for a, b, c in _strata(0, d):
-            if c == 0 and b == 0:
-                continue
-            if c == 0:
-                prev = entries.get(((d,), (a + 1, b - 1, 0)), Fraction(0))
-                val = ((d - 1) * prev + _quad_coeff(qv, d, (a, b - 1, 0))) / d
-            else:
-                prev = entries.get(((d,), (a + 2, b, c - 1)), Fraction(0))
-                val = (prev + _quad_coeff(qw, d, (a, b, c - 1))) / (d * d)
-            if val:
-                entries[((d,), (a, b, c))] = val
-    return SeriesTable(P2_SPACE, dmax, entries)
+    return PLANE.genus0(gw, dmax)
 
 
 def _genus1_correction_blocks(g0: SeriesTable) -> tuple[SeriesTable, SeriesTable]:
-    """The 1/24 blocks of the two genus-1 equations (pure genus-0 data)."""
+    """The 1/24 blocks of the two genus-1 equations (pure genus-0 data): the
+    tangency block takes x = s, the flag block x = u."""
     L, P = line_operator(), point_operator()
-    g_s = g0.partial("s")
-    g_u = g0.partial("u")
-    g_ss = g_s.partial("s")
-    g_us = g_u.partial("s")
-    rv = (
-        L(g_ss)
-        + P(g_us)
-        - L(g_s).scale(2)
-        + g_s.scale(2)
-        - g_ss
-        - g0.partial("v").partial("s").times_monomial({"v": 1}, 2)
-        - g0.partial("w").partial("s").times_monomial({"v": 2}, 2)
-        - g0.partial("w").partial("s").times_monomial({"w": 1}, 2)
-    )
-    g_uu = g_u.partial("u")
-    rw = (
-        L(g_us)
-        + P(g_uu)
-        - L(g_u).scale(2)
-        + g_u.scale(2)
-        - g_us
-        - g0.partial("v").partial("u").times_monomial({"v": 1}, 2)
-        - g0.partial("w").partial("u").times_monomial({"v": 2}, 2)
-        - g0.partial("w").partial("u").times_monomial({"w": 1}, 2)
-    )
-    return rv.scale(Fraction(1, 24)), rw.scale(Fraction(1, 24))
+
+    def block(x: str) -> SeriesTable:
+        f = g0.partial(x)
+        f_s = f.partial("s")
+        return (
+            L(f_s)
+            + P(f.partial("u"))
+            - L(f).scale(2)
+            + f.scale(2)
+            - f_s
+            - f.partial("v").times_monomial({"v": 1}, 2)
+            - f.partial("w").times_monomial({"v": 2}, 2)
+            - f.partial("w").times_monomial({"w": 1}, 2)
+        ).scale(Fraction(1, 24))
+
+    return block("s"), block("u")
 
 
 def charnum_genus1(
@@ -212,7 +175,6 @@ def charnum_genus1(
     E at the end.  `seeds` maps d to the point-only count N^1_d(3d,0,0);
     missing degrees raise KeyError.
     """
-    L, P = line_operator(), point_operator()
     rv24, rw24 = _genus1_correction_blocks(g0)
     e_table, _ = cover_polynomials()
     entries: dict = {}
@@ -222,22 +184,20 @@ def charnum_genus1(
         if seeds[d]:
             entries[((d,), (3 * d, 0, 0))] = Fraction(seeds[d])
         lower = SeriesTable(P2_SPACE, dmax, {k: v for k, v in entries.items() if k[0][0] < d})
-        lg0s, pg0s = L(g0.partial("s")), P(g0.partial("s"))
-        lg0u, pg0u = L(g0.partial("u")), P(g0.partial("u"))
-        qv = lg0s * lower.partial("s") + pg0s * lower.partial("u")
-        qw = lg0u * lower.partial("s") + pg0u * lower.partial("u")
-        for a, b, c in _strata(1, d):
+        qv = PLANE.pair(lower, g0.partial("s"))
+        qw = PLANE.pair(lower, g0.partial("u"))
+        for a, b, c in PLANE.strata(1, d):
             if b == 0 and c == 0:
                 continue
             vals = []
             if c > 0:
-                vals.append(_quad_coeff(qw, d, (a, b, c - 1)) + _quad_coeff(rw24, d, (a, b, c - 1)))
+                vals.append(qw.coeff((d,), (a, b, c - 1)) + rw24.coeff((d,), (a, b, c - 1)))
             if b > 0 and (c == 0 or check_overdetermined):
                 prev = entries.get(((d,), (a + 1, b - 1, c)), Fraction(0))
                 vals.append(
                     prev
-                    + _quad_coeff(qv, d, (a, b - 1, c))
-                    + _quad_coeff(rv24, d, (a, b - 1, c))
+                    + qv.coeff((d,), (a, b - 1, c))
+                    + rv24.coeff((d,), (a, b - 1, c))
                 )
             if check_overdetermined and len(set(vals)) > 1:
                 raise ValueError(
@@ -276,20 +236,18 @@ def charnum_genus1_virtual_route(
     )
     virtual = to_char_variables(gamma1, TangencySpace(geom))
     e_table, _ = cover_polynomials()
-    P = point_operator()
-    return virtual + P(g0).scale(Fraction(1, 24)) - e_table.truncate(dmax)
+    return virtual + PLANE.point(g0).scale(Fraction(1, 24)) - e_table.truncate(dmax)
 
 
 def genus2_corrections(g0: SeriesTable, g1: SeriesTable) -> SeriesTable:
     """The terms added to G^2 to produce the virtual potential (degree >= 4
     part; the degree-2/3 degenerate-cover terms are never evaluated)."""
-    L, P = line_operator(), point_operator()
+    P = point_operator()
     _, h_table = cover_polynomials()
     h = h_table.truncate(g0.dmax)
     two_tail = P(P(g0)).scale(Fraction(1, 2 * 24 * 24))
     one_tail = P(g1).scale(Fraction(-1, 24))
-    cover = h.partial("s") * L(g0) + h.partial("u") * P(g0)
-    return one_tail + two_tail + cover
+    return one_tail + two_tail + PLANE.pair(h, g0)
 
 
 def charnum_genus2(
@@ -307,11 +265,3 @@ def charnum_genus2(
         )
     out = virtual2.truncate(dmax) - genus2_corrections(g0, g1).truncate(dmax)
     return out.filter_keys(lambda deg, mono: deg[0] >= 4)
-
-
-def table_records(table: SeriesTable, genus: int):
-    """(d, a, b, c, value) rows in lexicographic order."""
-    rows = []
-    for (deg, mono), val in sorted(table.entries.items()):
-        rows.append((deg[0], mono[0], mono[1], mono[2], val))
-    return rows

@@ -31,14 +31,15 @@ from .descend import genus0_tangency_potential, genus1_tangency_potential
 from .geometry import TargetGeometry
 from .gw import GWTable
 from .series import DiffOperator, Rat, SeriesTable, VarSpace
+from .surface import Surface
 
 __all__ = [
     "HURWITZ_SPACE",
     "Q_SPACE",
+    "QUADRIC",
     "hurwitz",
     "hurwitz_in_ruling",
     "rule_cover_potentials",
-    "ruling_operators",
     "quadric_genus0",
     "quadric_genus1",
     "quadric_dim_ok",
@@ -109,66 +110,27 @@ def rule_cover_potentials(h1_table: dict[tuple[int, int, int], Rat], dmax: int) 
     return out[0], out[1]
 
 
-def ruling_operators() -> tuple[DiffOperator, DiffOperator, DiffOperator]:
-    l1 = DiffOperator.build([(1, {}, "u2"), (2, {"v": 1}, "u")])
-    l2 = DiffOperator.build([(1, {}, "u1"), (2, {"v": 1}, "u")])
-    p = DiffOperator.build(
-        [(2, {"v": 1}, "u1"), (2, {"v": 1}, "u2"), (4, {"v": 2}, "u"), (2, {"w": 1}, "u")]
-    )
-    return l1, l2, p
+# the ruling operators L1 (paired with u1), L2 (with u2) and the point operator
+QUADRIC = Surface(
+    "p1xp1",
+    Q_SPACE,
+    (
+        DiffOperator.build([(1, {}, "u2"), (2, {"v": 1}, "u")]),
+        DiffOperator.build([(1, {}, "u1"), (2, {"v": 1}, "u")]),
+    ),
+    DiffOperator.build([(2, {"v": 1}, "u1"), (2, {"v": 1}, "u2"), (4, {"v": 2}, "u"), (2, {"w": 1}, "u")]),
+    c1=2,
+    d_sq=2,
+)
 
 
 def quadric_dim_ok(genus: int, d1: int, d2: int, a: int, b: int, c: int) -> bool:
     return a + b + 2 * c == 2 * (d1 + d2) - 1 + genus
 
 
-def _strata(genus: int, total: int):
-    top = 2 * total - 1 + genus
-    for c in range(top // 2 + 1):
-        for b in range(top - 2 * c + 1):
-            yield top - b - 2 * c, b, c
-
-
-def _ds(f: SeriesTable) -> SeriesTable:
-    return f.partial("u1") + f.partial("u2")
-
-
 def quadric_genus0(gw: GWTable, dmax: int) -> SeriesTable:
     """Genus-0 quadric characteristic numbers up to total degree dmax."""
-    if gw.geom.name != "p1xp1":
-        raise ValueError("the quadric pipeline needs the p1xp1 geometry")
-    geom = gw.geom
-    l1, l2, p = ruling_operators()
-    entries: dict = {}
-    for total in range(1, dmax + 1):
-        for beta in geom.curve_classes(total):
-            n = 2 * total - 1
-            entries[(beta, (n, 0, 0))] = gw.lookup(beta, [3] * n)
-        lower = SeriesTable(Q_SPACE, dmax, {k: v for k, v in entries.items() if sum(k[0]) < total})
-        g_s = _ds(lower)
-        g_ss = _ds(g_s)
-        qv = (
-            g_s.partial("u1") * l1(g_s) + g_s.partial("u2") * l2(g_s) + g_s.partial("u") * p(g_s)
-        ).scale(Fraction(1, 2))
-        g_u = lower.partial("u")
-        qw = (
-            g_u.partial("u1") * l1(g_ss)
-            + g_u.partial("u2") * l2(g_ss)
-            + g_u.partial("u") * p(g_ss)
-        )
-        for beta in geom.curve_classes(total):
-            for a, b, c in _strata(0, total):
-                if b == 0 and c == 0:
-                    continue
-                if c == 0:
-                    prev = entries.get((beta, (a + 1, b - 1, 0)), Fraction(0))
-                    val = (2 * (total - 1) * prev + qv.coeff(beta, (a, b - 1, 0))) / total
-                else:
-                    prev = entries.get((beta, (a + 2, b, c - 1)), Fraction(0))
-                    val = (2 * prev + qw.coeff(beta, (a, b, c - 1))) / (total * total)
-                if val:
-                    entries[(beta, (a, b, c))] = val
-    return SeriesTable(Q_SPACE, dmax, entries)
+    return QUADRIC.genus0(gw, dmax)
 
 
 def to_quadric_variables(gamma_table: SeriesTable, geom: TargetGeometry) -> SeriesTable:
@@ -206,15 +168,7 @@ def quadric_genus1(
         check_overdetermined=check_overdetermined,
     )
     virtual = to_quadric_variables(gamma1, geom)
-    l1, l2, p = ruling_operators()
-    hur = hurwitz(1, dmax)
-    i_pot, j_pot = rule_cover_potentials(hur, dmax)
-    g1 = (
-        virtual
-        + p(g0).scale(Fraction(1, 24))
-        - i_pot.partial("u1") * l1(g0)
-        - i_pot.partial("u") * p(g0)
-        - j_pot.partial("u2") * l2(g0)
-        - j_pot.partial("u") * p(g0)
-    )
+    i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax), dmax)
+    # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
+    g1 = virtual + QUADRIC.point(g0).scale(Fraction(1, 24)) - QUADRIC.pair(i_pot + j_pot, g0)
     return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1)

@@ -30,8 +30,6 @@ __all__ = [
     "SeriesTable",
     "DiffOperator",
     "series_product",
-    "partial_derivative",
-    "apply_operator",
 ]
 
 
@@ -377,10 +375,6 @@ def series_product(f: SeriesTable, g: SeriesTable) -> SeriesTable:
     return SeriesTable(sp, dmax, out)
 
 
-def partial_derivative(f: SeriesTable, var: str) -> SeriesTable:
-    return f.partial(var)
-
-
 @dataclass(frozen=True)
 class DiffOperator:
     """Linear differential operator: sum of coef * monomial * d/d(var) terms.
@@ -403,7 +397,3 @@ class DiffOperator:
         for coef, mono, var in self.terms:
             out = out + f.partial(var).times_monomial(dict(mono), coef)
         return out
-
-
-def apply_operator(f: SeriesTable, op: DiffOperator) -> SeriesTable:
-    return op(f)

@@ -1,0 +1,94 @@
+r"""One description of a homogeneous surface and the genus-0 level solver
+shared by the plane and the quadric.
+
+On a surface with tangency divisor D, a point operator P and one line
+operator L_i per degree variable x_i, the genus-0 characteristic potential
+G(x, u, v, w) (u points, v tangencies to D, w flags) satisfies
+
+    G_vx  = (D.D) (G_ux - G_u) + (1/2) <G_x, G_x>
+    G_wxx = (D.D) G_uu + <G_u, G_xx>
+
+with x the total-degree derivative sum_i d/dx_i and the pairing
+
+    <F, G> = sum_i F_{x_i} . L_i G + F_u . P G.
+
+Read off at a class of total degree n, the first removes one tangency and
+the second one flag, dividing by n resp. n^2; the point-only invariants seed
+each level.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .gw import GWTable
+from .series import DiffOperator, SeriesTable, VarSpace
+
+__all__ = ["Surface"]
+
+
+@dataclass(frozen=True)
+class Surface:
+    """`name` is the geometry whose GW tables the solver accepts.  Exponent
+    variables are (u, v, w); `lines[i]` pairs with the degree variable
+    `space.degree_vars[i]`.  `c1` is c_1 per unit of total degree and `d_sq`
+    the self-intersection D.D of the tangency divisor."""
+
+    name: str
+    space: VarSpace
+    lines: tuple[DiffOperator, ...]
+    point: DiffOperator
+    c1: int
+    d_sq: int
+
+    def strata(self, genus: int, total: int):
+        """(a, b, c) with a + b + 2c = c1 * total - 1 + genus, flags outermost."""
+        top = self.c1 * total - 1 + genus
+        for c in range(top // 2 + 1):
+            for b in range(top - 2 * c + 1):
+                yield top - b - 2 * c, b, c
+
+    def ds(self, f: SeriesTable) -> SeriesTable:
+        """The total-degree derivative: the sum of the degree-variable partials."""
+        first, *rest = self.space.degree_vars
+        out = f.partial(first)
+        for x in rest:
+            out = out + f.partial(x)
+        return out
+
+    def pair(self, f: SeriesTable, g: SeriesTable) -> SeriesTable:
+        """sum_i F_{x_i} . L_i G + F_u . P G."""
+        out = f.partial("u") * self.point(g)
+        for x, line in zip(self.space.degree_vars, self.lines):
+            out = out + f.partial(x) * line(g)
+        return out
+
+    def genus0(self, gw: GWTable, dmax: int) -> SeriesTable:
+        """All genus-0 characteristic numbers up to total degree dmax."""
+        geom = gw.geom
+        if geom.name != self.name:
+            raise ValueError(f"the {self.name} solver needs the {self.name} geometry, got {geom.name}")
+        point_class = geom.rank - 1
+        entries: dict = {}
+        for n in range(1, dmax + 1):
+            for beta in geom.curve_classes(n):
+                npts = self.c1 * n - 1
+                entries[(beta, (npts, 0, 0))] = gw.lookup(beta, [point_class] * npts)
+            lower = SeriesTable(self.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < n})
+            g_s = self.ds(lower)
+            qv = self.pair(g_s, g_s).scale(Fraction(1, 2))
+            qw = self.pair(lower.partial("u"), self.ds(g_s))
+            for beta in geom.curve_classes(n):
+                for a, b, c in self.strata(0, n):
+                    if b == 0 and c == 0:
+                        continue
+                    if c == 0:
+                        prev = entries.get((beta, (a + 1, b - 1, 0)), Fraction(0))
+                        val = (self.d_sq * (n - 1) * prev + qv.coeff(beta, (a, b - 1, 0))) / n
+                    else:
+                        prev = entries.get((beta, (a + 2, b, c - 1)), Fraction(0))
+                        val = (self.d_sq * prev + qw.coeff(beta, (a, b, c - 1))) / (n * n)
+                    if val:
+                        entries[(beta, (a, b, c))] = val
+        return SeriesTable(self.space, dmax, entries)

@@ -73,11 +73,29 @@ def test_genus1_seed_bound_exceeded_exit3():
     assert code == 3
 
 
-def test_usage_error_exit2():
+def test_usage_error_exit2(capsys):
     code, _ = capture(["compute", "--target", "p2", "--genus", "5", "--dmax", "2"])
     assert code == 2
     code, _ = capture(["compute", "--target", "gr24", "--genus", "0", "--dmax", "1"])
     assert code == 2
+    capsys.readouterr()
+    for argv in (
+        ["compute", "--target", "p2", "--genus", "0", "--dmax", "0"],
+        ["compute", "--target", "p2", "--genus", "0", "--dmax", "-1"],
+        ["compute", "--target", "p2", "--genus", "0", "--dmax", "2,1"],
+        ["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "3"],
+        ["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "0,0"],
+        ["compute", "--target", "p1xp1", "--genus", "0", "--dmax=-1,2"],
+        ["gw", "--target", "p2", "--dmax", "0"],
+        ["gw", "--target", "p2", "--dmax", "x"],
+        ["gw", "--target", "p1xp1", "--dmax", "3"],
+    ):
+        code, text = capture(argv)
+        err = capsys.readouterr().err
+        assert (code, text) == (2, ""), argv
+        assert err.count("\n") == 1 and "needs a" in err, (argv, err)
+    capture(["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "3"])
+    assert "p1xp1 needs a bidegree D1,D2" in capsys.readouterr().err
 
 
 def test_descendant_spec_parsing():
@@ -90,6 +108,12 @@ def test_descendant_spec_parsing():
         parse_descendant("nonsense @ g=0 d=1")
     with pytest.raises(ValueError):
         parse_descendant("tau0(T2)")
+    with pytest.raises(ValueError, match="d=<degree>"):
+        parse_descendant("tau1(T1) @ g=0")
+    with pytest.raises(ValueError, match="key=value"):
+        parse_descendant("tau0(T2)^2 @ g=0 d=1 p2")
+    for spec in ("tau1(T1) @ g=0", "tau0(T2)^2 @ g=0 d=1 p2"):
+        assert capture(["descendant", spec, "--no-cache"]) == (2, "")
 
 
 def test_descendant_value_and_cache(tmp_path):
