@@ -29,9 +29,12 @@ def default_cache_dir() -> Path:
 
 
 def spec_key(spec: DescendantSpec) -> str:
-    ins = ",".join(f"{m}.{c}" for m, c in spec.insertions)
-    beta = ",".join(map(str, spec.beta))
-    return f"g{spec.genus}|{beta}|{ins}"
+    return _format_key(spec.genus, spec.beta, spec.insertions)
+
+
+def _format_key(genus: int, beta, insertions) -> str:
+    ins = ",".join(f"{m}.{c}" for m, c in insertions)
+    return f"g{genus}|{','.join(map(str, beta))}|{ins}"
 
 
 def _parse_key(text: str) -> tuple:
@@ -68,8 +71,7 @@ class CacheFile:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         body = [f"charnum-cache {__version__}", f"geometry {self.fingerprint}"]
         for (beta, ins), val in sorted(self.records.items()):
-            key = "g0|" + ",".join(map(str, beta)) + "|" + ",".join(f"{m}.{c}" for m, c in ins)
-            body.append(f"{key} {format_rat(val)}")
+            body.append(f"{_format_key(0, beta, ins)} {format_rat(val)}")
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "w") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)

@@ -111,16 +111,21 @@ def _genus1_seed_table(geom, args):
     return load_genus1_seeds(packaged_seed_text(name), geom)
 
 
+def _class_shape(geom: TargetGeometry) -> str:
+    n = len(geom.divisors)
+    return "a degree D" if n == 1 else "a bidegree D1,D2" if n == 2 else f"{n} degrees D1,...,D{n}"
+
+
 def _degree_box(text: str, geom: TargetGeometry) -> tuple[int, ...]:
     """--dmax as one non-negative bound per divisor class, total at least 1."""
-    n = len(geom.divisors)
     try:
         box = tuple(int(x) for x in text.split(","))
     except ValueError:
         box = ()
-    if len(box) != n or min(box) < 0 or sum(box) < 1:
-        want = "a degree D" if n == 1 else "a bidegree D1,D2" if n == 2 else f"{n} degrees D1,...,D{n}"
-        raise ValueError(f"{geom.name} needs {want} (non-negative, total >= 1), got --dmax {text!r}")
+    if len(box) != len(geom.divisors) or min(box) < 0 or sum(box) < 1:
+        raise ValueError(
+            f"{geom.name} needs {_class_shape(geom)} (non-negative, total >= 1), got --dmax {text!r}"
+        )
     return box
 
 
@@ -207,6 +212,11 @@ def parse_descendant(text: str):
 def cmd_descendant(args, out) -> int:
     genus, degrees, insertions, target = parse_descendant(args.spec)
     geom = _geometry(args.target or target)
+    if len(degrees) != len(geom.divisors) or min(degrees) < 0:
+        d = ",".join(map(str, degrees))
+        raise ValueError(f"{geom.name} needs {_class_shape(geom)} (non-negative), got d={d}")
+    if any(c >= geom.rank for _, c in insertions):
+        raise ValueError(f"{geom.name} has the basis classes T0..T{geom.rank - 1} only")
     dmax = sum(degrees)
     if genus == 0:
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
@@ -261,7 +271,10 @@ def _extract_first_descendant(geom, g1: SeriesTable, beta, insertions):
 
 
 def cmd_hurwitz(args, out) -> int:
-    table = hurwitz_table(args.gmax, int(args.dmax))
+    dmax = int(args.dmax)
+    if dmax < 1:
+        raise ValueError(f"hurwitz needs a degree D >= 1, got --dmax {args.dmax!r}")
+    table = hurwitz_table(args.gmax, dmax)
     records = [
         {"g": g, "d": d, "b": b, "value": format_rat(v)} for (g, d, b), v in sorted(table.items())
     ]

@@ -325,12 +325,6 @@ class TangencySpace:
         )
         self.nx = len(self.nondiv)
 
-    def xname(self, i: int) -> str:
-        return f"x{i}"
-
-    def yname(self, k: int) -> str:
-        return f"y{k}"
-
     def budget(self, genus: int, beta: CurveClass) -> int:
         return self.geom.vdim(genus, beta, 0)
 
@@ -371,7 +365,7 @@ class TangencySpace:
         """Multiply a table by a polynomial in the y-variables."""
         out = SeriesTable(self.space, table.dmax)
         for mono, coef in poly.items():
-            powers = {self.yname(k + 1): e for k, e in enumerate(mono) if e}
+            powers = {f"y{k + 1}": e for k, e in enumerate(mono) if e}
             out = out + table.times_monomial(powers, coef)
         return out
 
@@ -446,9 +440,9 @@ def _quad_table(ts: TangencySpace, lower: SeriesTable, gamma, k_idx: int, dv: in
             if not poly:
                 continue
             if e not in left_cache:
-                left_cache[e] = base.partial(ts.xname(k_idx)).partial(ts.xname(e))
+                left_cache[e] = base.partial(f"x{k_idx}").partial(f"x{e}")
             if f not in right_cache:
-                right_cache[f] = base.partial(ts.xname(f)).partial(ts.xname(dv)).partial(ts.xname(dv))
+                right_cache[f] = base.partial(f"x{f}").partial(f"x{dv}").partial(f"x{dv}")
             left = left_cache[e]
             if left.is_zero():
                 continue
@@ -479,25 +473,23 @@ def genus0_pde_residual(
     """Left minus right of the first-descendant equation for indices (k,i,j)."""
     ts = TangencySpace(geom)
     gamma = ts.metric_upper().rows
-    lhs = g0.partial(ts.yname(k)).partial(ts.xname(i)).partial(ts.xname(j))
+    lhs = g0.partial(f"y{k}").partial(f"x{i}").partial(f"x{j}")
     rhs = SeriesTable(ts.space, g0.dmax)
     for m, c in enumerate(geom.cup_table[i][j]):
         if c:
-            rhs = rhs + g0.partial(ts.xname(k)).partial(ts.xname(m)).scale(c)
+            rhs = rhs + g0.partial(f"x{k}").partial(f"x{m}").scale(c)
     for m, c in enumerate(geom.cup_table[k][i]):
         if c:
-            rhs = rhs - g0.partial(ts.xname(m)).partial(ts.xname(j)).scale(c)
+            rhs = rhs - g0.partial(f"x{m}").partial(f"x{j}").scale(c)
     for m, c in enumerate(geom.cup_table[k][j]):
         if c:
-            rhs = rhs - g0.partial(ts.xname(m)).partial(ts.xname(i)).scale(c)
+            rhs = rhs - g0.partial(f"x{m}").partial(f"x{i}").scale(c)
     for e in range(1, geom.rank):
         for f in range(1, geom.rank):
             poly = gamma[e][f]
             if not poly:
                 continue
-            prod = g0.partial(ts.xname(k)).partial(ts.xname(e)) * g0.partial(
-                ts.xname(f)
-            ).partial(ts.xname(i)).partial(ts.xname(j))
+            prod = g0.partial(f"x{k}").partial(f"x{e}") * g0.partial(f"x{f}").partial(f"x{i}").partial(f"x{j}")
             rhs = rhs + ts.poly_times(prod, poly)
     return lhs - rhs
 
@@ -507,16 +499,16 @@ def genus0_integrated_residual(geom: TargetGeometry, g0: SeriesTable, k: int) ->
     G_{x_k y_k} + G_{(x_k x_k)} - (1/2) sum G_{x_k x_e} gamma^{ef} G_{x_f x_k}."""
     ts = TangencySpace(geom)
     gamma = ts.metric_upper().rows
-    out = g0.partial(ts.xname(k)).partial(ts.yname(k))
+    out = g0.partial(f"x{k}").partial(f"y{k}")
     for m, c in enumerate(geom.cup_table[k][k]):
         if c:
-            out = out + g0.partial(ts.xname(m)).scale(c)
+            out = out + g0.partial(f"x{m}").scale(c)
     for e in range(1, geom.rank):
         for f in range(1, geom.rank):
             poly = gamma[e][f]
             if not poly:
                 continue
-            prod = g0.partial(ts.xname(k)).partial(ts.xname(e)) * g0.partial(ts.xname(f)).partial(ts.xname(k))
+            prod = g0.partial(f"x{k}").partial(f"x{e}") * g0.partial(f"x{f}").partial(f"x{k}")
             out = out - ts.poly_times(prod, poly).scale(Fraction(1, 2))
     return out
 
@@ -592,14 +584,14 @@ def _genus1_rhs(ts, g0, g1_lower, gamma, consts, k_idx: int, t: int) -> SeriesTa
     out = SeriesTable(ts.space, t)
     g0t = g0.truncate(t)
     for e in range(1, r):
-        left = g0t.partial(ts.xname(k_idx)).partial(ts.xname(e))
+        left = g0t.partial(f"x{k_idx}").partial(f"x{e}")
         if left.is_zero():
             continue
         for f in range(1, r):
             poly = gamma[e][f]
             if not poly:
                 continue
-            right = g1_lower.partial(ts.xname(f))
+            right = g1_lower.partial(f"x{f}")
             term = left * right
             if consts.get(f):
                 term = term + left.scale(consts[f])
@@ -610,7 +602,7 @@ def _genus1_rhs(ts, g0, g1_lower, gamma, consts, k_idx: int, t: int) -> SeriesTa
             poly = gamma[e][f]
             if not poly:
                 continue
-            third = g0t.partial(ts.xname(k_idx)).partial(ts.xname(e)).partial(ts.xname(f))
+            third = g0t.partial(f"x{k_idx}").partial(f"x{e}").partial(f"x{f}")
             if not third.is_zero():
                 out = out + ts.poly_times(third, poly).scale(Fraction(1, 24))
     return out

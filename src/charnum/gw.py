@@ -7,13 +7,16 @@ codimension >= 2).  A key is dimension-valid when the insertion codimensions
 add up to the expected dimension; every valid key within the bound is stored
 explicitly once a solve completes.
 
-The solver walks curve classes by increasing total degree and, inside a
-level, unknowns by increasing insertion count; each unknown is isolated by
-the first associativity instance that expresses it through known quantities.
-Levels that no single instance resolves (possible when the cohomology is not
-generated by divisors, e.g. Gr(2,4), where sigma_2- and sigma_{1,1}-insertions
-enter cup terms in pairs) fall back to exact Gaussian elimination over the
-level's instances, still in a fixed deterministic order.
+The solver walks curve classes by increasing total degree and solves each
+class by one incremental exact Gauss-Jordan elimination.  Keys are taken in
+canonical order; an open key pulls in its candidate associativity instances,
+each evaluated at most once per class, until it is determined.  The rows stay
+in reduced echelon form, and a row left with only its pivot is a value that
+enters the table at once, so later residuals see it as a constant.  This
+also settles unknowns that no single instance isolates (Gr(2,4), whose
+cohomology is not generated by divisors: sigma_2- and sigma_{1,1}-insertions
+enter cup terms in pairs).  A key still open after all of its candidates are
+in is refused with InsufficientSeeds.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class SeedConflict(ValueError):
 
 
 class InsufficientSeeds(ValueError):
-    """No instance (nor the level's joint system) determines an invariant."""
+    """The associativity instances of a class do not determine an invariant."""
 
 
 GWKey = tuple[CurveClass, tuple[int, ...]]
@@ -57,43 +60,13 @@ class GWTable:
 
     def lookup(self, beta: CurveClass, insertions) -> Rat:
         """Invariant with arbitrary insertions; strips T0/divisors first."""
-        val = self._linform(beta, insertions)
-        if val.unknowns:
-            key = next(iter(val.unknowns))
-            raise KeyError(f"table incomplete at beta={key[0]}, insertions={key[1]}")
-        return val.const
-
-    def _linform(self, beta: CurveClass, insertions) -> "LinForm":
-        return _strip(self.geom, beta, insertions, self.entries, self.dmax)
+        coef, unknown = _strip(self.geom, beta, insertions, self.entries, self.dmax)
+        if unknown is not None:
+            raise KeyError(f"table incomplete at beta={unknown[0]}, insertions={unknown[1]}")
+        return coef
 
     def canonical_value(self, beta: CurveClass, key: tuple[int, ...]) -> Rat:
         return self.entries.get((tuple(beta), tuple(sorted(key))), Fraction(0))
-
-
-@dataclass
-class LinForm:
-    """const + sum coeff * unknown, used while a level is being solved."""
-
-    const: Rat = Fraction(0)
-    unknowns: dict[GWKey, Rat] = field(default_factory=dict)
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        out = LinForm(self.const + other.const, dict(self.unknowns))
-        for k, c in other.unknowns.items():
-            s = out.unknowns.get(k, Fraction(0)) + c
-            if s:
-                out.unknowns[k] = s
-            else:
-                out.unknowns.pop(k, None)
-        return out
-
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: Rat) -> "LinForm":
-        if c == 0:
-            return LinForm()
-        return LinForm(self.const * c, {k: v * c for k, v in self.unknowns.items()})
 
 
 def canonical_keys(geom: TargetGeometry, beta: CurveClass) -> list[tuple[int, ...]]:
@@ -120,35 +93,36 @@ def canonical_keys(geom: TargetGeometry, beta: CurveClass) -> list[tuple[int, ..
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def _strip(geom, beta, insertions, known: dict[GWKey, Rat], dmax: int) -> LinForm:
+def _strip(geom, beta, insertions, known: dict[GWKey, Rat], dmax: int) -> tuple[Rat, GWKey | None]:
+    """(coef, None) for a known value, (coef, key) for coef times an unknown."""
     beta = tuple(beta)
     total = sum(beta)
     ins = tuple(insertions)
     if total == 0:
         if len(ins) != 3:
-            return LinForm()
-        return LinForm(geom.integral(geom.cup_classes(ins)))
+            return Fraction(0), None
+        return geom.integral(geom.cup_classes(ins)), None
     if total > dmax or any(d < 0 for d in beta):
         raise KeyError(f"curve class {beta} outside the truncation bound {dmax}")
     factor = Fraction(1)
     kept = []
     for i in ins:
         if i == 0:
-            return LinForm()  # string equation
+            return Fraction(0), None  # string equation
         if i in geom.divisors:
             factor *= geom.degree_of(i, beta)  # divisor equation
             if factor == 0:
-                return LinForm()
+                return Fraction(0), None
         else:
             kept.append(i)
     key = tuple(sorted(kept))
     weight = sum(geom.codim(i) - 1 for i in key)
     if weight != geom.vdim(0, beta, 0):
-        return LinForm()  # dimension gate
+        return Fraction(0), None  # dimension gate
     full = (beta, key)
     if full in known:
-        return LinForm(known[full] * factor)
-    return LinForm(Fraction(0), {full: factor})
+        return known[full] * factor, None
+    return factor, full
 
 
 @dataclass(frozen=True)
@@ -194,35 +168,35 @@ def _multiset_splits(extras: tuple[int, ...]):
     yield from rec(0, [], [], 1)
 
 
-def _assoc_sum(geom, table_entries, dmax, beta, a, b, c, d, extras) -> LinForm:
-    """F(a,b|c,d): sum over splittings with the inverse-pairing insertion."""
+def _assoc_sum(geom, table: GWTable, inst: Instance, marks, sign: int, out: dict) -> None:
+    """Add sign * F(a,b|c,d), summed over splittings with the inverse-pairing
+    insertion, into out: {unknown: coef}, the constant term under None."""
+    a, b, c, d = marks
     ginv = geom.pairing_inv
     pairs = [(e, f) for e in range(geom.rank) for f in range(geom.rank) if ginv[e][f]]
-    total = LinForm()
-    for beta1, beta2 in _splits(beta):
-        for m1, m2, w in _multiset_splits(extras):
+    for beta1, beta2 in _splits(inst.beta):
+        for m1, m2, w in _multiset_splits(inst.extras):
             for e, f in pairs:
-                left = _strip(geom, beta1, (a, b, e) + m1, table_entries, dmax)
-                if left.const == 0 and not left.unknowns:
+                left, lkey = _strip(geom, beta1, (a, b, e) + m1, table.entries, table.dmax)
+                if not left:
                     continue
-                right = _strip(geom, beta2, (c, d, f) + m2, table_entries, dmax)
-                if right.const == 0 and not right.unknowns:
+                right, rkey = _strip(geom, beta2, (c, d, f) + m2, table.entries, table.dmax)
+                if not right:
                     continue
-                if left.unknowns and right.unknowns:
+                if lkey is not None and rkey is not None:
                     raise AssertionError("product of two unknown invariants in one instance")
-                coef = Fraction(w) * ginv[e][f]
-                if left.unknowns:
-                    total = total + left.scale(coef * right.const)
-                else:
-                    total = total + right.scale(coef * left.const)
-    return total
+                key = rkey if lkey is None else lkey
+                out[key] = out.get(key, 0) + sign * w * ginv[e][f] * left * right
 
 
-def wdvv_instance_residual(geom, table: GWTable, inst: Instance) -> LinForm:
+def wdvv_instance_residual(geom, table: GWTable, inst: Instance) -> dict[GWKey | None, Rat]:
+    """F(i,j|k,l) - F(i,k|j,l) as {unknown: coef}, the constant under None;
+    zero terms are dropped, so {} means 0 = 0."""
     i, j, k, l = inst.marks
-    one = _assoc_sum(geom, table.entries, table.dmax, inst.beta, i, j, k, l, inst.extras)
-    two = _assoc_sum(geom, table.entries, table.dmax, inst.beta, i, k, j, l, inst.extras)
-    return one - two
+    out: dict[GWKey | None, Rat] = {}
+    _assoc_sum(geom, table, inst, (i, j, k, l), 1, out)
+    _assoc_sum(geom, table, inst, (i, k, j, l), -1, out)
+    return {k: v for k, v in out.items() if v}
 
 
 def _candidate_instances(geom: TargetGeometry, beta: CurveClass, key: tuple[int, ...]):
@@ -254,14 +228,12 @@ def _candidate_instances(geom: TargetGeometry, beta: CurveClass, key: tuple[int,
                         yield inst
 
 
-def wdvv_solve(
-    geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int, validate_seeds: bool = True
-) -> GWTable:
+def wdvv_solve(geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int) -> GWTable:
     """Complete the genus-0 table up to total degree dmax from the seeds.
 
-    With validate_seeds, a sample of associativity instances touching each
-    seeded invariant is evaluated once its level is complete; a nonzero
-    residual raises SeedConflict naming the instance.
+    Once a class is solved, up to three associativity instances touching
+    each of its seeded invariants are evaluated; a nonzero residual raises
+    SeedConflict naming the instance.
     """
     table = GWTable(geom, dmax)
     seeded: dict[CurveClass, list] = {}
@@ -277,107 +249,68 @@ def wdvv_solve(
     for total in range(1, dmax + 1):
         for beta in geom.curve_classes(total):
             _solve_level(geom, table, beta)
-            if not validate_seeds:
-                continue
             for key in seeded.get(beta, ()):
                 for n, inst in enumerate(_candidate_instances(geom, beta, key)):
                     if n >= 3:
                         break
                     resid = wdvv_instance_residual(geom, table, inst)
-                    if not resid.unknowns and resid.const != 0:
+                    if list(resid) == [None]:
                         raise SeedConflict(
                             f"seed at beta={beta}, insertions={key} contradicts the "
-                            f"instance {inst.describe()} (residual {resid.const})"
+                            f"instance {inst.describe()} (residual {resid[None]})"
                         )
     return table
 
 
+def _add_scaled(row: dict, other: dict, c: Rat) -> None:
+    """row += c * other, dropping terms that cancel."""
+    for k, v in other.items():
+        s = row.get(k, 0) + c * v
+        if s:
+            row[k] = s
+        else:
+            row.pop(k, None)
+
+
 def _solve_level(geom, table: GWTable, beta: CurveClass) -> None:
-    todo = [k for k in canonical_keys(geom, beta) if (beta, k) not in table.entries]
-    pending: list[tuple[Instance, LinForm]] = []
-    for key in todo:
-        if (beta, key) in table.entries:
-            continue
-        solved = False
+    """Gauss-Jordan elimination over the instances of one curve class.
+
+    rows maps each pivot to its row: pivot coefficient 1, no other pivot in
+    the row.  A key still open after its turn has pulled in every one of its
+    candidate instances.
+    """
+    keys = canonical_keys(geom, beta)
+    rows: dict[GWKey, dict] = {}
+    seen: set[Instance] = set()
+    for key in keys:
         for inst in _candidate_instances(geom, beta, key):
-            resid = wdvv_instance_residual(geom, table, inst)
-            unk = resid.unknowns
-            if list(unk) == [(beta, key)] and unk[(beta, key)] != 0:
-                table.entries[(beta, key)] = -resid.const / unk[(beta, key)]
-                solved = True
+            if (beta, key) in table.entries:
                 break
-            if unk:
-                pending.append((inst, resid))
-        if not solved:
-            pending.append((None, None))  # marks that elimination is required
-    if any(inst is None for inst, _ in pending):
-        pending = [(i, r) for i, r in pending if i is not None]
-        _eliminate(geom, table, beta, pending)
-    remaining = [k for k in canonical_keys(geom, beta) if (beta, k) not in table.entries]
+            if inst in seen:
+                continue
+            seen.add(inst)
+            row = wdvv_instance_residual(geom, table, inst)
+            for p in [k for k in row if k in rows]:
+                _add_scaled(row, rows[p], -row[p])
+            unknowns = [k for k in row if k is not None]
+            if not unknowns:
+                if row:
+                    raise SeedConflict(f"inconsistent instance {inst.describe()}: residual {row[None]}")
+                continue
+            pivot = min(unknowns)
+            inv = 1 / row[pivot]
+            row = {k: v * inv for k, v in row.items()}
+            for other in rows.values():
+                if pivot in other:
+                    _add_scaled(other, row, -other[pivot])
+            rows[pivot] = row
+            for p in [p for p, r in rows.items() if len(r) - (None in r) == 1]:
+                table.entries[p] = -rows.pop(p).get(None, Fraction(0))
+    remaining = [k for k in keys if (beta, k) not in table.entries]
     if remaining:
         raise InsufficientSeeds(
             f"no associativity instance determines beta={beta}, insertions={remaining[0]}"
         )
-
-
-def _eliminate(geom, table: GWTable, beta, rows: list[tuple[Instance, LinForm]]) -> None:
-    """Exact Gaussian elimination over this level's unresolved unknowns."""
-    # refresh residuals against newly solved entries, then also gather more
-    # instances for every still-unknown key
-    todo = [k for k in canonical_keys(geom, beta) if (beta, k) not in table.entries]
-    insts = [inst for inst, _ in rows]
-    for key in todo:
-        for inst in _candidate_instances(geom, beta, key):
-            if inst not in insts:
-                insts.append(inst)
-    system: list[tuple[Instance, LinForm]] = []
-    for inst in insts:
-        resid = wdvv_instance_residual(geom, table, inst)
-        if resid.unknowns:
-            system.append((inst, resid))
-        elif resid.const != 0:
-            raise SeedConflict(f"inconsistent instance {inst.describe()}: residual {resid.const}")
-    order = sorted({k for _, r in system for k in r.unknowns})
-    solved: dict[GWKey, LinForm] = {}
-    for pivot_key in order:
-        pivot = None
-        for idx, (inst, resid) in enumerate(system):
-            resid = _substitute_solved(resid, solved)
-            system[idx] = (inst, resid)
-            if pivot is None and resid.unknowns.get(pivot_key):
-                pivot = (inst, resid)
-        if pivot is None:
-            continue
-        inst, resid = pivot
-        c = resid.unknowns[pivot_key]
-        rest = LinForm(resid.const, {k: v for k, v in resid.unknowns.items() if k != pivot_key})
-        solved[pivot_key] = rest.scale(Fraction(-1) / c)
-    changed = True
-    while changed:
-        changed = False
-        for key, form in solved.items():
-            new = _substitute_solved(form, solved)
-            if new.unknowns != form.unknowns or new.const != form.const:
-                solved[key] = new
-                changed = True
-    for key, form in solved.items():
-        if not form.unknowns:
-            table.entries[key] = form.const
-    # consistency: every remaining equation must now be 0 = 0
-    for inst, resid in system:
-        final = _substitute_solved(resid, solved)
-        if not final.unknowns and final.const != 0:
-            raise SeedConflict(f"inconsistent instance {inst.describe()}: residual {final.const}")
-
-
-def _substitute_solved(form: LinForm, solved: dict[GWKey, LinForm]) -> LinForm:
-    out = LinForm(form.const, {})
-    for k, c in form.unknowns.items():
-        if k in solved:
-            out = out + solved[k].scale(c)
-        else:
-            out = out + LinForm(Fraction(0), {k: c})
-    return out
 
 
 def sample_wdvv_residuals(
@@ -399,9 +332,9 @@ def sample_wdvv_residuals(
             continue
         inst = rng.choice(insts)
         resid = wdvv_instance_residual(geom, table, inst)
-        if resid.unknowns:
+        if any(k is not None for k in resid):
             raise KeyError(f"table incomplete for instance {inst.describe()}")
-        out.append((inst, resid.const))
+        out.append((inst, resid.get(None, Fraction(0))))
     return out
 
 
@@ -430,19 +363,23 @@ def gw_potential(table: GWTable, space: VarSpace | None = None) -> SeriesTable:
 def parse_seed_records(text: str, geom: TargetGeometry) -> dict[GWKey, Rat]:
     """Read `beta;full-basis exponent vector;p/q` records (# lines ignored)."""
     out: dict[GWKey, Rat] = {}
-    for ln in text.splitlines():
+    for n, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        b, m, v = ln.split(";")
-        beta = tuple(int(x) for x in b.split(","))
-        counts = tuple(int(x) for x in m.split(","))
+        try:
+            b, m, v = ln.split(";")
+            beta = tuple(int(x) for x in b.split(","))
+            counts = tuple(int(x) for x in m.split(","))
+            val = parse_rat(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {n}: expected a record beta;counts;p/q, got {ln!r}") from None
         if len(counts) != geom.rank:
-            raise ValueError(f"expected {geom.rank} insertion slots, got {len(counts)}")
+            raise ValueError(f"line {n}: expected {geom.rank} insertion slots, got {len(counts)}")
         if counts[0]:
-            raise ValueError("seed records must not carry fundamental-class insertions")
+            raise ValueError(f"line {n}: seed records must not carry fundamental-class insertions")
         if any(counts[i] for i in geom.divisors):
-            raise ValueError("seed records must not carry divisor insertions")
+            raise ValueError(f"line {n}: seed records must not carry divisor insertions")
         key = tuple(sorted(i for i in range(geom.rank) for _ in range(counts[i])))
-        out[(beta, key)] = parse_rat(v)
+        out[(beta, key)] = val
     return out

@@ -83,13 +83,16 @@ def load_genus1_seeds(text: str, geom: TargetGeometry) -> dict[tuple, Rat]:
 def load_virtual2(text: str, dmax: int) -> SeriesTable:
     """Genus-2 virtual characteristic numbers of the plane: d;a,b,c;p/q."""
     entries = {}
-    for ln in text.splitlines():
+    for n, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        d, mono, v = ln.split(";")
-        a, b, c = (int(x) for x in mono.split(","))
-        entries[((int(d),), (a, b, c))] = parse_rat(v)
+        try:
+            d, mono, v = ln.split(";")
+            a, b, c = (int(x) for x in mono.split(","))
+            entries[((int(d),), (a, b, c))] = parse_rat(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {n}: expected a record d;a,b,c;p/q, got {ln!r}") from None
     return SeriesTable(P2_SPACE, dmax, entries)
 
 

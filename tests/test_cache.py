@@ -12,6 +12,7 @@ def test_roundtrip(tmp_path, p2):
     cache = CacheFile(tmp_path / "p2.cache", p2.fingerprint())
     cache.records[((2,), ((1, 1), (0, 2)))] = Fraction(3, 7)
     cache.save()
+    assert (tmp_path / "p2.cache").read_text().splitlines()[2:] == ["g0|2|1.1,0.2 3/7"]
     fresh = CacheFile(tmp_path / "p2.cache", p2.fingerprint())
     fresh.load()
     assert fresh.records == cache.records

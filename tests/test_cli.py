@@ -89,6 +89,8 @@ def test_usage_error_exit2(capsys):
         ["gw", "--target", "p2", "--dmax", "0"],
         ["gw", "--target", "p2", "--dmax", "x"],
         ["gw", "--target", "p1xp1", "--dmax", "3"],
+        ["hurwitz", "--dmax", "0"],
+        ["hurwitz", "--dmax", "-2"],
     ):
         code, text = capture(argv)
         err = capsys.readouterr().err
@@ -112,8 +114,16 @@ def test_descendant_spec_parsing():
         parse_descendant("tau1(T1) @ g=0")
     with pytest.raises(ValueError, match="key=value"):
         parse_descendant("tau0(T2)^2 @ g=0 d=1 p2")
-    for spec in ("tau1(T1) @ g=0", "tau0(T2)^2 @ g=0 d=1 p2"):
-        assert capture(["descendant", spec, "--no-cache"]) == (2, "")
+    for spec in (
+        "tau1(T1) @ g=0",
+        "tau0(T2)^2 @ g=0 d=1 p2",
+        "tau0(T2)^2 @ d=-1",  # a negative degree
+        "tau0(T2)^2 @ d=1,1 target=p2",  # two degrees on a one-divisor target
+        "tau0(T3)^3 @ d=2 target=p1xp1",  # one degree on the quadric
+        "tau0(T3)^2 @ d=1",  # p2 has T0..T2 only
+    ):
+        assert capture(["descendant", spec, "--no-cache"]) == (2, ""), spec
+    assert capture(["descendant", "tau1(T0) @ g=1 d=0", "--no-cache"]) == (0, "1/8\n")
 
 
 def test_descendant_value_and_cache(tmp_path):

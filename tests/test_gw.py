@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,35 @@ def test_gr24_degree1_from_packaged_seeds():
         assert resid == 0, inst.describe()
 
 
+def test_gr24_degree1_joint_elimination():
+    # with these two seeds gone no single instance isolates either value;
+    # only the level's instances taken together determine both
+    g = builtin_geometry("gr24")
+    full = default_gw_seeds(g)
+    dropped = [((1,), (2, 2, 2, 2, 2)), ((1,), (2, 2, 2, 2, 3))]
+    tab = wdvv_solve(g, {k: v for k, v in full.items() if k not in dropped}, 1)
+    for key in dropped:
+        assert tab.entries[key] == full[key]
+
+
+def test_gr24_degree2_evaluates_each_instance_once(monkeypatch):
+    import charnum.gw as gw
+
+    seen = Counter()
+    residual = gw.wdvv_instance_residual
+
+    def counting(geom, table, inst):
+        if inst.beta == (2,):
+            seen[inst] += 1
+        return residual(geom, table, inst)
+
+    monkeypatch.setattr(gw, "wdvv_instance_residual", counting)
+    g = builtin_geometry("gr24")
+    with pytest.raises(InsufficientSeeds):
+        wdvv_solve(g, default_gw_seeds(g), 2)
+    assert seen and max(seen.values()) == 1
+
+
 def test_gr24_degree2_insufficiency_is_reported():
     # pure sigma_2/sigma_{1,1} strata only occur in paired sums, so degree 2
     # is not determined by degree-1 data; the solver must say so
@@ -143,3 +173,9 @@ def test_seed_record_validation():
         parse_seed_records("1;0,1,2;1\n", p2)
     with pytest.raises(ValueError, match="fundamental"):
         parse_seed_records("1;1,0,2;1\n", p2)
+
+
+def test_seed_record_malformed_names_the_line():
+    p2 = builtin_geometry("p2")
+    with pytest.raises(ValueError, match=r"line 2: expected a record beta;counts;p/q, got '1;0,0'"):
+        parse_seed_records("# beta;counts;value\n1;0,0\n", p2)

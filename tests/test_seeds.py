@@ -46,3 +46,8 @@ def test_virtual2_records():
     assert table.space == P2_SPACE
     assert table.coeff((4,), (13, 0, 0)) == Fraction(7, 3)
     assert table.coeff((5,), (16, 0, 0)) == 2
+
+
+def test_virtual2_malformed_record_names_the_line():
+    with pytest.raises(ValueError, match=r"line 3: expected a record d;a,b,c;p/q, got '1;0,0'"):
+        load_virtual2("# header\n4;13,0,0;7/3\n1;0,0\n", 5)
