@@ -1,8 +1,9 @@
 """On-disk memo cache for descendant invariants.
 
 One file per geometry; a header pins the artifact version and the geometry
-fingerprint, so a changed ring silently invalidates old values.  Writes take
-an exclusive lock and replace the file atomically; reads take a shared lock.
+fingerprint, so a changed ring silently invalidates old values.  A write goes
+to its own temporary file in the cache's directory and replaces the file
+atomically; reads take a shared lock.
 Reload-then-recompute yields identical tables because values are exact.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import fcntl
 import os
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -72,14 +74,17 @@ class CacheFile:
         body = [f"charnum-cache {__version__}", f"geometry {self.fingerprint}"]
         for (beta, ins), val in sorted(self.records.items()):
             body.append(f"{_format_key(0, beta, ins)} {format_rat(val)}")
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            fh.write("\n".join(body) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-            fcntl.flock(fh, fcntl.LOCK_UN)
-        os.replace(tmp, self.path)
+        # a private temporary file per save: concurrent writers never share one
+        fd, tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write("\n".join(body) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     # the engine memo maps (beta, insertions) -> value already
     def absorb(self, memo: dict) -> None:

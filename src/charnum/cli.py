@@ -25,13 +25,8 @@ from .descend import DescendantEngine, DescendantSpec, genus0_tangency_potential
 from .geometry import GeometryError, TargetGeometry, builtin_geometry, load_geometry
 from .gw import GWTable, InsufficientSeeds, SeedConflict, wdvv_solve
 from .metric import deformed_metric
-from .oracles import cross_check, hurwitz_bruteforce
-from .planecurves import (
-    charnum_genus0,
-    charnum_genus1,
-    charnum_genus1_virtual_route,
-    charnum_genus2,
-)
+from .oracles import run_verify_suite
+from .planecurves import charnum_genus0, charnum_genus1, charnum_genus2
 from .quadric import hurwitz as hurwitz_table
 from .quadric import quadric_genus0, quadric_genus1
 from .seeds import (
@@ -187,11 +182,18 @@ SPEC_RE = re.compile(r"tau(\d+)\(T(\d+)\)(?:\^(\d+))?")
 
 def parse_descendant(text: str):
     """`tau0(T2)^4 tau1(T1)^1 @ g=0 d=2 target=p2` -> (spec pieces, options)."""
-    if "@" not in text:
-        raise ValueError("expected 'tau...(...) @ g=.. d=.. target=..'")
+    if text.count("@") != 1:
+        raise ValueError(
+            f"a descendant spec needs exactly one '@', as in 'tau...(...) @ g=.. d=.. target=..', got {text!r}"
+        )
     head, tail = text.split("@")
     insertions = []
-    for m in SPEC_RE.finditer(head):
+    for token in head.split():
+        m = SPEC_RE.fullmatch(token)
+        if m is None:
+            raise ValueError(
+                f"each insertion before '@' must be tau<m>(T<i>) or tau<m>(T<i>)^<k>, got {token!r}"
+            )
         power = int(m.group(3) or 1)
         insertions.extend([(int(m.group(1)), int(m.group(2)))] * power)
     if not insertions:
@@ -297,85 +299,6 @@ def cmd_verify(args, out) -> int:
         return EXIT_MISMATCH
     out.write(f"ok {args.suite}\n")
     return EXIT_OK
-
-
-def run_verify_suite(suite: str, out) -> int:
-    failures = 0
-    if suite == "hurwitz":
-        table = hurwitz_table(1, 4)
-        for g in (0, 1):
-            for d in range(1, 5):
-                b = 2 * d + 2 * g - 2
-                want = hurwitz_bruteforce(d, b).count
-                got = table.get((g, d, b), Fraction(0))
-                if want != got:
-                    failures += 1
-                    out.write(f"mismatch g={g} d={d} b={b}: recursion {got} brute force {want}\n")
-    elif suite == "p2-genus0":
-        geom = builtin_geometry("p2")
-        gw = wdvv_solve(geom, default_gw_seeds(geom), 3)
-        g0 = charnum_genus0(gw, 3)
-        engine = DescendantEngine(geom, gw)
-        from .planecurves import tangency_expand
-
-        pipeline, direct = {}, {}
-        for (deg, mono), val in g0.entries.items():
-            pipeline[(deg[0],) + mono] = val
-        for d in (1, 2, 3):
-            for key in pipeline:
-                if key[0] != d:
-                    continue
-                a, b, c = key[1:]
-                total = sum(
-                    (mult * engine.value(spec) for spec, mult in tangency_expand(a, b, c, d)),
-                    Fraction(0),
-                )
-                direct[key] = total
-        for key, va, vb in cross_check(pipeline, direct):
-            failures += 1
-            out.write(f"mismatch at {key}: pipeline {va} recursion {vb}\n")
-    elif suite == "p2-genus1":
-        geom = builtin_geometry("p2")
-        gw = wdvv_solve(geom, default_gw_seeds(geom), 3)
-        g0 = charnum_genus0(gw, 3)
-        seeds = load_genus1_seeds(packaged_seed_text("p2-genus1"), geom)
-        seeds_by_d = {b[0]: v for b, v in seeds.items()}
-        direct = charnum_genus1(g0, seeds_by_d, 3, check_overdetermined=True)
-        virtual = charnum_genus1_virtual_route(geom, gw, g0, seeds_by_d, 3)
-        for key, va, vb in cross_check(direct.entries, virtual.entries):
-            failures += 1
-            out.write(f"mismatch at {key}: direct {va} virtual route {vb}\n")
-    elif suite == "metric":
-        for name in ("p1", "p2", "p3", "p1xp1", "gr24"):
-            geom = builtin_geometry(name)
-            lower, upper = deformed_metric(geom)
-            if not lower.matmul(upper).is_identity():
-                failures += 1
-                out.write(f"{name}: gamma . gamma^(-1) is not the identity\n")
-            failures += _metric_term_check(geom, lower, out)
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    return failures
-
-
-def _metric_term_check(geom, lower, out) -> int:
-    """Independent term-by-term recomputation of gamma_ij coefficients."""
-    from math import factorial
-
-    bad = 0
-    r = geom.rank
-    for i in range(r):
-        for j in range(r):
-            for mono, coef in lower.entry(i, j).items():
-                classes = [k + 1 for k in range(r - 1) for _ in range(mono[k])]
-                vec = geom.cup_classes(classes + [i, j])
-                val = geom.integral(vec) * Fraction(-2) ** sum(mono)
-                for e in mono:
-                    val /= factorial(e)
-                if val != coef:
-                    bad += 1
-                    out.write(f"{geom.name}: gamma_{i}{j} at {mono}: {coef} vs {val}\n")
-    return bad
 
 
 def build_parser() -> argparse.ArgumentParser:

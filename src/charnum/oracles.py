@@ -1,5 +1,6 @@
-r"""Independent verifiers: brute-force Hurwitz counts, table diffing, and the
-Pieri/Giambelli oracle behind the shipped Gr(2,4) ring constants.
+r"""Independent verifiers: exhaustive Hurwitz counts, table diffing, the
+Pieri/Giambelli oracle behind the shipped Gr(2,4) ring constants, and the
+`charnum verify` suites built from them.
 
 These live in the library (not only in the tests) so `charnum verify` can
 re-run them against the production paths.
@@ -7,11 +8,19 @@ re-run them against the production paths.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial
 
+from .descend import DescendantEngine
+from .geometry import builtin_geometry
+from .gw import wdvv_solve
+from .metric import deformed_metric
+from .planecurves import charnum_genus0, charnum_genus1, charnum_genus1_virtual_route, tangency_expand
+from .quadric import hurwitz as hurwitz_table
+from .seeds import default_gw_seeds, load_genus1_seeds, packaged_seed_text
 from .series import Rat
 
 __all__ = [
@@ -20,13 +29,12 @@ __all__ = [
     "cross_check",
     "schubert_gr24_product",
     "schubert_gr24_cup_table",
+    "run_verify_suite",
 ]
 
 # ---------------------------------------------------------------------------
 # Hurwitz numbers by exhaustive factorization in the symmetric group
 # ---------------------------------------------------------------------------
-
-MAX_TUPLES = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -42,57 +50,41 @@ class FactorizationCount:
         return g2 // 2
 
 
-def _transpositions(d: int) -> list[tuple[int, ...]]:
-    """Transpositions of {0..d-1} as permutation tuples."""
-    out = []
-    for i, j in combinations(range(d), 2):
-        p = list(range(d))
-        p[i], p[j] = p[j], p[i]
-        out.append(tuple(p))
-    return out
-
-
-def _is_transitive(transpositions_used: list[tuple[int, int]], d: int) -> bool:
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in transpositions_used:
-        parent[find(i)] = find(j)
-    return len({find(x) for x in range(d)}) == 1
-
-
 def hurwitz_bruteforce(d: int, b: int) -> FactorizationCount:
     """Count tuples of b transpositions in S_d with identity product and
     transitive generated action, weighted by 1/d!.
 
-    Desk scale only: d <= 5, b <= 10, and the raw tuple count must stay small.
+    The tuples are counted by a transfer over their b positions instead of
+    one by one.  A state is the partial product together with the orbits of
+    the transpositions taken so far (each point labelled by the least point
+    of its orbit), and a tuple counts when it ends at the identity with one
+    orbit.  No cut-and-join or character is used, so this stays a route
+    independent of `quadric.hurwitz`.
+
+    Desk scale only: d <= 6, b <= 12.
     """
     if d < 1 or b < 0:
         raise ValueError("need d >= 1 and b >= 0")
-    if d > 5 or b > 10:
-        raise ValueError(f"size limit exceeded: d={d}, b={b} (desk scale is d <= 5, b <= 10)")
+    if d > 6 or b > 12:
+        raise ValueError(f"size limit exceeded: d={d}, b={b} (desk scale is d <= 6, b <= 12)")
     if d == 1:
         return FactorizationCount(1, b, Fraction(1 if b == 0 else 0))
-    pairs = list(combinations(range(d), 2))
-    if len(pairs) ** b > MAX_TUPLES:
-        raise ValueError(f"size limit exceeded: {len(pairs)}^{b} tuples")
-    perms = _transpositions(d)
     identity = tuple(range(d))
-    count = 0
-    for chosen in product(range(len(pairs)), repeat=b):
-        sigma = identity
-        for idx in chosen:
-            t = perms[idx]
-            sigma = tuple(t[x] for x in sigma)
-        if sigma != identity:
-            continue
-        if _is_transitive([pairs[i] for i in chosen], d):
-            count += 1
+    moves = []
+    for i, j in combinations(identity, 2):
+        t = list(identity)
+        t[i], t[j] = j, i
+        moves.append((tuple(t), i, j))
+    states = Counter({(identity, identity): 1})
+    for _ in range(b):
+        step = Counter()
+        for (sigma, orbit), n in states.items():
+            for t, i, j in moves:
+                lo, hi = sorted((orbit[i], orbit[j]))
+                merged = tuple(lo if o == hi else o for o in orbit)
+                step[tuple(t[x] for x in sigma), merged] += n
+        states = step
+    count = states[identity, (0,) * d]
     return FactorizationCount(d, b, Fraction(count, factorial(d)))
 
 
@@ -172,3 +164,80 @@ def schubert_gr24_cup_table() -> dict[tuple[int, int], tuple[int, ...]]:
                 vec[idx[nu]] = c
             table[(i, j)] = tuple(vec)
     return table
+
+
+# ---------------------------------------------------------------------------
+# The `charnum verify` suites: each production path against a second route
+# ---------------------------------------------------------------------------
+
+
+def run_verify_suite(suite: str, out) -> int:
+    """Run one `charnum verify` suite, writing a line per mismatch to `out`;
+    returns the number of mismatches."""
+    failures = 0
+    if suite == "hurwitz":
+        table = hurwitz_table(1, 4)
+        for g in (0, 1):
+            for d in range(1, 5):
+                b = 2 * d + 2 * g - 2
+                want = hurwitz_bruteforce(d, b).count
+                got = table.get((g, d, b), Fraction(0))
+                if want != got:
+                    failures += 1
+                    out.write(f"mismatch g={g} d={d} b={b}: recursion {got} brute force {want}\n")
+    elif suite == "p2-genus0":
+        geom = builtin_geometry("p2")
+        gw = wdvv_solve(geom, default_gw_seeds(geom), 3)
+        g0 = charnum_genus0(gw, 3)
+        engine = DescendantEngine(geom, gw)
+        pipeline = {(deg[0],) + mono: val for (deg, mono), val in g0.entries.items()}
+        direct = {}
+        for key in sorted(pipeline):
+            d, a, b, c = key
+            direct[key] = sum(
+                (mult * engine.value(spec) for spec, mult in tangency_expand(a, b, c, d)),
+                Fraction(0),
+            )
+        for key, va, vb in cross_check(pipeline, direct):
+            failures += 1
+            out.write(f"mismatch at {key}: pipeline {va} recursion {vb}\n")
+    elif suite == "p2-genus1":
+        geom = builtin_geometry("p2")
+        gw = wdvv_solve(geom, default_gw_seeds(geom), 3)
+        g0 = charnum_genus0(gw, 3)
+        seeds = load_genus1_seeds(packaged_seed_text("p2-genus1"), geom)
+        seeds_by_d = {b[0]: v for b, v in seeds.items()}
+        direct = charnum_genus1(g0, seeds_by_d, 3, check_overdetermined=True)
+        virtual = charnum_genus1_virtual_route(geom, gw, g0, seeds_by_d, 3)
+        for key, va, vb in cross_check(direct.entries, virtual.entries):
+            failures += 1
+            out.write(f"mismatch at {key}: direct {va} virtual route {vb}\n")
+    elif suite == "metric":
+        for name in ("p1", "p2", "p3", "p1xp1", "gr24"):
+            geom = builtin_geometry(name)
+            lower, upper = deformed_metric(geom)
+            if not lower.matmul(upper).is_identity():
+                failures += 1
+                out.write(f"{name}: gamma . gamma^(-1) is not the identity\n")
+            failures += _metric_term_check(geom, lower, out)
+    else:
+        raise ValueError(f"unknown suite {suite!r}")
+    return failures
+
+
+def _metric_term_check(geom, lower, out) -> int:
+    """Independent term-by-term recomputation of gamma_ij coefficients."""
+    bad = 0
+    r = geom.rank
+    for i in range(r):
+        for j in range(r):
+            for mono, coef in lower.entry(i, j).items():
+                classes = [k + 1 for k in range(r - 1) for _ in range(mono[k])]
+                vec = geom.cup_classes(classes + [i, j])
+                val = geom.integral(vec) * Fraction(-2) ** sum(mono)
+                for e in mono:
+                    val /= factorial(e)
+                if val != coef:
+                    bad += 1
+                    out.write(f"{geom.name}: gamma_{i}{j} at {mono}: {coef} vs {val}\n")
+    return bad

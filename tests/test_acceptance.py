@@ -175,10 +175,10 @@ def test_criterion_06_special_degree0_values(p2):
 
 def test_criterion_07_hurwitz_oracle():
     with Budget(7, "Hurwitz vs brute force", 60.0):
-        table = hurwitz(1, 4)
+        table = hurwitz(1, 6)
         assert table[(0, 2, 2)] == Fraction(1, 2)
         for g in (0, 1):
-            for d in range(1, 5):
+            for d in range(1, 7):
                 b = 2 * d + 2 * g - 2
                 assert table.get((g, d, b), Fraction(0)) == hurwitz_bruteforce(d, b).count, (g, d)
 

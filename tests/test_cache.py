@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import charnum
+from charnum import cache as cache_module
 from charnum.cache import CacheFile, spec_key
 from charnum.descend import DescendantEngine, DescendantSpec
 from charnum.gw import wdvv_solve
@@ -46,3 +52,61 @@ def test_spec_key_is_canonical():
     a = spec_key(DescendantSpec(0, (2,), ((1, 1), (0, 2))))
     b = spec_key(DescendantSpec(0, (2,), ((0, 2), (1, 1))))
     assert a == b
+
+
+def test_each_save_writes_its_own_temporary_file(tmp_path, p2, monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        replaced.append(Path(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cache_module.os, "replace", spy)
+    cache = CacheFile(tmp_path / "p2.cache", p2.fingerprint())
+    cache.records[((1,), ((1, 2),))] = Fraction(1)
+    cache.save()
+    cache.save()
+    first, second = replaced
+    assert first != second
+    assert first.parent == second.parent == tmp_path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p2.cache"]
+
+
+WRITER = """
+import sys
+from fractions import Fraction
+from charnum.cache import CacheFile
+
+path, fingerprint, writer = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = CacheFile(path, fingerprint)
+for n in range(200):
+    cache.records[((writer,), ((0, n),))] = Fraction(n, writer + 1)
+for _ in range(40):
+    cache.save()
+"""
+
+
+def test_concurrent_writers_leave_one_whole_file(tmp_path, p2):
+    path = tmp_path / "p2.cache"
+    env = dict(os.environ, PYTHONPATH=str(Path(charnum.__file__).resolve().parent.parent))
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", WRITER, str(path), p2.fingerprint(), str(w)],
+            env=env,
+            stderr=subprocess.PIPE,
+        )
+        for w in range(4)
+    ]
+    for proc in writers:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode(errors="replace")
+    lines = path.read_text().splitlines()
+    assert lines[:2] == [f"charnum-cache {charnum.__version__}", f"geometry {p2.fingerprint()}"]
+    loaded = CacheFile(path, p2.fingerprint())
+    loaded.load()
+    (writer,) = {beta for beta, _ in loaded.records}
+    assert loaded.records == {
+        ((writer[0],), ((0, n),)): Fraction(n, writer[0] + 1) for n in range(200)
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p2.cache"]

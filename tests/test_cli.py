@@ -100,7 +100,7 @@ def test_usage_error_exit2(capsys):
     assert "p1xp1 needs a bidegree D1,D2" in capsys.readouterr().err
 
 
-def test_descendant_spec_parsing():
+def test_descendant_spec_parsing(capsys):
     genus, degrees, insertions, target = parse_descendant(
         "tau0(T2)^4 tau1(T1)^1 @ g=0 d=2 target=p2"
     )
@@ -114,6 +114,15 @@ def test_descendant_spec_parsing():
         parse_descendant("tau1(T1) @ g=0")
     with pytest.raises(ValueError, match="key=value"):
         parse_descendant("tau0(T2)^2 @ g=0 d=1 p2")
+    with pytest.raises(ValueError, match="'foo'"):
+        parse_descendant("tau0(T2)^2 foo @ d=1")
+    with pytest.raises(ValueError, match="exactly one '@'"):
+        parse_descendant("tau0(T2) @ d=1 @ g=0")
+    capsys.readouterr()
+    for spec, named in (("tau0(T2)^2 foo @ d=1", "'foo'"), ("tau0(T2) @ d=1 @ g=0", "exactly one '@'")):
+        assert capture(["descendant", spec, "--no-cache"]) == (2, ""), spec
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err, (spec, err)
     for spec in (
         "tau1(T1) @ g=0",
         "tau0(T2)^2 @ g=0 d=1 p2",

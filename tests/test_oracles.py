@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import factorial
 
 import pytest
 
@@ -10,6 +12,7 @@ from charnum.oracles import (
     schubert_gr24_cup_table,
     schubert_gr24_product,
 )
+from charnum.quadric import hurwitz
 
 
 def test_trivial_cover():
@@ -44,9 +47,40 @@ def test_deterministic():
 
 def test_size_limit():
     with pytest.raises(ValueError, match="size limit"):
-        hurwitz_bruteforce(6, 2)
+        hurwitz_bruteforce(7, 2)
     with pytest.raises(ValueError, match="size limit"):
-        hurwitz_bruteforce(5, 9)
+        hurwitz_bruteforce(6, 13)
+
+
+def naive_count(d: int, b: int) -> Fraction:
+    """Every b-tuple of transpositions of {0..d-1}, one at a time; the orbit
+    of 0 is grown edge by edge until it stops changing."""
+    identity = list(range(d))
+    count = 0
+    for tup in product(combinations(range(d), 2), repeat=b):
+        sigma = identity
+        for i, j in tup:
+            sigma = [j if x == i else i if x == j else x for x in sigma]
+        reached = {0}
+        for _ in range(d):
+            reached |= {x for pair in tup if reached & set(pair) for x in pair}
+        count += sigma == identity and len(reached) == d
+    return Fraction(count, factorial(d))
+
+
+def test_matches_naive_enumeration():
+    for d in range(1, 5):
+        for b in range(7):
+            assert hurwitz_bruteforce(d, b).count == naive_count(d, b), (d, b)
+
+
+def test_goulden_jackson_genus0():
+    # Goulden-Jackson (1997): H_0(d) = d^(d-3) (2d-2)! / d!
+    table = hurwitz(0, 6)
+    for d in range(2, 7):
+        want = Fraction(d) ** (d - 3) * factorial(2 * d - 2) / factorial(d)
+        assert hurwitz_bruteforce(d, 2 * d - 2).count == want, d
+        assert table[(0, d, 2 * d - 2)] == want, d
 
 
 def test_cross_check_reports_key():
