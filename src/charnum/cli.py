@@ -203,6 +203,8 @@ def parse_descendant(text: str):
         key, eq, val = kv.partition("=")
         if not (key and eq):
             raise ValueError(f"expected key=value after '@', got {kv!r}")
+        if key not in ("g", "d", "target"):
+            raise ValueError(f"unknown key {key!r} after '@': the allowed keys are g, d and target")
         opts[key] = val
     if "d" not in opts:
         raise ValueError("missing the curve class: add d=<degree> after '@'")

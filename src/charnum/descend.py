@@ -47,9 +47,9 @@ from fractions import Fraction
 from math import comb
 
 from .geometry import CurveClass, TargetGeometry
-from .gw import GWTable
+from .gw import GWTable, class_splits, multiset_splits
 from .metric import PolyMatrix, deformed_metric
-from .series import Rat, SeriesTable, VarSpace
+from .series import Rat, SeriesTable, VarSpace, series_product
 
 __all__ = [
     "DescendantSpec",
@@ -208,8 +208,8 @@ class DescendantEngine:
         ginv = geom.pairing_inv
         pairs = [(e, f) for e in range(geom.rank) for f in range(geom.rank) if ginv[e][f]]
         side_cache: dict = {}
-        for beta1, beta2 in _positive_splits(beta):
-            for s1, s2, w_split in _mark_splits(others):
+        for beta1, beta2 in class_splits(beta, nonzero=True):
+            for s1, s2, w_split in multiset_splits(others):
                 opts1 = list(_ab_partitions(s1 + ((m1, g1),), forced=()))
                 opts2 = list(_ab_partitions(s2, forced=((m2, g2), (m3, g3))))
                 for (a1, b1), w1 in opts1:
@@ -249,40 +249,6 @@ class DescendantEngine:
         if reduced.psi_total == 0:
             return factor * self.gw.lookup(reduced.beta, [c for _, c in reduced.insertions])
         return factor * self._recurse(reduced, choice)
-
-
-def _positive_splits(beta: CurveClass):
-    """beta1 + beta2 = beta with both sides effective and nonzero."""
-    ranges = [range(b + 1) for b in beta]
-
-    def rec(i, acc):
-        if i == len(ranges):
-            b1 = tuple(acc)
-            b2 = tuple(b - a for b, a in zip(beta, acc))
-            if any(b1) and any(b2):
-                yield b1, b2
-            return
-        for x in ranges[i]:
-            acc.append(x)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
-def _mark_splits(marks: tuple[Insertion, ...]):
-    """Distinct two-sided splits of a mark multiset with binomial weights."""
-    items = sorted(Counter(marks).items())
-
-    def rec(i, s1, s2, w):
-        if i == len(items):
-            yield tuple(s1), tuple(s2), w
-            return
-        mark, mult = items[i]
-        for k in range(mult + 1):
-            yield from rec(i + 1, s1 + [mark] * k, s2 + [mark] * (mult - k), w * comb(mult, k))
-
-    yield from rec(0, [], [], 1)
 
 
 def _ab_partitions(marks: tuple[Insertion, ...], forced: tuple[Insertion, ...]):
@@ -427,29 +393,28 @@ def genus0_tangency_potential(geom: TargetGeometry, gw: GWTable, dmax: int) -> S
 
 
 def _quad_table(ts: TangencySpace, lower: SeriesTable, gamma, k_idx: int, dv: int, t: int) -> SeriesTable:
-    """sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}, degree <= t."""
+    """sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}, degree t only."""
     geom = ts.geom
     r = geom.rank
     out = SeriesTable(ts.space, t)
     left_cache: dict[int, SeriesTable] = {}
     right_cache: dict[int, SeriesTable] = {}
-    base = lower.truncate(t)
     for e in range(1, r):
         for f in range(1, r):
             poly = gamma[e][f]
             if not poly:
                 continue
             if e not in left_cache:
-                left_cache[e] = base.partial(f"x{k_idx}").partial(f"x{e}")
+                left_cache[e] = lower.partial(f"x{k_idx}").partial(f"x{e}")
             if f not in right_cache:
-                right_cache[f] = base.partial(f"x{f}").partial(f"x{dv}").partial(f"x{dv}")
+                right_cache[f] = lower.partial(f"x{f}").partial(f"x{dv}").partial(f"x{dv}")
             left = left_cache[e]
             if left.is_zero():
                 continue
             right = right_cache[f]
             if right.is_zero():
                 continue
-            out = out + ts.poly_times(left * right, poly)
+            out = out + ts.poly_times(series_product(left, right, total=t), poly)
     return out
 
 
@@ -579,22 +544,25 @@ def genus1_tangency_potential(
 
 
 def _genus1_rhs(ts, g0, g1_lower, gamma, consts, k_idx: int, t: int) -> SeriesTable:
+    """The right side of the y_k equation, degree t only."""
     geom = ts.geom
     r = geom.rank
     out = SeriesTable(ts.space, t)
     g0t = g0.truncate(t)
+    top = g0.filter_keys(lambda deg, mono: sum(deg) == t)
     for e in range(1, r):
         left = g0t.partial(f"x{k_idx}").partial(f"x{e}")
         if left.is_zero():
             continue
+        left_top = top.partial(f"x{k_idx}").partial(f"x{e}")
         for f in range(1, r):
             poly = gamma[e][f]
             if not poly:
                 continue
             right = g1_lower.partial(f"x{f}")
-            term = left * right
+            term = series_product(left, right, total=t)
             if consts.get(f):
-                term = term + left.scale(consts[f])
+                term = term + left_top.scale(consts[f])
             if not term.is_zero():
                 out = out + ts.poly_times(term, poly)
     for e in range(1, r):
@@ -602,7 +570,7 @@ def _genus1_rhs(ts, g0, g1_lower, gamma, consts, k_idx: int, t: int) -> SeriesTa
             poly = gamma[e][f]
             if not poly:
                 continue
-            third = g0t.partial(f"x{k_idx}").partial(f"x{e}").partial(f"x{f}")
+            third = top.partial(f"x{k_idx}").partial(f"x{e}").partial(f"x{f}")
             if not third.is_zero():
                 out = out + ts.poly_times(third, poly).scale(Fraction(1, 24))
     return out

@@ -111,9 +111,6 @@ class TargetGeometry:
     def is_effective(self, beta: CurveClass) -> bool:
         return all(d >= 0 for d in beta) and any(beta)
 
-    def zero_class(self) -> CurveClass:
-        return (0,) * len(self.divisors)
-
     def curve_classes(self, total: int):
         """All effective classes with total degree == total (lexicographic)."""
         n = len(self.divisors)

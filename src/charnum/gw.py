@@ -22,8 +22,10 @@ in is refused with InsufficientSeeds.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .geometry import CurveClass, TargetGeometry
@@ -139,32 +141,28 @@ class Instance:
         return f"beta={self.beta} marks=(T{i},T{j},T{k},T{l}) extras=[{m}]"
 
 
-def _splits(beta: CurveClass):
-    """All (beta1, beta2) with beta1 + beta2 = beta, componentwise >= 0."""
-    ranges = [range(b + 1) for b in beta]
-    def rec(i, acc):
-        if i == len(ranges):
-            yield tuple(acc), tuple(b - a for b, a in zip(beta, acc))
-            return
-        for x in ranges[i]:
-            acc.append(x)
-            yield from rec(i + 1, acc)
-            acc.pop()
-    yield from rec(0, [])
+def class_splits(beta: CurveClass, nonzero: bool = False):
+    """All (beta1, beta2) with beta1 + beta2 = beta, componentwise >= 0;
+    with `nonzero`, only those with both sides nonzero."""
+    for b1 in product(*(range(b + 1) for b in beta)):
+        b2 = tuple(b - a for b, a in zip(beta, b1))
+        if not nonzero or (any(b1) and any(b2)):
+            yield b1, b2
 
 
-def _multiset_splits(extras: tuple[int, ...]):
-    """Distinct (M1, M2) splits with the labeled-marks binomial weight."""
-    from collections import Counter
+def multiset_splits(marks: tuple):
+    """Distinct (M1, M2) splits of a multiset of marks, each weighted by the
+    number of ways to split the labeled marks that way."""
+    items = sorted(Counter(marks).items())
 
-    items = sorted(Counter(extras).items())
     def rec(i, m1, m2, w):
         if i == len(items):
             yield tuple(m1), tuple(m2), w
             return
-        cls, mult = items[i]
+        mark, mult = items[i]
         for k in range(mult + 1):
-            yield from rec(i + 1, m1 + [cls] * k, m2 + [cls] * (mult - k), w * comb(mult, k))
+            yield from rec(i + 1, m1 + [mark] * k, m2 + [mark] * (mult - k), w * comb(mult, k))
+
     yield from rec(0, [], [], 1)
 
 
@@ -174,8 +172,8 @@ def _assoc_sum(geom, table: GWTable, inst: Instance, marks, sign: int, out: dict
     a, b, c, d = marks
     ginv = geom.pairing_inv
     pairs = [(e, f) for e in range(geom.rank) for f in range(geom.rank) if ginv[e][f]]
-    for beta1, beta2 in _splits(inst.beta):
-        for m1, m2, w in _multiset_splits(inst.extras):
+    for beta1, beta2 in class_splits(inst.beta):
+        for m1, m2, w in multiset_splits(inst.extras):
             for e, f in pairs:
                 left, lkey = _strip(geom, beta1, (a, b, e) + m1, table.entries, table.dmax)
                 if not left:

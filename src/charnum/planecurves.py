@@ -177,6 +177,8 @@ def charnum_genus1(
     """
     rv24, rw24 = _genus1_correction_blocks(g0)
     e_table, _ = cover_polynomials()
+    images_s = PLANE.images(g0.partial("s"))
+    images_u = PLANE.images(g0.partial("u"))
     entries: dict = {}
     for d in range(1, dmax + 1):
         if d not in seeds:
@@ -184,8 +186,8 @@ def charnum_genus1(
         if seeds[d]:
             entries[((d,), (3 * d, 0, 0))] = Fraction(seeds[d])
         lower = SeriesTable(P2_SPACE, dmax, {k: v for k, v in entries.items() if k[0][0] < d})
-        qv = PLANE.pair(lower, g0.partial("s"))
-        qw = PLANE.pair(lower, g0.partial("u"))
+        qv = PLANE.pair_images(lower, images_s, d)
+        qw = PLANE.pair_images(lower, images_u, d)
         for a, b, c in PLANE.strata(1, d):
             if b == 0 and c == 0:
                 continue

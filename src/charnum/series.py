@@ -89,6 +89,19 @@ class SeriesTable:
                     table[(tuple(deg), tuple(mono))] = v
         self.entries = table
 
+    @classmethod
+    def _trusted(cls, space: VarSpace, dmax: int, entries: dict[Key, Rat]) -> "SeriesTable":
+        """Wrap a dict as it is, without the checks of `__init__`.
+
+        For results of the table operations only: every value is a nonzero
+        `Fraction` and every key fits `space` with total degree <= dmax.
+        """
+        out = cls.__new__(cls)
+        out.space = space
+        out.dmax = dmax
+        out.entries = entries
+        return out
+
     # -- basic protocol ----------------------------------------------------
 
     def __iter__(self) -> Iterator[tuple[Key, Rat]]:
@@ -130,7 +143,9 @@ class SeriesTable:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return SeriesTable(self.space, dmax, out)
+        if self.dmax != other.dmax:
+            out = {k: v for k, v in out.items() if sum(k[0]) <= dmax}
+        return SeriesTable._trusted(self.space, dmax, out)
 
     def __sub__(self, other: "SeriesTable") -> "SeriesTable":
         return self + other.scale(Fraction(-1))
@@ -138,8 +153,8 @@ class SeriesTable:
     def scale(self, c) -> "SeriesTable":
         c = _as_rat(c)
         if c == 0:
-            return SeriesTable(self.space, self.dmax)
-        return SeriesTable(self.space, self.dmax, {k: v * c for k, v in self.entries.items()})
+            return SeriesTable._trusted(self.space, self.dmax, {})
+        return SeriesTable._trusted(self.space, self.dmax, {k: v * c for k, v in self.entries.items()})
 
     def __mul__(self, other: "SeriesTable") -> "SeriesTable":
         return series_product(self, other)
@@ -169,7 +184,7 @@ class SeriesTable:
                     out[(deg, tuple(m))] = val
         else:
             raise KeyError(f"unknown variable {var!r} in {sp}")
-        return SeriesTable(sp, self.dmax, out)
+        return SeriesTable._trusted(sp, self.dmax, out)
 
     def times_monomial(self, powers: Mapping[str, int], coef=1) -> "SeriesTable":
         """Multiply by coef * prod(var^k); raises exponent slots with the EGF factor.
@@ -179,7 +194,7 @@ class SeriesTable:
         """
         coef = _as_rat(coef)
         if coef == 0:
-            return SeriesTable(self.space, self.dmax)
+            return SeriesTable._trusted(self.space, self.dmax, {})
         sp = self.space
         shift = [0] * len(sp.exp_vars)
         for name, k in powers.items():
@@ -200,13 +215,15 @@ class SeriesTable:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return SeriesTable(sp, self.dmax, out)
+        return SeriesTable._trusted(sp, self.dmax, out)
 
     def truncate(self, dmax: int) -> "SeriesTable":
-        return SeriesTable(self.space, dmax, {k: v for k, v in self.entries.items() if sum(k[0]) <= dmax})
+        return SeriesTable._trusted(
+            self.space, dmax, {k: v for k, v in self.entries.items() if sum(k[0]) <= dmax}
+        )
 
     def filter_keys(self, keep) -> "SeriesTable":
-        return SeriesTable(self.space, self.dmax, {k: v for k, v in self.entries.items() if keep(*k)})
+        return SeriesTable._trusted(self.space, self.dmax, {k: v for k, v in self.entries.items() if keep(*k)})
 
     def substitute(
         self,
@@ -344,24 +361,24 @@ def _multinomial(m: int, split: tuple[int, ...]) -> int:
     return out
 
 
-def series_product(f: SeriesTable, g: SeriesTable) -> SeriesTable:
-    """EGF product: curve classes add, exponent slots convolve binomially."""
+def series_product(f: SeriesTable, g: SeriesTable, *, total: int | None = None) -> SeriesTable:
+    """EGF product: curve classes add, exponent slots convolve binomially.
+
+    With `total`, only the part of total degree `total` is formed: every
+    pair whose total degrees do not add up to it is skipped.
+    """
     f._check_same_space(g)
-    sp = f.space
     dmax = min(f.dmax, g.dmax)
-    # group by total degree so over-bound pairs are skipped early
+    # group by total degree so pairs over the bound (or off `total`) are never visited
     by_deg_g: dict[int, list[tuple[Key, Rat]]] = {}
     for key, val in g.entries.items():
         by_deg_g.setdefault(sum(key[0]), []).append((key, val))
+    totals = range(dmax + 1) if total is None else range(total, min(total, dmax) + 1)
     out: dict[Key, Rat] = {}
     for (deg1, m1), v1 in f.entries.items():
-        room = dmax - sum(deg1)
-        if room < 0:
-            continue
-        for tot2, items in by_deg_g.items():
-            if tot2 > room:
-                continue
-            for (deg2, m2), v2 in items:
+        tot1 = sum(deg1)
+        for tot in totals:
+            for (deg2, m2), v2 in by_deg_g.get(tot - tot1, ()):
                 w = v1 * v2
                 for a, b in zip(m1, m2):
                     if a and b:
@@ -372,7 +389,7 @@ def series_product(f: SeriesTable, g: SeriesTable) -> SeriesTable:
                     out[key] = s
                 else:
                     out.pop(key, None)
-    return SeriesTable(sp, dmax, out)
+    return SeriesTable._trusted(f.space, dmax, out)
 
 
 @dataclass(frozen=True)

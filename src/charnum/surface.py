@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gw import GWTable
-from .series import DiffOperator, SeriesTable, VarSpace
+from .series import DiffOperator, SeriesTable, VarSpace, series_product
 
 __all__ = ["Surface"]
 
@@ -57,11 +57,20 @@ class Surface:
             out = out + f.partial(x)
         return out
 
-    def pair(self, f: SeriesTable, g: SeriesTable) -> SeriesTable:
-        """sum_i F_{x_i} . L_i G + F_u . P G."""
-        out = f.partial("u") * self.point(g)
-        for x, line in zip(self.space.degree_vars, self.lines):
-            out = out + f.partial(x) * line(g)
+    def images(self, g: SeriesTable) -> tuple[SeriesTable, ...]:
+        """(P G, L_1 G, L_2 G, ...): the right-hand factors of <F, G>."""
+        return (self.point(g), *(line(g) for line in self.lines))
+
+    def pair(self, f: SeriesTable, g: SeriesTable, total: int | None = None) -> SeriesTable:
+        """sum_i F_{x_i} . L_i G + F_u . P G, only at total degree `total` if given."""
+        return self.pair_images(f, self.images(g), total)
+
+    def pair_images(self, f: SeriesTable, images: tuple[SeriesTable, ...], total: int | None = None) -> SeriesTable:
+        """`pair` with G given by its `images`, for a G shared by many pairings."""
+        point_image, *line_images = images
+        out = series_product(f.partial("u"), point_image, total=total)
+        for x, image in zip(self.space.degree_vars, line_images):
+            out = out + series_product(f.partial(x), image, total=total)
         return out
 
     def genus0(self, gw: GWTable, dmax: int) -> SeriesTable:
@@ -77,8 +86,8 @@ class Surface:
                 entries[(beta, (npts, 0, 0))] = gw.lookup(beta, [point_class] * npts)
             lower = SeriesTable(self.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < n})
             g_s = self.ds(lower)
-            qv = self.pair(g_s, g_s).scale(Fraction(1, 2))
-            qw = self.pair(lower.partial("u"), self.ds(g_s))
+            qv = self.pair(g_s, g_s, n).scale(Fraction(1, 2))
+            qw = self.pair(lower.partial("u"), self.ds(g_s), n)
             for beta in geom.curve_classes(n):
                 for a, b, c in self.strata(0, n):
                     if b == 0 and c == 0:

@@ -118,8 +118,14 @@ def test_descendant_spec_parsing(capsys):
         parse_descendant("tau0(T2)^2 foo @ d=1")
     with pytest.raises(ValueError, match="exactly one '@'"):
         parse_descendant("tau0(T2) @ d=1 @ g=0")
+    with pytest.raises(ValueError, match="'foo'.*g, d and target"):
+        parse_descendant("tau0(T2)^2 @ d=1 foo=bar")
     capsys.readouterr()
-    for spec, named in (("tau0(T2)^2 foo @ d=1", "'foo'"), ("tau0(T2) @ d=1 @ g=0", "exactly one '@'")):
+    for spec, named in (
+        ("tau0(T2)^2 foo @ d=1", "'foo'"),
+        ("tau0(T2) @ d=1 @ g=0", "exactly one '@'"),
+        ("tau0(T2)^2 @ d=1 foo=bar", "g, d and target"),
+    ):
         assert capture(["descendant", spec, "--no-cache"]) == (2, ""), spec
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err, (spec, err)

@@ -165,3 +165,66 @@ def test_substitute_to_zero_kills_entries():
     f = SeriesTable(src, 3, {((1,), (1, 0)): Fraction(2), ((1,), (0, 1)): Fraction(3)})
     out = f.substitute(SP, {"x": [(1, "u")], "y": []})
     assert out.entries == {((1,), (1, 0, 0)): 2}
+
+
+def bounded_tables():
+    """Tables with their own dmax and keys that may lie above it."""
+    entries = st.dictionaries(
+        st.tuples(
+            st.tuples(st.integers(0, 3)),
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        ),
+        st.fractions(min_value=-3, max_value=3),
+        max_size=5,
+    )
+    return st.builds(lambda dmax, d: SeriesTable(SP, dmax, d), st.integers(0, 4), entries)
+
+
+def assert_clean(t):
+    """The invariant every table operation keeps: nonzero Fraction values only,
+    and no key above dmax or outside the variable space."""
+    for (deg, mono), val in t.entries.items():
+        assert type(val) is Fraction and val != 0
+        assert sum(deg) <= t.dmax
+        assert len(deg) == 1 and len(mono) == 3 and min(deg + mono) >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_tables(), bounded_tables())
+def test_sliced_product_is_one_degree_of_the_product(f, g):
+    full = f * g
+    for n in range(min(f.dmax, g.dmax) + 2):
+        assert series_product(f, g, total=n) == full.filter_keys(lambda deg, m, n=n: sum(deg) == n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bounded_tables(),
+    bounded_tables(),
+    st.sampled_from(["s", "u", "v", "w"]),
+    st.fractions(min_value=-2, max_value=2),
+    st.integers(0, 5),
+)
+def test_operations_keep_tables_clean(f, g, var, c, k):
+    results = [
+        f.partial(var),
+        f.times_monomial({"v": 2, "w": 1}, c),
+        f.scale(c),
+        f + g,
+        f - g,
+        f - f,
+        f * g,
+        series_product(f, g, total=k),
+        f.truncate(k),
+        f.filter_keys(lambda deg, mono: mono[0] <= 1),
+    ]
+    for t in results:
+        assert_clean(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_tables(), bounded_tables())
+def test_sum_keeps_the_smaller_dmax(f, g):
+    for t in (f + g, g + f):
+        assert t.dmax == min(f.dmax, g.dmax)
+        assert all(sum(deg) <= t.dmax for deg, _ in t.entries)
