@@ -1,9 +1,11 @@
 """On-disk memo cache for descendant invariants.
 
 One file per geometry; a header pins the artifact version and the geometry
-fingerprint, so a changed ring silently invalidates old values.  A write goes
-to its own temporary file in the cache's directory and replaces the file
-atomically; reads take a shared lock.
+fingerprint, so a changed ring silently invalidates old values.  A write
+holds an exclusive lock on the cache's directory while it reloads the file,
+merges its own records in and replaces the file atomically through its own
+temporary file, so concurrent writers keep each other's records; reads take
+a shared lock.
 Reload-then-recompute yields identical tables because values are exact.
 """
 
@@ -71,20 +73,28 @@ class CacheFile:
 
     def save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        body = [f"charnum-cache {__version__}", f"geometry {self.fingerprint}"]
-        for (beta, ins), val in sorted(self.records.items()):
-            body.append(f"{_format_key(0, beta, ins)} {format_rat(val)}")
-        # a private temporary file per save: concurrent writers never share one
-        fd, tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent)
+        dir_fd = os.open(self.path.parent, os.O_RDONLY)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write("\n".join(body) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+            fcntl.flock(dir_fd, fcntl.LOCK_EX)  # released when dir_fd closes
+            saved = CacheFile(self.path, self.fingerprint)
+            saved.load()  # what other writers saved since this cache was loaded
+            self.records = {**saved.records, **self.records}
+            body = [f"charnum-cache {__version__}", f"geometry {self.fingerprint}"]
+            for (beta, ins), val in sorted(self.records.items()):
+                body.append(f"{_format_key(0, beta, ins)} {format_rat(val)}")
+            # a private temporary file per save: concurrent writers never share one
+            fd, tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write("\n".join(body) + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, self.path)
+            except BaseException:
+                Path(tmp).unlink(missing_ok=True)
+                raise
+        finally:
+            os.close(dir_fd)
 
     # the engine memo maps (beta, insertions) -> value already
     def absorb(self, memo: dict) -> None:

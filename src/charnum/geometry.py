@@ -226,6 +226,11 @@ def _validate(geom: TargetGeometry) -> None:
             )
             if byring != geom.pairing[i][j]:
                 raise GeometryError(f"pairing disagrees with cup at ({i}, {j})")
+    # the integral lives in degree 2 dim: gw's contraction skips degree-0
+    # three-point terms whose codimensions do not add up to dim
+    for k in range(r):
+        if geom.pairing[k][0] and geom.degrees[k] != 2 * geom.dim:
+            raise GeometryError(f"integral of T{k} is nonzero off degree 2 dim = {2 * geom.dim}")
 
 
 def _rows(vals) -> tuple[tuple[Rat, ...], ...]:
@@ -360,46 +365,81 @@ def builtin_geometry(name: str) -> TargetGeometry:
 
 
 def load_geometry(text: str) -> TargetGeometry:
-    """Parse the key-value + tables config format (see TargetGeometry.to_text)."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-    kv: dict[str, str] = {}
-    pairing_rows: list[list[Rat]] = []
-    cup_lines: list[tuple[int, int, list[Rat]]] = []
+    """Parse the key-value + tables config format (see TargetGeometry.to_text).
+
+    A malformed or wrongly sized record raises GeometryError naming its line.
+    """
+    kv: dict[str, tuple[int, str]] = {}
+    pairing_at = 0
+    pairing_rows: list[tuple[int, list[Rat]]] = []
+    cup_lines: list[tuple[int, int, int, list[Rat]]] = []
     mode = None
-    for ln in lines:
-        if ln.startswith("cup "):
-            head, _, tail = ln.partition("=")
-            _, i, j = head.split()
-            cup_lines.append((int(i), int(j), [parse_rat(x) for x in tail.split()]))
-            mode = None
-        elif ln == "pairing":
-            mode = "pairing"
-        elif mode == "pairing" and ln[0] in "-0123456789":
-            pairing_rows.append([parse_rat(x) for x in ln.split()])
-        else:
-            mode = None
-            key, _, val = ln.partition(" ")
-            kv[key] = val.strip()
-    try:
-        labels = tuple(kv["basis"].split())
-        degrees = tuple(int(x) for x in kv["deg"].split())
-        divisors = tuple(int(x) for x in kv["divisors"].split())
-        c1 = tuple(parse_rat(x) for x in kv["c1"].split())
-        chern = tuple(parse_rat(x) for x in kv["chern_divisor"].split())
-        dim = int(kv["dim"])
-        euler = int(kv["euler"])
-        name = kv.get("name", "custom")
-    except KeyError as e:
-        raise GeometryError(f"missing config key {e.args[0]!r}") from None
+    for n, ln in enumerate(text.splitlines(), 1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        try:
+            if ln.startswith("cup "):
+                head, _, tail = ln.partition("=")
+                _, i, j = head.split()
+                cup_lines.append((n, int(i), int(j), [parse_rat(x) for x in tail.split()]))
+                mode = None
+            elif ln == "pairing":
+                mode, pairing_at = "pairing", n
+            elif mode == "pairing" and ln[0] in "-0123456789":
+                pairing_rows.append((n, [parse_rat(x) for x in ln.split()]))
+            else:
+                mode = None
+                key, _, val = ln.partition(" ")
+                kv[key] = (n, val.strip())
+        except (ValueError, ZeroDivisionError):
+            raise GeometryError(f"line {n}: malformed record {ln!r}") from None
+
+    def read(key: str, conv, size: int | None = None) -> tuple:
+        """The values on a key's line, exactly `size` of them when given."""
+        if key not in kv:
+            raise GeometryError(f"missing config key {key!r}")
+        n, val = kv[key]
+        try:
+            vals = tuple(conv(x) for x in val.split())
+        except (ValueError, ZeroDivisionError):
+            raise GeometryError(f"line {n}: malformed {key} value {val!r}") from None
+        if size is not None and len(vals) != size:
+            raise GeometryError(f"line {n}: {key} has {len(vals)} values, expected {size}")
+        return vals
+
+    labels = read("basis", str)
     r = len(labels)
-    prods = {(i, j): {k: v for k, v in enumerate(vec) if v} for i, j, vec in cup_lines}
+    degrees = read("deg", int, r)
+    divisors = read("divisors", int)
+    if any(not 0 < i < r for i in divisors):
+        raise GeometryError(f"line {kv['divisors'][0]}: divisor indices must lie in 1..{r - 1}")
+    c1 = read("c1", parse_rat, len(divisors))
+    chern = read("chern_divisor", parse_rat, len(divisors))
+    (dim,) = read("dim", int, 1)
+    (euler,) = read("euler", int, 1)
+    name = kv["name"][1] if "name" in kv else "custom"
+    if not pairing_at:
+        raise GeometryError("missing config section 'pairing'")
+    if len(pairing_rows) != r:
+        raise GeometryError(f"line {pairing_at}: pairing has {len(pairing_rows)} rows, expected {r}")
+    for n, row in pairing_rows:
+        if len(row) != r:
+            raise GeometryError(f"line {n}: pairing row has {len(row)} entries, expected {r}")
+    prods = {}
+    for n, i, j, vec in cup_lines:
+        if not (0 <= i < r and 0 <= j < r):
+            raise GeometryError(f"line {n}: cup indices ({i}, {j}) outside 0..{r - 1}")
+        if len(vec) != r:
+            raise GeometryError(f"line {n}: cup row has {len(vec)} coefficients, expected {r}")
+        prods[(i, j)] = {k: v for k, v in enumerate(vec) if v}
     return TargetGeometry(
         name=name,
         dim=dim,
         labels=labels,
         degrees=degrees,
         cup_table=_cup_from_dict(r, prods),
-        pairing=_rows(pairing_rows),
+        pairing=_rows(row for _, row in pairing_rows),
         divisors=divisors,
         c1=c1,
         euler=euler,

@@ -52,6 +52,7 @@ class InsufficientSeeds(ValueError):
 
 
 GWKey = tuple[CurveClass, tuple[int, ...]]
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -59,10 +60,70 @@ class GWTable:
     geom: TargetGeometry
     dmax: int
     entries: dict[GWKey, Rat] = field(default_factory=dict)
+    # integer views of the ring, built once per table: step[i] = codim(T_i) - 1,
+    # slot[i] = position of T_i among the divisors (None otherwise), the
+    # nonzero inverse-pairing entries grouped by the step of their first index,
+    # and vdim(0, beta, 0) per class as it is first needed
+    step: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    slot: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    pairs_by_step: dict[int, list[tuple[int, int, Rat]]] = field(init=False, repr=False, compare=False)
+    vdims: dict[CurveClass, int] = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        geom = self.geom
+        self.step = tuple(geom.codim(i) - 1 for i in range(geom.rank))
+        self.slot = tuple(geom.divisors.index(i) if i in geom.divisors else None for i in range(geom.rank))
+        self.pairs_by_step = {}
+        for e, row in enumerate(geom.pairing_inv):
+            for f, g in enumerate(row):
+                if g:
+                    g = int(g) if g.denominator == 1 else g  # keeps sign * w * g an int
+                    self.pairs_by_step.setdefault(self.step[e], []).append((e, f, g))
+
+    def vdim(self, beta: CurveClass) -> int:
+        """vdim(0, beta, 0), the weight a class's canonical keys must carry."""
+        v = self.vdims.get(beta)
+        if v is None:
+            v = self.vdims[beta] = self.geom.vdim(0, beta, 0)
+        return v
+
+    def _strip(self, beta: CurveClass, insertions) -> tuple[Rat, GWKey | None]:
+        """(coef, None) for a known value, (coef, key) for coef times an unknown."""
+        beta = tuple(beta)
+        total = sum(beta)
+        ins = tuple(insertions)
+        if total == 0:
+            if len(ins) != 3:
+                return _ZERO, None
+            return self.geom.integral(self.geom.cup_classes(ins)), None
+        if total > self.dmax or min(beta) < 0:
+            raise KeyError(f"curve class {beta} outside the truncation bound {self.dmax}")
+        step, slot = self.step, self.slot
+        factor = 1
+        weight = 0
+        kept = []
+        for i in ins:
+            if i == 0:
+                return _ZERO, None  # string equation
+            s = slot[i]
+            if s is None:
+                kept.append(i)
+                weight += step[i]
+            else:
+                factor *= beta[s]  # divisor equation
+                if not factor:
+                    return _ZERO, None
+        if weight != self.vdim(beta):
+            return _ZERO, None  # dimension gate
+        full = (beta, tuple(sorted(kept)))
+        val = self.entries.get(full)
+        if val is not None:
+            return val * factor, None
+        return Fraction(factor), full
 
     def lookup(self, beta: CurveClass, insertions) -> Rat:
         """Invariant with arbitrary insertions; strips T0/divisors first."""
-        coef, unknown = _strip(self.geom, beta, insertions, self.entries, self.dmax)
+        coef, unknown = self._strip(beta, insertions)
         if unknown is not None:
             raise KeyError(f"table incomplete at beta={unknown[0]}, insertions={unknown[1]}")
         return coef
@@ -93,38 +154,6 @@ def canonical_keys(geom: TargetGeometry, beta: CurveClass) -> list[tuple[int, ..
     if weight >= 0:
         rec(0, weight, ())
     return sorted(out, key=lambda t: (len(t), t))
-
-
-def _strip(geom, beta, insertions, known: dict[GWKey, Rat], dmax: int) -> tuple[Rat, GWKey | None]:
-    """(coef, None) for a known value, (coef, key) for coef times an unknown."""
-    beta = tuple(beta)
-    total = sum(beta)
-    ins = tuple(insertions)
-    if total == 0:
-        if len(ins) != 3:
-            return Fraction(0), None
-        return geom.integral(geom.cup_classes(ins)), None
-    if total > dmax or any(d < 0 for d in beta):
-        raise KeyError(f"curve class {beta} outside the truncation bound {dmax}")
-    factor = Fraction(1)
-    kept = []
-    for i in ins:
-        if i == 0:
-            return Fraction(0), None  # string equation
-        if i in geom.divisors:
-            factor *= geom.degree_of(i, beta)  # divisor equation
-            if factor == 0:
-                return Fraction(0), None
-        else:
-            kept.append(i)
-    key = tuple(sorted(kept))
-    weight = sum(geom.codim(i) - 1 for i in key)
-    if weight != geom.vdim(0, beta, 0):
-        return Fraction(0), None  # dimension gate
-    full = (beta, key)
-    if full in known:
-        return known[full] * factor, None
-    return factor, full
 
 
 @dataclass(frozen=True)
@@ -166,34 +195,42 @@ def multiset_splits(marks: tuple):
     yield from rec(0, [], [], 1)
 
 
-def _assoc_sum(geom, table: GWTable, inst: Instance, marks, sign: int, out: dict) -> None:
-    """Add sign * F(a,b|c,d), summed over splittings with the inverse-pairing
-    insertion, into out: {unknown: coef}, the constant term under None."""
+def _assoc_sum(table: GWTable, beta: CurveClass, splits, marks, sign: int, out: dict) -> None:
+    """Add sign * F(a,b|c,d) at beta, summed over splittings with the
+    inverse-pairing insertion, into out: {unknown: coef}, the constant term
+    under None.  splits holds the mark splits (M1, M2, weight, sum step(M1)).
+
+    Only pairs (e, f) with step(a) + step(b) + step(e) + sum step(M1) =
+    vdim(0, beta1, 0) are visited.  Every other left factor is zero: for
+    beta1 > 0 that sum is the dimension gate's weight (T0 kills the term,
+    divisors have step 0), and for beta1 = 0 it says the three codimensions
+    add up to dim, off which a degree-0 three-point integral vanishes.
+    """
     a, b, c, d = marks
-    ginv = geom.pairing_inv
-    pairs = [(e, f) for e in range(geom.rank) for f in range(geom.rank) if ginv[e][f]]
-    for beta1, beta2 in class_splits(inst.beta):
-        for m1, m2, w in multiset_splits(inst.extras):
-            for e, f in pairs:
-                left, lkey = _strip(geom, beta1, (a, b, e) + m1, table.entries, table.dmax)
+    for beta1, beta2 in class_splits(beta):
+        budget = table.vdim(beta1) - table.step[a] - table.step[b]
+        for m1, m2, w, s in splits:
+            for e, f, g in table.pairs_by_step.get(budget - s, ()):
+                left, lkey = table._strip(beta1, (a, b, e) + m1)
                 if not left:
                     continue
-                right, rkey = _strip(geom, beta2, (c, d, f) + m2, table.entries, table.dmax)
+                right, rkey = table._strip(beta2, (c, d, f) + m2)
                 if not right:
                     continue
                 if lkey is not None and rkey is not None:
                     raise AssertionError("product of two unknown invariants in one instance")
                 key = rkey if lkey is None else lkey
-                out[key] = out.get(key, 0) + sign * w * ginv[e][f] * left * right
+                out[key] = out.get(key, 0) + left * right * (sign * w * g)
 
 
 def wdvv_instance_residual(geom, table: GWTable, inst: Instance) -> dict[GWKey | None, Rat]:
     """F(i,j|k,l) - F(i,k|j,l) as {unknown: coef}, the constant under None;
     zero terms are dropped, so {} means 0 = 0."""
     i, j, k, l = inst.marks
+    splits = [(m1, m2, w, sum(table.step[x] for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
     out: dict[GWKey | None, Rat] = {}
-    _assoc_sum(geom, table, inst, (i, j, k, l), 1, out)
-    _assoc_sum(geom, table, inst, (i, k, j, l), -1, out)
+    _assoc_sum(table, inst.beta, splits, (i, j, k, l), 1, out)
+    _assoc_sum(table, inst.beta, splits, (i, k, j, l), -1, out)
     return {k: v for k, v in out.items() if v}
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .descend import genus0_tangency_potential, genus1_tangency_potential
 from .geometry import TargetGeometry
 from .gw import GWTable
-from .series import DiffOperator, Rat, SeriesTable, VarSpace
+from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
 from .surface import Surface
 
 __all__ = [
@@ -57,7 +57,7 @@ def hurwitz(gmax: int, dmax: int) -> dict[tuple[int, int, int], Rat]:
     for d in range(2, dmax + 1):
         lower = SeriesTable(HURWITZ_SPACE, dmax, h0)
         tt = lower.partial("t").partial("t")
-        rhs = (tt * tt).times_monomial({"v": 1})
+        rhs = series_product(tt, tt, total=d).times_monomial({"v": 1})
         b = 2 * d - 2
         val = rhs.coeff((d,), (b - 1,)) / d
         if val:
@@ -66,13 +66,12 @@ def hurwitz(gmax: int, dmax: int) -> dict[tuple[int, int, int], Rat]:
     if gmax == 0:
         return out
     h0t = SeriesTable(HURWITZ_SPACE, dmax, h0)
+    tt = h0t.partial("t").partial("t")
+    correction = (tt.partial("t") - tt).times_monomial({"v": 1}, Fraction(2, 24))
     h1: dict = {}
     for d in range(1, dmax + 1):
         lower = SeriesTable(HURWITZ_SPACE, dmax, h1)
-        tt = h0t.partial("t").partial("t")
-        rhs = (tt * lower.partial("t")).times_monomial({"v": 1}, 2) + (
-            h0t.partial("t").partial("t").partial("t") - tt
-        ).times_monomial({"v": 1}, Fraction(2, 24))
+        rhs = series_product(tt, lower.partial("t"), total=d).times_monomial({"v": 1}, 2) + correction
         b = 2 * d
         val = rhs.coeff((d,), (b - 1,))
         if val:

@@ -91,6 +91,38 @@ def test_nonassociative_cup_rejected():
         load_geometry(text)
 
 
+def test_integral_off_top_degree_rejected():
+    # consistent with the ring and nonsingular, but \int T0 = \int T1 = 1
+    g = builtin_geometry("p2")
+    text = g.to_text().replace("pairing\n0 0 1\n0 1 0\n1 0 0", "pairing\n1 1 1\n1 1 0\n1 0 0")
+    with pytest.raises(GeometryError, match="off degree 2 dim"):
+        load_geometry(text)
+
+
+BAD_CONFIGS = {
+    "cup index outside the ring": ("p1", "", "cup 1 5 = 0 0\n", 13),
+    "stray cup coefficient": ("p2", "cup 1 1 = 0 0 1", "cup 1 1 = 0 0 1 7", 13),
+    "cup index not an integer": ("p2", "cup 1 1 = 0 0 1", "cup 1 x = 0 0 1", 13),
+    "short pairing row": ("p2", "\n0 1 0\n", "\n0 1\n", 11),
+    "divisor index outside the ring": ("p2", "divisors 1", "divisors 5", 5),
+    "c1 entry missing": ("p1xp1", "c1 2 2", "c1 2", 6),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_bad_config_record_names_its_line(case, tmp_path, capsys):
+    from charnum import cli
+
+    name, old, new, line = BAD_CONFIGS[case]
+    text = builtin_geometry(name).to_text()
+    path = tmp_path / "bad.geom"
+    path.write_text(text.replace(old, new) if old else text + new)
+    assert cli.run(["metric", "--target", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+
 def test_p1xp1_kunneth_ring():
     q = builtin_geometry("p1xp1")
     assert q.cup(1, 2) == (0, 0, 0, 1)

@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from charnum.geometry import builtin_geometry
+from charnum.geometry import BUILTIN_NAMES, builtin_geometry, load_geometry
 from charnum.gw import (
+    GWTable,
+    Instance,
     InsufficientSeeds,
     SeedConflict,
     canonical_keys,
+    class_splits,
     gw_potential,
+    multiset_splits,
     parse_seed_records,
     sample_wdvv_residuals,
+    wdvv_instance_residual,
     wdvv_solve,
 )
 from charnum.seeds import default_gw_seeds, packaged_seed_text
@@ -179,3 +184,72 @@ def test_seed_record_malformed_names_the_line():
     p2 = builtin_geometry("p2")
     with pytest.raises(ValueError, match=r"line 2: expected a record beta;counts;p/q, got '1;0,0'"):
         parse_seed_records("# beta;counts;value\n1;0,0\n", p2)
+
+
+def _all_pairs_residual(table, inst):
+    """F(i,j|k,l) - F(i,k|j,l) by the unpruned contraction: every class
+    split, every mark split and every (e, f) with ginv[e][f] != 0."""
+    ginv = table.geom.pairing_inv
+    rank = table.geom.rank
+    i, j, k, l = inst.marks
+    out = {}
+    for (a, b, c, d), sign in (((i, j, k, l), 1), ((i, k, j, l), -1)):
+        for beta1, beta2 in class_splits(inst.beta):
+            for m1, m2, w in multiset_splits(inst.extras):
+                for e in range(rank):
+                    for f in range(rank):
+                        if not ginv[e][f]:
+                            continue
+                        left, lkey = table._strip(beta1, (a, b, e) + m1)
+                        right, rkey = table._strip(beta2, (c, d, f) + m2)
+                        if not left or not right:
+                            continue
+                        assert lkey is None or rkey is None
+                        key = rkey if lkey is None else lkey
+                        out[key] = out.get(key, 0) + sign * w * ginv[e][f] * left * right
+    return {key: v for key, v in out.items() if v}
+
+
+WDVV_DMAX = {"p1": 3, "p2": 3, "p3": 2, "p4": 2, "p5": 2, "p6": 1, "p1xp1": 3, "gr24": 1}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_pruned_contraction_equals_all_pairs(name):
+    # the solved values are replaced by random ones and the top-degree values
+    # of one class dropped, so residuals carry constants and unknowns
+    g = builtin_geometry(name)
+    dmax = WDVV_DMAX[name]
+    rng = random.Random(f"contraction-{name}")
+    solved = wdvv_solve(g, default_gw_seeds(g), dmax)
+    dropped = rng.choice(list(g.curve_classes(dmax)))
+    entries = {
+        (beta, key): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for beta, key in solved.entries
+        if beta != dropped
+    }
+    table = GWTable(g, dmax, entries)
+    betas = [b for t in range(1, dmax + 1) for b in g.curve_classes(t)]
+    nonzero = 0
+    for n in range(60):
+        # every other instance leaves out T0, which kills every term, and is
+        # redrawn until its insertions carry the weight vdim(0, beta, 0) - 1
+        # that a nonzero residual needs
+        low = n % 2
+        for _ in range(100 if low else 1):
+            marks = tuple(rng.randrange(low, g.rank) for _ in range(4))
+            extras = tuple(sorted(rng.randrange(low, g.rank) for _ in range(rng.randint(0, 4))))
+            beta = rng.choice(betas)
+            if sum(g.codim(x) - 1 for x in marks + extras) == g.vdim(0, beta, 0) - 1:
+                break
+        inst = Instance(beta, marks, extras)
+        expect = _all_pairs_residual(table, inst)
+        assert wdvv_instance_residual(g, table, inst) == expect, inst.describe()
+        nonzero += bool(expect)
+    # on P^1 every residual is 0 = 0: its one invariant has no insertions
+    assert nonzero or name == "p1"
+
+
+def test_table_from_config_equals_builtin():
+    p2 = builtin_geometry("p2")
+    loaded = load_geometry(p2.to_text())
+    assert wdvv_solve(loaded, default_gw_seeds(loaded), 4) == wdvv_solve(p2, default_gw_seeds(p2), 4)
