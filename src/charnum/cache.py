@@ -1,7 +1,9 @@
 """On-disk memo cache for descendant invariants.
 
-One file per geometry; a header pins the artifact version and the geometry
-fingerprint, so a changed ring silently invalidates old values.  A write
+One file per geometry; a header pins the artifact version, the geometry
+fingerprint and a digest of the record lines, so a changed ring silently
+invalidates old values, and a file whose records were edited or do not
+parse is ignored and rewritten on the next save.  A write
 holds an exclusive lock on the cache's directory while it reloads the file,
 merges its own records in and replaces the file atomically through its own
 temporary file, so concurrent writers keep each other's records; reads take
@@ -12,6 +14,7 @@ Reload-then-recompute yields identical tables because values are exact.
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import os
 import tempfile
 from pathlib import Path
@@ -48,6 +51,10 @@ def _parse_key(text: str) -> tuple:
     return (beta_t, ins_t)
 
 
+def _digest(records: list[str]) -> str:
+    return hashlib.sha256("".join(f"{ln}\n" for ln in records).encode()).hexdigest()
+
+
 class CacheFile:
     def __init__(self, path: Path, fingerprint: str):
         self.path = Path(path)
@@ -57,19 +64,24 @@ class CacheFile:
     def load(self) -> None:
         if not self.path.exists():
             return
-        with open(self.path) as fh:
+        with open(self.path, errors="replace") as fh:  # undecodable bytes fail the digest
             fcntl.flock(fh, fcntl.LOCK_SH)
             lines = fh.read().splitlines()
             fcntl.flock(fh, fcntl.LOCK_UN)
-        if len(lines) < 2:
-            return
-        if lines[0] != f"charnum-cache {__version__}" or lines[1] != f"geometry {self.fingerprint}":
-            return  # stale header: ignore, will be rewritten
-        for ln in lines[2:]:
-            if not ln.strip():
-                continue
-            key, val = ln.rsplit(" ", 1)
-            self.records[_parse_key(key)] = parse_rat(val)
+        header, body = lines[:3], lines[3:]
+        if header != self._header(body):
+            return  # stale or edited: ignore, will be rewritten
+        try:
+            records = {}
+            for ln in body:
+                key, val = ln.rsplit(" ", 1)
+                records[_parse_key(key)] = parse_rat(val)
+        except (ValueError, ZeroDivisionError):
+            return  # a record that does not parse: ignore the file like a stale one
+        self.records.update(records)
+
+    def _header(self, body: list[str]) -> list[str]:
+        return [f"charnum-cache {__version__}", f"geometry {self.fingerprint}", f"digest {_digest(body)}"]
 
     def save(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -79,14 +91,14 @@ class CacheFile:
             saved = CacheFile(self.path, self.fingerprint)
             saved.load()  # what other writers saved since this cache was loaded
             self.records = {**saved.records, **self.records}
-            body = [f"charnum-cache {__version__}", f"geometry {self.fingerprint}"]
-            for (beta, ins), val in sorted(self.records.items()):
-                body.append(f"{_format_key(0, beta, ins)} {format_rat(val)}")
+            body = [
+                f"{_format_key(0, beta, ins)} {format_rat(val)}" for (beta, ins), val in sorted(self.records.items())
+            ]
             # a private temporary file per save: concurrent writers never share one
             fd, tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent)
             try:
                 with os.fdopen(fd, "w") as fh:
-                    fh.write("\n".join(body) + "\n")
+                    fh.write("".join(f"{ln}\n" for ln in self._header(body) + body))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)

@@ -51,7 +51,11 @@ def _geometry(name_or_path: str) -> TargetGeometry:
     except GeometryError:
         p = Path(name_or_path)
         if p.exists():
-            return load_geometry(p.read_text())
+            try:
+                text = p.read_text()
+            except OSError as e:
+                raise GeometryError(f"cannot read the geometry config {p}: {e.strerror}") from None
+            return load_geometry(text)
         raise
 
 
@@ -229,12 +233,18 @@ def cmd_descendant(args, out) -> int:
         if not args.no_cache:
             cache_path = Path(args.cache) if args.cache else default_cache_dir() / f"{geom.name}.cache"
             cache = CacheFile(cache_path, geom.fingerprint())
-            cache.load()
+            try:
+                cache.load()
+            except OSError as e:
+                raise ValueError(f"cannot read the cache file {cache_path}: {e.strerror}") from None
             engine.memo.update(cache.seed_memo())
         value = engine.value(DescendantSpec(0, degrees, insertions))
         if cache is not None:
             cache.absorb(engine.memo)
-            cache.save()
+            try:
+                cache.save()
+            except OSError as e:
+                raise ValueError(f"cannot write the cache file {cache_path}: {e.strerror}") from None
     elif genus == 1:
         if any(m > 1 for m, _ in insertions):
             sys.stderr.write(

@@ -97,7 +97,10 @@ def load_virtual2(text: str, dmax: int) -> SeriesTable:
 
 
 def read_seed_file(path: str | Path) -> str:
+    """The text of a seed file.  A path that is missing or cannot be read (a
+    directory, say) raises FileNotFoundError naming it."""
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
-    return p.read_text()
+    try:
+        return p.read_text()
+    except OSError as e:
+        raise FileNotFoundError(f"{p}: {e.strerror}") from None

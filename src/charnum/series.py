@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 Rat = Fraction
@@ -195,27 +196,14 @@ class SeriesTable:
         coef = _as_rat(coef)
         if coef == 0:
             return SeriesTable._trusted(self.space, self.dmax, {})
-        sp = self.space
-        shift = [0] * len(sp.exp_vars)
-        for name, k in powers.items():
-            if k < 0:
-                raise ValueError("monomial powers must be non-negative")
-            shift[sp.exp_index(name)] += k
+        c = coef.numerator if coef.denominator == 1 else coef
+        shift = _exp_shift(self.space, powers.items())
+        # the shift is injective on keys, so no two entries meet
         out: dict[Key, Rat] = {}
         for (deg, mono), val in self.entries.items():
-            fac = coef
-            new = list(mono)
-            for i, k in enumerate(shift):
-                if k:
-                    new[i] += k
-                    fac *= factorial(new[i]) // factorial(mono[i])
-            key = (deg, tuple(new))
-            s = out.get(key, Fraction(0)) + val * fac
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SeriesTable._trusted(sp, self.dmax, out)
+            new, fac = _raise(mono, shift)
+            out[(deg, new)] = val * (c * fac)
+        return SeriesTable._trusted(self.space, self.dmax, out)
 
     def truncate(self, dmax: int) -> "SeriesTable":
         return SeriesTable._trusted(
@@ -361,35 +349,70 @@ def _multinomial(m: int, split: tuple[int, ...]) -> int:
     return out
 
 
+def _exp_shift(space: VarSpace, powers: Iterable[tuple[str, int]]) -> tuple[tuple[int, int], ...]:
+    """(slot, k) for each exponent slot that the monomial prod(var^k) raises."""
+    shift = [0] * len(space.exp_vars)
+    for name, k in powers:
+        if k < 0:
+            raise ValueError("monomial powers must be non-negative")
+        shift[space.exp_index(name)] += k
+    return tuple((i, k) for i, k in enumerate(shift) if k)
+
+
+def _raise(mono: tuple[int, ...], shift: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
+    """`mono` raised by `shift`, and the EGF factor prod (m+1)...(m+k) as an int."""
+    new = list(mono)
+    fac = 1
+    for i, k in shift:
+        m = new[i]
+        new[i] = m + k
+        fac *= factorial(m + k) // factorial(m)
+    return tuple(new), fac
+
+
+def _denominator(t: SeriesTable) -> int:
+    """The least common denominator of the entries of `t`."""
+    return lcm(*(val.denominator for val in t.entries.values()))
+
+
+def _from_numerators(acc: dict[Key, int], den: int) -> dict[Key, Rat]:
+    """Turn integer numerators over `den` into Fractions in place; zeros go."""
+    for key in [key for key, num in acc.items() if not num]:
+        del acc[key]
+    for key, num in acc.items():
+        acc[key] = Fraction(num) if den == 1 else Fraction(num, den)
+    return acc
+
+
 def series_product(f: SeriesTable, g: SeriesTable, *, total: int | None = None) -> SeriesTable:
     """EGF product: curve classes add, exponent slots convolve binomially.
 
     With `total`, only the part of total degree `total` is formed: every
-    pair whose total degrees do not add up to it is skipped.
+    pair whose total degrees do not add up to it is skipped.  Both factors
+    are brought to a common denominator and their integer numerators
+    convolved, so one Fraction is built per output entry.
     """
     f._check_same_space(g)
     dmax = min(f.dmax, g.dmax)
+    df, dg = _denominator(f), _denominator(g)
     # group by total degree so pairs over the bound (or off `total`) are never visited
-    by_deg_g: dict[int, list[tuple[Key, Rat]]] = {}
+    by_deg_g: dict[int, list[tuple[Key, int]]] = {}
     for key, val in g.entries.items():
-        by_deg_g.setdefault(sum(key[0]), []).append((key, val))
+        by_deg_g.setdefault(sum(key[0]), []).append((key, val.numerator * (dg // val.denominator)))
     totals = range(dmax + 1) if total is None else range(total, min(total, dmax) + 1)
-    out: dict[Key, Rat] = {}
+    acc: dict[Key, int] = {}
     for (deg1, m1), v1 in f.entries.items():
+        n1 = v1.numerator * (df // v1.denominator)
         tot1 = sum(deg1)
         for tot in totals:
-            for (deg2, m2), v2 in by_deg_g.get(tot - tot1, ()):
-                w = v1 * v2
+            for (deg2, m2), n2 in by_deg_g.get(tot - tot1, ()):
+                w = n1 * n2
                 for a, b in zip(m1, m2):
                     if a and b:
                         w *= comb(a + b, a)
-                key = (tuple(x + y for x, y in zip(deg1, deg2)), tuple(a + b for a, b in zip(m1, m2)))
-                s = out.get(key, Fraction(0)) + w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return SeriesTable._trusted(f.space, dmax, out)
+                key = (tuple(map(add, deg1, deg2)), tuple(map(add, m1, m2)))
+                acc[key] = acc.get(key, 0) + w
+    return SeriesTable._trusted(f.space, dmax, _from_numerators(acc, df * dg))
 
 
 @dataclass(frozen=True)
@@ -410,7 +433,39 @@ class DiffOperator:
         return cls(tuple(packed))
 
     def __call__(self, f: SeriesTable) -> SeriesTable:
-        out = SeriesTable(f.space, f.dmax)
+        """One pass over `f`: each entry meets each term once, with the
+        term's factor (coefficient numerator, degree weight and EGF rising
+        factorial) an int, over the common denominator of `f` and the
+        coefficients."""
+        sp = f.space
+        cden = lcm(*(coef.denominator for coef, _, _ in self.terms))
+        plan = []
         for coef, mono, var in self.terms:
-            out = out + f.partial(var).times_monomial(dict(mono), coef)
-        return out
+            if var in sp.degree_vars:
+                by_degree, slot = True, sp.degree_index(var)
+            elif var in sp.exp_vars:
+                by_degree, slot = False, sp.exp_index(var)
+            else:
+                raise KeyError(f"unknown variable {var!r} in {sp}")
+            if coef:
+                plan.append((by_degree, slot, _exp_shift(sp, mono), coef.numerator * (cden // coef.denominator)))
+        den = _denominator(f)
+        acc: dict[Key, int] = {}
+        for (deg, mono), val in f.entries.items():
+            num = val.numerator * (den // val.denominator)
+            for by_degree, slot, shift, c in plan:
+                if by_degree:
+                    weight = deg[slot]
+                    if not weight:
+                        continue
+                    new, fac = _raise(mono, shift)
+                else:
+                    if not mono[slot]:
+                        continue
+                    lowered = list(mono)
+                    lowered[slot] -= 1
+                    new, fac = _raise(lowered, shift)
+                    weight = 1
+                key = (deg, new)
+                acc[key] = acc.get(key, 0) + num * c * weight * fac
+        return SeriesTable._trusted(sp, f.dmax, _from_numerators(acc, den * cden))

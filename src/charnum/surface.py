@@ -74,30 +74,47 @@ class Surface:
         return out
 
     def genus0(self, gw: GWTable, dmax: int) -> SeriesTable:
-        """All genus-0 characteristic numbers up to total degree dmax."""
+        """All genus-0 characteristic numbers up to total degree dmax.
+
+        Level n reads G below degree n only through G_s = ds(G), G_u and the
+        images of G_s and ds(G_s).  The maps are linear and keep the curve
+        class, so each level adds its own slice to them for the levels above.
+        """
         geom = gw.geom
         if geom.name != self.name:
             raise ValueError(f"the {self.name} solver needs the {self.name} geometry, got {geom.name}")
         point_class = geom.rank - 1
+        empty = SeriesTable._trusted(self.space, dmax, {})
+        g_s = g_u = empty
+        images_s = images_ss = self.images(empty)
         entries: dict = {}
         for n in range(1, dmax + 1):
+            level: dict = {}
             for beta in geom.curve_classes(n):
                 npts = self.c1 * n - 1
-                entries[(beta, (npts, 0, 0))] = gw.lookup(beta, [point_class] * npts)
-            lower = SeriesTable(self.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < n})
-            g_s = self.ds(lower)
-            qv = self.pair(g_s, g_s, n).scale(Fraction(1, 2))
-            qw = self.pair(lower.partial("u"), self.ds(g_s), n)
+                seed = Fraction(gw.lookup(beta, [point_class] * npts))
+                if seed:
+                    level[(beta, (npts, 0, 0))] = seed
+            qv = self.pair_images(g_s, images_s, n).scale(Fraction(1, 2))
+            qw = self.pair_images(g_u, images_ss, n)
             for beta in geom.curve_classes(n):
                 for a, b, c in self.strata(0, n):
                     if b == 0 and c == 0:
                         continue
                     if c == 0:
-                        prev = entries.get((beta, (a + 1, b - 1, 0)), Fraction(0))
+                        prev = level.get((beta, (a + 1, b - 1, 0)), Fraction(0))
                         val = (self.d_sq * (n - 1) * prev + qv.coeff(beta, (a, b - 1, 0))) / n
                     else:
-                        prev = entries.get((beta, (a + 2, b, c - 1)), Fraction(0))
+                        prev = level.get((beta, (a + 2, b, c - 1)), Fraction(0))
                         val = (self.d_sq * prev + qw.coeff(beta, (a, b, c - 1))) / (n * n)
                     if val:
-                        entries[(beta, (a, b, c))] = val
+                        level[(beta, (a, b, c))] = val
+            entries.update(level)
+            if n < dmax:
+                new = SeriesTable._trusted(self.space, dmax, level)
+                new_s = self.ds(new)
+                g_s = g_s + new_s
+                g_u = g_u + new.partial("u")
+                images_s = tuple(old + add for old, add in zip(images_s, self.images(new_s)))
+                images_ss = tuple(old + add for old, add in zip(images_ss, self.images(self.ds(new_s))))
         return SeriesTable(self.space, dmax, entries)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,7 +19,11 @@ def test_roundtrip(tmp_path, p2):
     cache = CacheFile(tmp_path / "p2.cache", p2.fingerprint())
     cache.records[((2,), ((1, 1), (0, 2)))] = Fraction(3, 7)
     cache.save()
-    assert (tmp_path / "p2.cache").read_text().splitlines()[2:] == ["g0|2|1.1,0.2 3/7"]
+    body = "g0|2|1.1,0.2 3/7\n"
+    assert (tmp_path / "p2.cache").read_text().splitlines()[2:] == [
+        f"digest {hashlib.sha256(body.encode()).hexdigest()}",
+        body.strip(),
+    ]
     fresh = CacheFile(tmp_path / "p2.cache", p2.fingerprint())
     fresh.load()
     assert fresh.records == cache.records
@@ -31,6 +36,23 @@ def test_fingerprint_invalidation(tmp_path, p2):
     stale = CacheFile(tmp_path / "p2.cache", "deadbeef")
     stale.load()
     assert stale.records == {}
+
+
+def test_unparsable_record_under_its_digest_is_ignored(tmp_path, p2):
+    path = tmp_path / "p2.cache"
+    cache = CacheFile(path, p2.fingerprint())
+    cache.records[((1,), ((1, 2),))] = Fraction(1)
+    cache.save()
+    for bad in ("g0|1|1.2 1/0", "g0|1|1.2", "g0|x|1.2 1"):
+        path.write_text("".join(f"{ln}\n" for ln in cache._header([bad]) + [bad]))
+        fresh = CacheFile(path, p2.fingerprint())
+        fresh.load()
+        assert fresh.records == {}, bad
+        fresh.records[((1,), ((1, 2),))] = Fraction(1)
+        fresh.save()
+        reread = CacheFile(path, p2.fingerprint())
+        reread.load()
+        assert reread.records == cache.records
 
 
 def test_warm_cache_reproduces_values(tmp_path, p2):

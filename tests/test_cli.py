@@ -6,6 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from charnum.geometry import builtin_geometry
 
 from charnum.cli import parse_descendant, run
 
@@ -212,3 +216,163 @@ def test_determinism_two_cold_runs():
     a = subprocess.run(cmd, capture_output=True, check=True).stdout
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b and a
+
+
+CACHED_SPEC = "tau0(T2)^6 tau1(T1)^2 @ g=0 d=3"
+
+
+@pytest.mark.parametrize(
+    "record, old, new",
+    [("g0|3|", " 40", " 1/0"), ("g0|2|", " ", ""), ("g0|3|", " 40", " 999")],
+    ids=["zero-denominator", "no-space", "poisoned-value"],
+)
+def test_edited_cache_record_is_ignored_and_rewritten(tmp_path, capsys, record, old, new):
+    path = tmp_path / "p2.cache"
+    argv = ["descendant", CACHED_SPEC, "--cache", str(path)]
+    assert capture(argv) == (0, "40\n")
+    good = path.read_text()
+    edited = "".join(
+        ln.replace(old, new, 1) if ln.startswith(record) else ln for ln in good.splitlines(keepends=True)
+    )
+    assert edited != good
+    path.write_text(edited)
+    capsys.readouterr()
+    assert capture(argv) == (0, "40\n")
+    assert "Traceback" not in capsys.readouterr().err
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gw", "--target", "{dir}", "--dmax", "1"], 2),
+        (["descendant", "tau0(T2)^2 @ d=1 target={dir}", "--no-cache"], 2),
+        (["descendant", "tau0(T2)^2 @ d=1", "--cache", "{dir}"], 2),
+        (["gw", "--target", "p2", "--dmax", "1", "--seeds", "{dir}"], 3),
+        (["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", "{dir}"], 3),
+    ],
+    ids=["target", "spec-target", "cache", "seeds", "virtual2"],
+)
+def test_directory_as_path_names_it(tmp_path, capsys, argv, code):
+    assert capture([a.format(dir=tmp_path) for a in argv]) == (code, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path) in err, err
+
+
+# -- fuzzing the four parsers through the command line ---------------------------
+
+JUNK = ["", "@", "=", "tau", "(", ")", "^", "x", "-1", ",", ";", "/", "1/0", "#"]
+
+
+def with_junk(tokens, junk, at):
+    """`tokens` with one junk token inserted, or unchanged when `junk` is None."""
+    if junk is not None:
+        tokens = tokens[: at % (len(tokens) + 1)] + [junk] + tokens[at % (len(tokens) + 1) :]
+    return tokens
+
+
+maybe_junk = st.one_of(st.none(), st.none(), st.sampled_from(JUNK))
+insertion = st.builds(
+    lambda m, i, k: f"tau{m}(T{i})" + ("" if k is None else f"^{k}"),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.none() | st.integers(0, 3),
+)
+
+
+def option(key, values):
+    return st.sampled_from([""] + [f"{key}={v}" for v in values])
+
+
+options = st.tuples(
+    option("g", ["0", "1", "2", "x"]),
+    st.sampled_from(["d=1", "d=2", "d=1,1", "d=2,0", "d=0", "d=-1", "d=", "d=x", "d=1,1,1"]),
+    option("target", ["p2", "p1xp1", "p1", "p3", "gr24", "nope"]),
+).map(lambda kv: [x for x in kv if x])
+descendant_specs = st.builds(
+    lambda ins, opts, junk, at, cached: ("descendant", " ".join(with_junk(ins + ["@"] + opts, junk, at)), cached),
+    st.lists(insertion, min_size=1, max_size=3),
+    options,
+    maybe_junk,
+    st.integers(0, 8),
+    st.booleans(),
+)
+
+field = st.sampled_from(["0", "1", "2", "3", "-1", "x", "", "1/2", "1/0"])
+# well-formed records, with classes and slots that may not fit the target
+well_formed = st.builds(
+    lambda b, c, v: f"{b};{c};{v}",
+    st.sampled_from(["1", "2", "1,1", "2,0", "0,1", "0"]),
+    st.lists(st.sampled_from(["0", "1", "2", "3"]), min_size=3, max_size=4).map(",".join),
+    st.sampled_from(["1", "0", "-3", "1/2", "7/3", "12"]),
+)
+records = st.one_of(
+    well_formed,
+    well_formed,
+    st.lists(st.lists(field, min_size=1, max_size=4).map(",".join), min_size=1, max_size=4).map(";".join),
+    st.sampled_from(JUNK),
+)
+record_files = st.lists(records, min_size=1, max_size=5).map(lambda lines: "\n".join(lines) + "\n")
+seed_requests = st.tuples(
+    st.sampled_from(
+        [
+            ["gw", "--target", "p2", "--dmax", "2", "--seeds", "{file}"],
+            ["gw", "--target", "p1xp1", "--dmax", "1,1", "--seeds", "{file}"],
+            ["compute", "--target", "p2", "--genus", "1", "--dmax", "2", "--seeds", "{file}"],
+            ["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "1,1", "--seeds", "{file}"],
+        ]
+    ),
+    record_files,
+)
+# genus-2 output starts at degree 4: below it the request is refused before the file is read
+virtual2_requests = st.tuples(
+    st.just(["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", "{file}"]),
+    record_files,
+)
+
+
+def edit_config(text, edits):
+    lines = [ln.split(" ") for ln in text.splitlines()]
+    for line, token, new in edits:
+        words = lines[line % len(lines)]
+        words[token % len(words)] = new
+    return "\n".join(" ".join(words) for words in lines) + "\n"
+
+
+geometry_requests = st.tuples(
+    st.sampled_from(
+        [
+            ["gw", "--target", "{file}", "--dmax", "2"],
+            ["metric", "--target", "{file}"],
+            ["descendant", "tau0(T2)^2 @ d=1", "--target", "{file}", "--no-cache"],
+        ]
+    ),
+    st.builds(
+        edit_config,
+        st.sampled_from([builtin_geometry(t).to_text() for t in ("p2", "p1xp1")]),
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 8), st.sampled_from(JUNK + ["0", "1", "2", "-2", "4", "cup"])),
+            max_size=3,
+        ),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(descendant_specs, seed_requests, virtual2_requests, geometry_requests))
+def test_parsers_fail_with_an_exit_code_not_a_traceback(tmp_path, capsys, case):
+    """Malformed input exits 2 (usage) or 3 (missing data or out of scope).
+    Seed records are data that WDVV checks: a contradiction among them is a
+    mismatch (exit 1) with one line saying so."""
+    if case[0] == "descendant":
+        _, spec, cached = case
+        argv = ["descendant", spec, *(["--cache", str(tmp_path / "p.cache")] if cached else ["--no-cache"])]
+    else:
+        template, text = case
+        (tmp_path / "input").write_text(text)
+        argv = [a.format(file=tmp_path / "input") for a in template]
+    capsys.readouterr()
+    code, _ = capture(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 2, 3) or code == 1 and err.startswith("seed data fails verification"), (argv, code, err)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charnum.planecurves import PLANE
+from charnum.quadric import QUADRIC
 from charnum.series import DiffOperator, SeriesTable, VarSpace, VariableMismatch, series_product
 
 SP = VarSpace(("s",), ("u", "v", "w"))
@@ -208,6 +211,9 @@ def test_sliced_product_is_one_degree_of_the_product(f, g):
 def test_operations_keep_tables_clean(f, g, var, c, k):
     results = [
         f.partial(var),
+        PLANE.point(f),
+        PLANE.lines[0](f),
+        DiffOperator.build([(c, {"v": 1}, var), (-c, {}, "s")])(f),
         f.times_monomial({"v": 2, "w": 1}, c),
         f.scale(c),
         f + g,
@@ -228,3 +234,102 @@ def test_sum_keeps_the_smaller_dmax(f, g):
     for t in (f + g, g + f):
         assert t.dmax == min(f.dmax, g.dmax)
         assert all(sum(deg) <= t.dmax for deg, _ in t.entries)
+
+
+# -- a second route for the kernels: naive all-Fraction loops ---------------------
+
+
+def naive_product(f, g, total=None):
+    """Every pair of entries, one Fraction product and sum at a time."""
+    out = {}
+    for (d1, m1), v1 in f.entries.items():
+        for (d2, m2), v2 in g.entries.items():
+            deg = tuple(a + b for a, b in zip(d1, d2))
+            if sum(deg) > min(f.dmax, g.dmax) or total is not None and sum(deg) != total:
+                continue
+            w = v1 * v2
+            for a, b in zip(m1, m2):
+                w *= comb(a + b, a)
+            key = (deg, tuple(a + b for a, b in zip(m1, m2)))
+            out[key] = out.get(key, Fraction(0)) + w
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_apply(op, f):
+    """Sum over the terms of coef * monomial * d/d(var) f, by a partial
+    derivative and a monomial multiplication per term."""
+    sp = f.space
+    out = {}
+    for coef, mono, var in op.terms:
+        for (deg, exps), val in f.entries.items():
+            exps = list(exps)
+            if var in sp.degree_vars:
+                val = val * deg[sp.degree_vars.index(var)]
+            elif exps[sp.exp_vars.index(var)]:
+                exps[sp.exp_vars.index(var)] -= 1
+            else:
+                continue
+            val = val * coef
+            for name, k in mono:
+                i = sp.exp_vars.index(name)
+                val = val * Fraction(factorial(exps[i] + k), factorial(exps[i]))
+                exps[i] += k
+            key = (deg, tuple(exps))
+            out[key] = out.get(key, Fraction(0)) + val
+    return {k: v for k, v in out.items() if v}
+
+
+Q_SP = QUADRIC.space
+VALUES = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=50),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]),  # cancel often
+)
+
+
+def exact_tables(space):
+    degs = st.tuples(*[st.integers(0, 3 if len(space.degree_vars) == 1 else 2)] * len(space.degree_vars))
+    exps = st.tuples(*[st.integers(0, 2)] * len(space.exp_vars))
+    entries = st.dictionaries(st.tuples(degs, exps), VALUES, max_size=8)
+    return st.builds(lambda dmax, d: SeriesTable(space, dmax, d), st.integers(1, 5), entries)
+
+
+def operators(space):
+    names = list(space.degree_vars + space.exp_vars)
+    mono = st.dictionaries(st.sampled_from(space.exp_vars), st.integers(0, 2), max_size=2)
+    term = st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=50), mono, st.sampled_from(names))
+    return st.lists(term, min_size=1, max_size=4).map(DiffOperator.build)
+
+
+def assert_exact(t, expected):
+    assert t.entries == expected
+    assert all(type(v) is Fraction for v in t.entries.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([SP, Q_SP]).flatmap(lambda sp: st.tuples(exact_tables(sp), exact_tables(sp))))
+def test_product_equals_pairwise_fractions(fg):
+    f, g = fg
+    assert_exact(series_product(f, g), naive_product(f, g))
+    for n in range(min(f.dmax, g.dmax) + 2):
+        assert_exact(series_product(f, g, total=n), naive_product(f, g, n))
+
+
+def test_product_drops_a_cancelled_entry():
+    f = table({((1,), (1, 0, 0)): Fraction(1, 3), ((1,), (0, 1, 0)): Fraction(-1, 3)})
+    g = table({((1,), (0, 1, 0)): Fraction(3, 7), ((1,), (1, 0, 0)): Fraction(3, 7)})
+    assert naive_product(f, g) == {((2,), (2, 0, 0)): Fraction(2, 7), ((2,), (0, 2, 0)): Fraction(-2, 7)}
+    assert_exact(f * g, naive_product(f, g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_tables(SP), operators(SP))
+def test_plane_operators_equal_term_by_term(f, op):
+    for known in (PLANE.point, *PLANE.lines, op):
+        assert_exact(known(f), naive_apply(known, f))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_tables(Q_SP), operators(Q_SP))
+def test_quadric_operators_equal_term_by_term(f, op):
+    for known in (QUADRIC.point, *QUADRIC.lines, op):
+        assert_exact(known(f), naive_apply(known, f))
