@@ -21,9 +21,17 @@ from pathlib import Path
 
 from . import __version__
 from .cache import CacheFile, default_cache_dir
-from .descend import DescendantEngine, DescendantSpec, genus0_tangency_potential, genus1_tangency_potential
+from .descend import (
+    DescendantEngine,
+    DescendantSpec,
+    TangencySpace,
+    dimension_valid,
+    genus0_tangency_potential,
+    genus1_tangency_potential,
+    reduce_special,
+)
 from .geometry import GeometryError, TargetGeometry, builtin_geometry, load_geometry
-from .gw import GWTable, InsufficientSeeds, SeedConflict, wdvv_solve
+from .gw import GWTable, InsufficientSeeds, SeedConflict, parse_seed_records, wdvv_solve
 from .metric import deformed_metric
 from .oracles import run_verify_suite
 from .planecurves import charnum_genus0, charnum_genus1, charnum_genus2
@@ -155,7 +163,7 @@ def cmd_compute(args, out) -> int:
                 sys.stderr.write(f"missing seed file entry: genus-1 {what}\n")
                 return EXIT_MISSING_SEEDS
         if quadric:
-            table = quadric_genus1(geom, gw, g0, seeds, dmax)
+            table = quadric_genus1(gw, g0, seeds, dmax)
         else:
             table = charnum_genus1(g0, {b[0]: v for b, v in seeds.items()}, dmax)
     if args.genus == 2:
@@ -173,8 +181,6 @@ def cmd_gw(args, out) -> int:
     dmax = sum(_degree_box(args.dmax, geom))
     seeds = default_gw_seeds(geom)
     if args.seeds:
-        from .gw import parse_seed_records
-
         seeds = parse_seed_records(read_seed_file(args.seeds), geom)
     gw = wdvv_solve(geom, seeds, dmax)
     _emit(_gw_records(gw), ["d", "insertions", "value"], args.format, out)
@@ -265,8 +271,6 @@ def cmd_descendant(args, out) -> int:
 
 
 def _extract_first_descendant(geom, g1: SeriesTable, beta, insertions):
-    from .descend import TangencySpace, dimension_valid, reduce_special
-
     red = reduce_special(geom, DescendantSpec(1, beta, insertions))
     if red[0] == "value":
         return red[1]

@@ -48,7 +48,7 @@ from math import comb
 
 from .geometry import CurveClass, TargetGeometry
 from .gw import GWTable, class_splits, multiset_splits
-from .metric import PolyMatrix, deformed_metric
+from .metric import deformed_metric
 from .series import Rat, SeriesTable, VarSpace, series_product
 
 __all__ = [
@@ -290,9 +290,8 @@ class TangencySpace:
             tuple(f"x{i}" for i in self.nondiv) + tuple(f"y{k}" for k in range(1, geom.rank)),
         )
         self.nx = len(self.nondiv)
-
-    def budget(self, genus: int, beta: CurveClass) -> int:
-        return self.geom.vdim(genus, beta, 0)
+        # gamma^{ef}: polynomial entries over y1..yr at y0 = 0
+        self.gamma = deformed_metric(geom)[1].rows
 
     def gated_keys(self, genus: int, beta: CurveClass):
         """All exponent vectors satisfying the dimension constraint."""
@@ -300,7 +299,7 @@ class TangencySpace:
         weights = [geom.codim(c) - 1 for c in self.nondiv] + [
             geom.codim(k) for k in range(1, geom.rank)
         ]
-        budget = self.budget(genus, beta)
+        budget = geom.vdim(genus, beta, 0)
         n = len(weights)
         out = []
 
@@ -320,12 +319,18 @@ class TangencySpace:
             rec(0, budget, [])
         return out
 
-    def ysplit(self, mono: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return mono[: self.nx], mono[self.nx:]
+    def descendant_keys(self, genus: int, beta: CurveClass) -> list[tuple[int, ...]]:
+        """The gated exponent vectors with some y-exponent, fewest y first,
+        so each one's lowered keys are solved before it."""
+        keys = [k for k in self.gated_keys(genus, beta) if any(k[self.nx:])]
+        keys.sort(key=lambda k: sum(k[self.nx:]))
+        return keys
 
-    def metric_upper(self) -> PolyMatrix:
-        _, upper = deformed_metric(self.geom)
-        return upper
+    def lowered(self, key: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """`key` with one y_k fewer."""
+        out = list(key)
+        out[self.nx + k - 1] -= 1
+        return tuple(out)
 
     def poly_times(self, table: SeriesTable, poly) -> SeriesTable:
         """Multiply a table by a polynomial in the y-variables."""
@@ -355,8 +360,6 @@ def _deriv_coeff(ts: TangencySpace, entries, beta, mono, derivs) -> Rat:
 def genus0_tangency_potential(geom: TargetGeometry, gw: GWTable, dmax: int) -> SeriesTable:
     """Full genus-0 first-descendant potential up to total degree dmax."""
     ts = TangencySpace(geom)
-    upper = ts.metric_upper()
-    gamma = upper.rows  # polynomial entries over y1..yr at y0 = 0
     r = geom.rank
     entries: dict = {}
     # y = 0 slice from the Gromov-Witten table
@@ -375,27 +378,22 @@ def genus0_tangency_potential(geom: TargetGeometry, gw: GWTable, dmax: int) -> S
             dv = next((i for i in geom.divisors if geom.degree_of(i, beta)), None)
             if dv is None:
                 continue
-            keys = [k for k in ts.gated_keys(0, beta) if any(ts.ysplit(k)[1])]
-            keys.sort(key=lambda k: sum(ts.ysplit(k)[1]))
             dd = Fraction(geom.degree_of(dv, beta)) ** 2
-            for mono in keys:
-                ys = ts.ysplit(mono)[1]
-                k_idx = next(k + 1 for k, b in enumerate(ys) if b)
-                target = list(mono)
-                target[ts.nx + k_idx - 1] -= 1
-                target = tuple(target)
+            for mono in ts.descendant_keys(0, beta):
+                k_idx = next(k + 1 for k, b in enumerate(mono[ts.nx:]) if b)
+                target = ts.lowered(mono, k_idx)
                 if (dv, k_idx) not in quad_cache:
-                    quad_cache[(dv, k_idx)] = _quad_table(ts, lower, gamma, k_idx, dv, t)
+                    quad_cache[(dv, k_idx)] = _quad_table(ts, lower, k_idx, dv, t)
                 rhs = _pde_rhs_coeff(ts, entries, quad_cache[(dv, k_idx)], beta, target, k_idx, dv)
                 if rhs:
                     entries[(beta, mono)] = rhs / dd
     return SeriesTable(ts.space, dmax, entries)
 
 
-def _quad_table(ts: TangencySpace, lower: SeriesTable, gamma, k_idx: int, dv: int, t: int) -> SeriesTable:
+def _quad_table(ts: TangencySpace, lower: SeriesTable, k_idx: int, dv: int, t: int) -> SeriesTable:
     """sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}, degree t only."""
-    geom = ts.geom
-    r = geom.rank
+    gamma = ts.gamma
+    r = ts.geom.rank
     out = SeriesTable(ts.space, t)
     left_cache: dict[int, SeriesTable] = {}
     right_cache: dict[int, SeriesTable] = {}
@@ -437,7 +435,7 @@ def genus0_pde_residual(
 ) -> SeriesTable:
     """Left minus right of the first-descendant equation for indices (k,i,j)."""
     ts = TangencySpace(geom)
-    gamma = ts.metric_upper().rows
+    gamma = ts.gamma
     lhs = g0.partial(f"y{k}").partial(f"x{i}").partial(f"x{j}")
     rhs = SeriesTable(ts.space, g0.dmax)
     for m, c in enumerate(geom.cup_table[i][j]):
@@ -463,7 +461,7 @@ def genus0_integrated_residual(geom: TargetGeometry, g0: SeriesTable, k: int) ->
     """The total-derivative form at k = i = j:
     G_{x_k y_k} + G_{(x_k x_k)} - (1/2) sum G_{x_k x_e} gamma^{ef} G_{x_f x_k}."""
     ts = TangencySpace(geom)
-    gamma = ts.metric_upper().rows
+    gamma = ts.gamma
     out = g0.partial(f"x{k}").partial(f"y{k}")
     for m, c in enumerate(geom.cup_table[k][k]):
         if c:
@@ -501,12 +499,10 @@ def genus1_tangency_potential(
     stratum must agree, else ValueError.
     """
     ts = TangencySpace(geom)
-    gamma = ts.metric_upper().rows
     consts = genus1_degree0_constants(geom)
-    r = geom.rank
     entries: dict = {}
     for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t)):
-        slice_keys = [k for k in ts.gated_keys(1, beta) if not any(ts.ysplit(k)[1])]
+        slice_keys = [k for k in ts.gated_keys(1, beta) if not any(k[ts.nx:])]
         if not slice_keys:
             continue
         val = seeds.get(tuple(beta), Fraction(0))
@@ -519,18 +515,13 @@ def genus1_tangency_potential(
         g1_lower = SeriesTable(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
         rhs_by_k: dict[int, SeriesTable] = {}
         for beta in geom.curve_classes(t):
-            keys = [k for k in ts.gated_keys(1, beta) if any(ts.ysplit(k)[1])]
-            keys.sort(key=lambda k: sum(ts.ysplit(k)[1]))
-            for mono in keys:
-                ys = ts.ysplit(mono)[1]
-                choices = [k + 1 for k, b in enumerate(ys) if b]
+            for mono in ts.descendant_keys(1, beta):
+                choices = [k + 1 for k, b in enumerate(mono[ts.nx:]) if b]
                 vals = []
                 for k_idx in choices:
                     if k_idx not in rhs_by_k:
-                        rhs_by_k[k_idx] = _genus1_rhs(ts, g0, g1_lower, gamma, consts, k_idx, t)
-                    target = list(mono)
-                    target[ts.nx + k_idx - 1] -= 1
-                    vals.append(rhs_by_k[k_idx].coeff(beta, tuple(target)))
+                        rhs_by_k[k_idx] = _genus1_rhs(ts, g0, g1_lower, consts, k_idx, t)
+                    vals.append(rhs_by_k[k_idx].coeff(beta, ts.lowered(mono, k_idx)))
                     if not check_overdetermined:
                         break
                 if check_overdetermined and len(set(vals)) > 1:
@@ -543,10 +534,10 @@ def genus1_tangency_potential(
     return SeriesTable(ts.space, dmax, entries)
 
 
-def _genus1_rhs(ts, g0, g1_lower, gamma, consts, k_idx: int, t: int) -> SeriesTable:
+def _genus1_rhs(ts, g0, g1_lower, consts, k_idx: int, t: int) -> SeriesTable:
     """The right side of the y_k equation, degree t only."""
-    geom = ts.geom
-    r = geom.rank
+    gamma = ts.gamma
+    r = ts.geom.rank
     out = SeriesTable(ts.space, t)
     g0t = g0.truncate(t)
     top = g0.filter_keys(lambda deg, mono: sum(deg) == t)

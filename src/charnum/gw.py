@@ -415,6 +415,14 @@ def parse_seed_records(text: str, geom: TargetGeometry) -> dict[GWKey, Rat]:
             raise ValueError(f"line {n}: seed records must not carry fundamental-class insertions")
         if any(counts[i] for i in geom.divisors):
             raise ValueError(f"line {n}: seed records must not carry divisor insertions")
+        if len(beta) != len(geom.divisors):
+            raise ValueError(f"line {n}: expected {len(geom.divisors)} degrees in the class, got {len(beta)}")
+        if min(beta) < 0 or min(counts) < 0:
+            raise ValueError(f"line {n}: degrees and insertion counts must not be negative")
+        weight = sum(k * (geom.codim(i) - 1) for i, k in enumerate(counts))
+        top = max(geom.vdim(0, beta, 0), geom.vdim(1, beta, 0))
+        if weight > top:
+            raise ValueError(f"line {n}: insertion weight {weight} exceeds {top}, the class's virtual dimension in genus 0 or 1")
         key = tuple(sorted(i for i in range(geom.rank) for _ in range(counts[i])))
         out[(beta, key)] = val
     return out

@@ -122,12 +122,9 @@ def _terminating_sum(geom: TargetGeometry, base: dict[int, Rat], sign: int) -> P
     nvars = r - 1  # y_1..y_r
     out: Poly = {}
 
-    def integrate(vec: dict[int, Rat]) -> Rat:
-        return sum((c * geom.pairing[k][0] for k, c in vec.items()), Fraction(0))
-
     def visit(kmin: int, mono: tuple[int, ...], vec: dict[int, Rat]):
         nonlocal out
-        val = integrate(vec)
+        val = geom.integral(vec)
         if val:
             coef = val * Fraction(sign * 2) ** sum(mono)
             for e in mono:

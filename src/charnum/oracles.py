@@ -208,7 +208,7 @@ def run_verify_suite(suite: str, out) -> int:
         seeds = load_genus1_seeds(packaged_seed_text("p2-genus1"), geom)
         seeds_by_d = {b[0]: v for b, v in seeds.items()}
         direct = charnum_genus1(g0, seeds_by_d, 3, check_overdetermined=True)
-        virtual = charnum_genus1_virtual_route(geom, gw, g0, seeds_by_d, 3)
+        virtual = charnum_genus1_virtual_route(gw, g0, seeds_by_d, 3)
         for key, va, vb in cross_check(direct.entries, virtual.entries):
             failures += 1
             out.write(f"mismatch at {key}: direct {va} virtual route {vb}\n")

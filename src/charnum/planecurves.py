@@ -39,13 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .descend import (
-    DescendantSpec,
-    TangencySpace,
-    genus0_tangency_potential,
-    genus1_tangency_potential,
-)
-from .geometry import TargetGeometry
+from .descend import DescendantSpec
 from .gw import GWTable
 from .series import DiffOperator, Rat, SeriesTable, VarSpace
 from .surface import Surface
@@ -62,7 +56,6 @@ __all__ = [
     "charnum_genus1_virtual_route",
     "charnum_genus2",
     "genus2_corrections",
-    "to_char_variables",
     "dim_ok",
 ]
 
@@ -211,18 +204,7 @@ def charnum_genus1(
     return solved - e_table.truncate(dmax)
 
 
-def to_char_variables(gamma_table: SeriesTable, space: TangencySpace) -> SeriesTable:
-    """Change of variables from tangency-potential coordinates to (s,u,v,w):
-    x2 = u + v, y1 = v, y2 = w (and the degree slot is renamed to s)."""
-    return gamma_table.substitute(
-        P2_SPACE,
-        {"x2": [(1, "u"), (1, "v")], "y1": [(1, "v")], "y2": [(1, "w")]},
-        degree_map={"x1": "s"},
-    )
-
-
 def charnum_genus1_virtual_route(
-    geom: TargetGeometry,
     gw: GWTable,
     g0: SeriesTable,
     seeds: dict[int, Rat],
@@ -231,14 +213,10 @@ def charnum_genus1_virtual_route(
 ) -> SeriesTable:
     """Genus-1 numbers via the tangency potential and the correction formula
     enumerative = virtual + (1/24) P G^0 - E."""
-    gamma0 = genus0_tangency_potential(geom, gw, dmax)
-    seeds_by_class = {(d,): Fraction(v) for d, v in seeds.items()}
-    gamma1 = genus1_tangency_potential(
-        geom, gamma0, seeds_by_class, dmax, check_overdetermined=check_overdetermined
-    )
-    virtual = to_char_variables(gamma1, TangencySpace(geom))
+    seeds_by_class = {(d,): v for d, v in seeds.items()}
     e_table, _ = cover_polynomials()
-    return virtual + PLANE.point(g0).scale(Fraction(1, 24)) - e_table.truncate(dmax)
+    virtual = PLANE.genus1_virtual(gw, g0, seeds_by_class, dmax, check_overdetermined)
+    return virtual - e_table.truncate(dmax)
 
 
 def genus2_corrections(g0: SeriesTable, g1: SeriesTable) -> SeriesTable:

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .descend import genus0_tangency_potential, genus1_tangency_potential
-from .geometry import TargetGeometry
 from .gw import GWTable
 from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
 from .surface import Surface
@@ -132,23 +130,7 @@ def quadric_genus0(gw: GWTable, dmax: int) -> SeriesTable:
     return QUADRIC.genus0(gw, dmax)
 
 
-def to_quadric_variables(gamma_table: SeriesTable, geom: TargetGeometry) -> SeriesTable:
-    """Change of variables x3 = u + 2v, y1 = y2 = v, y3 = w; degree slots
-    become the ruling variables."""
-    return gamma_table.substitute(
-        Q_SPACE,
-        {
-            "x3": [(1, "u"), (2, "v")],
-            "y1": [(1, "v")],
-            "y2": [(1, "v")],
-            "y3": [(1, "w")],
-        },
-        degree_map={"x1": "u1", "x2": "u2"},
-    )
-
-
 def quadric_genus1(
-    geom: TargetGeometry,
     gw: GWTable,
     g0: SeriesTable,
     seeds: dict[tuple[int, int], Rat],
@@ -161,13 +143,8 @@ def quadric_genus1(
     with both partial degrees positive are enumerative; rule-supported
     bidegrees are dropped from the output.
     """
-    gamma0 = genus0_tangency_potential(geom, gw, dmax)
-    gamma1 = genus1_tangency_potential(
-        geom, gamma0, {tuple(k): Fraction(v) for k, v in seeds.items()}, dmax,
-        check_overdetermined=check_overdetermined,
-    )
-    virtual = to_quadric_variables(gamma1, geom)
+    virtual = QUADRIC.genus1_virtual(gw, g0, seeds, dmax, check_overdetermined)
     i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax), dmax)
     # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
-    g1 = virtual + QUADRIC.point(g0).scale(Fraction(1, 24)) - QUADRIC.pair(i_pot + j_pot, g0)
+    g1 = virtual - QUADRIC.pair(i_pot + j_pot, g0)
     return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1)

@@ -217,24 +217,18 @@ class SeriesTable:
         self,
         new_space: VarSpace,
         exp_map: Mapping[str, list[tuple[Rat, str]]],
-        degree_map: Mapping[str, str] | None = None,
     ) -> "SeriesTable":
         """Linear change of exponent variables, e.g. x -> u + 2v.
 
         Each old exponent variable maps to a list of (coefficient, new name);
-        an empty list sets it to zero.  Degree variables may only be renamed.
-        Works on plain coefficients (value / m!) and restores factorials at
-        the end, which is exactly the EGF composition rule.
+        an empty list sets it to zero.  The i-th degree variable becomes the
+        i-th one of `new_space`.  Works on plain coefficients (value / m!)
+        and restores factorials at the end, which is exactly the EGF
+        composition rule.
         """
-        degree_map = degree_map or {}
         old_sp = self.space
         if len(new_space.degree_vars) != len(old_sp.degree_vars):
             raise VariableMismatch("degree variables may only be renamed")
-        for old in old_sp.degree_vars:
-            target = degree_map.get(old, old)
-            if target not in new_space.degree_vars:
-                raise VariableMismatch(f"no target degree variable for {old!r}")
-        perm = [new_space.degree_index(degree_map.get(old, old)) for old in old_sp.degree_vars]
         targets: list[list[tuple[Rat, int]]] = []
         for old in old_sp.exp_vars:
             if old not in exp_map:
@@ -244,9 +238,6 @@ class SeriesTable:
         nexp = len(new_space.exp_vars)
         out: dict[Key, Rat] = {}
         for (deg, mono), val in self.entries.items():
-            ndeg = [0] * len(new_space.degree_vars)
-            for i, d in enumerate(deg):
-                ndeg[perm[i]] += d
             plain = val
             for m in mono:
                 plain /= factorial(m)
@@ -282,7 +273,7 @@ class SeriesTable:
                 v = pv
                 for m in nmono:
                     v *= factorial(m)
-                key = (tuple(ndeg), nmono)
+                key = (deg, nmono)
                 s = out.get(key, Fraction(0)) + v
                 if s:
                     out[key] = s

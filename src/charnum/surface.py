@@ -15,6 +15,10 @@ with x the total-degree derivative sum_i d/dx_i and the pairing
 Read off at a class of total degree n, the first removes one tangency and
 the second one flag, dividing by n resp. n^2; the point-only invariants seed
 each level.
+
+The genus-1 virtual potential comes from the first-descendant (tangency)
+potentials of `descend` by one change of variables, which `tangency_map`
+derives from the geometry and D.D.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import descend
+from .geometry import TargetGeometry
 from .gw import GWTable
-from .series import DiffOperator, SeriesTable, VarSpace, series_product
+from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
 
 __all__ = ["Surface"]
 
@@ -73,6 +79,26 @@ class Surface:
             out = out + series_product(f.partial(x), image, total=total)
         return out
 
+    def _geometry(self, gw: GWTable) -> TargetGeometry:
+        """The geometry of `gw`, which must be this surface's."""
+        if gw.geom.name != self.name:
+            raise ValueError(f"the {self.name} solver needs the {self.name} geometry, got {gw.geom.name}")
+        return gw.geom
+
+    def tangency_map(self, geom: TargetGeometry) -> dict[str, list[tuple[int, str]]]:
+        """Each exponent variable of the tangency potentials as a sum of (u, v, w).
+
+        With D the sum of the divisor classes, tangency to D is
+        tau_1(D) + (D.D) tau_0(pt) and a flag is tau_1(pt).  So the y of
+        every divisor becomes v, the x of the point u + (D.D) v and the y of
+        the point w.
+        """
+        point = geom.rank - 1
+        out = {f"y{i}": [(1, "v")] for i in geom.divisors}
+        out[f"x{point}"] = [(1, "u"), (self.d_sq, "v")]
+        out[f"y{point}"] = [(1, "w")]
+        return out
+
     def genus0(self, gw: GWTable, dmax: int) -> SeriesTable:
         """All genus-0 characteristic numbers up to total degree dmax.
 
@@ -80,9 +106,7 @@ class Surface:
         images of G_s and ds(G_s).  The maps are linear and keep the curve
         class, so each level adds its own slice to them for the levels above.
         """
-        geom = gw.geom
-        if geom.name != self.name:
-            raise ValueError(f"the {self.name} solver needs the {self.name} geometry, got {geom.name}")
+        geom = self._geometry(gw)
         point_class = geom.rank - 1
         empty = SeriesTable._trusted(self.space, dmax, {})
         g_s = g_u = empty
@@ -118,3 +142,27 @@ class Surface:
                 images_s = tuple(old + add for old, add in zip(images_s, self.images(new_s)))
                 images_ss = tuple(old + add for old, add in zip(images_ss, self.images(self.ds(new_s))))
         return SeriesTable(self.space, dmax, entries)
+
+    def genus1_virtual(
+        self,
+        gw: GWTable,
+        g0: SeriesTable,
+        seeds: dict[tuple, Rat],
+        dmax: int,
+        check_overdetermined: bool = False,
+    ) -> SeriesTable:
+        """The genus-1 virtual potential in (u, v, w), plus (1/24) P G^0.
+
+        Runs both tangency potentials up to total degree dmax from the GW
+        table and the genus-1 point-only `seeds` (by curve class), then
+        substitutes `tangency_map`; the degree slots keep their position.
+        What is left to subtract is each surface's own cover term.
+        """
+        geom = self._geometry(gw)
+        gamma0 = descend.genus0_tangency_potential(geom, gw, dmax)
+        gamma1 = descend.genus1_tangency_potential(
+            geom, gamma0, {tuple(k): Fraction(v) for k, v in seeds.items()}, dmax,
+            check_overdetermined=check_overdetermined,
+        )
+        virtual = gamma1.substitute(self.space, self.tangency_map(geom))
+        return virtual + self.point(g0).scale(Fraction(1, 24))

@@ -61,10 +61,8 @@ def g0_quadric(gw_quadric):
 
 
 @pytest.fixture(scope="session")
-def g1_quadric(quadric, gw_quadric, g0_quadric, quadric_genus1_seeds):
-    return quadric_genus1(
-        quadric, gw_quadric, g0_quadric, quadric_genus1_seeds, 5, check_overdetermined=True
-    )
+def g1_quadric(gw_quadric, g0_quadric, quadric_genus1_seeds):
+    return quadric_genus1(gw_quadric, g0_quadric, quadric_genus1_seeds, 5, check_overdetermined=True)
 
 
 @pytest.fixture(scope="session")

@@ -376,3 +376,19 @@ def test_parsers_fail_with_an_exit_code_not_a_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code in (0, 2, 3) or code == 1 and err.startswith("seed data fails verification"), (argv, code, err)
+
+
+@pytest.mark.parametrize(
+    "record",
+    ["1;0,0,-1;1", "-1;0,0,2;1", "1,1;0,0,2;1", "1;0,0,3000;1"],
+    ids=["negative-count", "negative-degree", "two-degrees", "huge-count"],
+)
+def test_bad_seed_record_is_one_short_line(tmp_path, capsys, record):
+    """A record is checked before its insertion key is built: exit 2 with one
+    short line naming the line, never a key of the record's size."""
+    path = tmp_path / "bad.seeds"
+    path.write_text("# header\n" + record + "\n")
+    capsys.readouterr()
+    assert capture(["gw", "--target", "p2", "--dmax", "2", "--seeds", str(path)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:") and err.count("\n") == 1 and len(err.encode()) < 200, err

@@ -164,10 +164,8 @@ def test_genus1_missing_seed_degree_raises(g0_p2):
         charnum_genus1(g0_p2, {1: 0, 2: 0}, 3)
 
 
-def test_genus1_routes_agree(p2, gw_p2, g0_p2, p2_genus1_seeds, g1_p2):
-    virtual = charnum_genus1_virtual_route(
-        p2, gw_p2, g0_p2, p2_genus1_seeds, 4, check_overdetermined=True
-    )
+def test_genus1_routes_agree(gw_p2, g0_p2, p2_genus1_seeds, g1_p2):
+    virtual = charnum_genus1_virtual_route(gw_p2, g0_p2, p2_genus1_seeds, 4, check_overdetermined=True)
     assert virtual == g1_p2
 
 

@@ -149,11 +149,11 @@ def test_genus1_seed_echo(g1_quadric):
     assert g1_quadric.coeff((3, 2), (10, 0, 0)) == 20
 
 
-def test_corrections_vanish_without_multiple_covers(quadric, gw_quadric, g0_quadric, quadric_genus1_seeds):
+def test_corrections_vanish_without_multiple_covers(gw_quadric, g0_quadric, quadric_genus1_seeds):
     # up to total degree 3 the I/J potentials cannot contribute (covers need
     # a ruling degree >= 2 ... they start at bidegree (2,0)/(0,2) and couple
     # to positive-degree rational pieces only from total degree 3 on); check
     # the virtual route against the bare correction at (1,1) and (2,1)
-    small = quadric_genus1(quadric, gw_quadric, g0_quadric, quadric_genus1_seeds, 3)
+    small = quadric_genus1(gw_quadric, g0_quadric, quadric_genus1_seeds, 3)
     for deg in ((1, 1), (2, 1), (1, 2)):
         assert not any(d == deg for (d, _) in small.entries)

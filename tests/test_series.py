@@ -163,6 +163,15 @@ def test_substitute_with_coefficient():
     assert out.entries == {((1,), (1, 0, 0)): 1, ((1,), (0, 1, 0)): 2}
 
 
+def test_substitute_keeps_degree_slots_in_place():
+    # the i-th degree variable becomes the i-th one, whatever the names
+    src = VarSpace(("x1", "x2"), ("x",))
+    f = SeriesTable(src, 5, {((2, 1), (1,)): Fraction(3), ((0, 3), (0,)): Fraction(5)})
+    out = f.substitute(QUADRIC.space, {"x": [(1, "u")]})
+    assert out.space == QUADRIC.space
+    assert out.entries == {((2, 1), (1, 0, 0)): 3, ((0, 3), (0, 0, 0)): 5}
+
+
 def test_substitute_to_zero_kills_entries():
     src = VarSpace(("s",), ("x", "y"))
     f = SeriesTable(src, 3, {((1,), (1, 0)): Fraction(2), ((1,), (0, 1)): Fraction(3)})

@@ -2,20 +2,52 @@ from __future__ import annotations
 
 import pytest
 
+from charnum.descend import TangencySpace
 from charnum.gw import wdvv_solve
 from charnum.planecurves import PLANE, charnum_genus0
-from charnum.quadric import quadric_genus0
+from charnum.quadric import QUADRIC, quadric_genus0
 from charnum.seeds import default_gw_seeds
-from charnum.series import DiffOperator
+from charnum.series import DiffOperator, SeriesTable
+
+
+def _genus1_virtual(surface):
+    return lambda gw, dmax: surface.genus1_virtual(gw, SeriesTable(surface.space, dmax), {}, dmax)
 
 
 @pytest.mark.parametrize(
     "solver, wrong_gw",
-    [(charnum_genus0, "gw_quadric"), (quadric_genus0, "gw_p2")],
+    [
+        (charnum_genus0, "gw_quadric"),
+        (quadric_genus0, "gw_p2"),
+        pytest.param(_genus1_virtual(PLANE), "gw_quadric", id="PLANE.genus1_virtual-gw_quadric"),
+        pytest.param(_genus1_virtual(QUADRIC), "gw_p2", id="QUADRIC.genus1_virtual-gw_p2"),
+    ],
 )
 def test_genus0_rejects_the_other_geometry(solver, wrong_gw, request):
     with pytest.raises(ValueError, match="geometry"):
         solver(request.getfixturevalue(wrong_gw), 2)
+
+
+@pytest.mark.parametrize(
+    "surface, geom_fixture, expected",
+    [
+        (PLANE, "p2", {"x2": [(1, "u"), (1, "v")], "y1": [(1, "v")], "y2": [(1, "w")]}),
+        (
+            QUADRIC,
+            "quadric",
+            {"x3": [(1, "u"), (2, "v")], "y1": [(1, "v")], "y2": [(1, "v")], "y3": [(1, "w")]},
+        ),
+    ],
+    ids=["PLANE", "QUADRIC"],
+)
+def test_tangency_map_is_the_change_of_variables(surface, geom_fixture, expected, request):
+    """The derived map is x2 = u + v, y1 = v, y2 = w on the plane and
+    x3 = u + 2v, y1 = y2 = v, y3 = w on the quadric, and it covers every
+    exponent variable of the tangency potentials."""
+    geom = request.getfixturevalue(geom_fixture)
+    mapping = surface.tangency_map(geom)
+    assert mapping == expected
+    assert set(mapping) == set(TangencySpace(geom).space.exp_vars)
 
 
 def test_operators_see_each_level_once(p2, monkeypatch):
