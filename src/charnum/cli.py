@@ -154,16 +154,17 @@ def cmd_compute(args, out) -> int:
         )
         return EXIT_MISSING_SEEDS
     gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
-    g0 = table = (quadric_genus0 if quadric else charnum_genus0)(gw, dmax)
+    # a class reads only the classes below it, so nothing outside the box is computed
+    g0 = table = quadric_genus0(gw, dmax, box) if quadric else charnum_genus0(gw, dmax)
     if args.genus > 0:
         seeds = _genus1_seed_table(geom, args)
-        for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t)):
+        for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
             if beta not in seeds:
                 what = f"degree {beta[0]}" if len(beta) == 1 else f"bidegree {beta}"
                 sys.stderr.write(f"missing seed file entry: genus-1 {what}\n")
                 return EXIT_MISSING_SEEDS
         if quadric:
-            table = quadric_genus1(gw, g0, seeds, dmax)
+            table = quadric_genus1(gw, g0, seeds, dmax, box=box)
         else:
             table = charnum_genus1(g0, {b[0]: v for b, v in seeds.items()}, dmax)
     if args.genus == 2:
@@ -171,7 +172,6 @@ def cmd_compute(args, out) -> int:
             raise FileNotFoundError("genus-2 virtual numbers (pass --virtual2 <path>; records d;a,b,c;p/q)")
         virtual2 = load_virtual2(read_seed_file(args.virtual2), dmax)
         table = charnum_genus2(g0, table, virtual2, dmax)
-    table = table.filter_keys(lambda deg, mono: all(d <= b for d, b in zip(deg, box)))
     _emit(_char_records(table, geom), ["d", "a", "b", "c", "value"], args.format, out)
     return EXIT_OK
 

@@ -46,10 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .geometry import CurveClass, TargetGeometry
+from .geometry import CurveClass, TargetGeometry, in_box
 from .gw import GWTable, class_splits, multiset_splits
 from .metric import deformed_metric
-from .series import Rat, SeriesTable, VarSpace, series_product
+from .series import NumeratorSum, Rat, SeriesTable, VarSpace, series_product
 
 __all__ = [
     "DescendantSpec",
@@ -332,13 +332,16 @@ class TangencySpace:
         out[self.nx + k - 1] -= 1
         return tuple(out)
 
+    def poly_terms(self, poly, coef=1) -> list[tuple[Rat, dict[str, int]]]:
+        """coef times a polynomial in the y-variables, as the (coefficient,
+        monomial) terms of `NumeratorSum.add`."""
+        return [(coef * c, {f"y{k + 1}": e for k, e in enumerate(mono) if e}) for mono, c in poly.items()]
+
     def poly_times(self, table: SeriesTable, poly) -> SeriesTable:
         """Multiply a table by a polynomial in the y-variables."""
-        out = SeriesTable(self.space, table.dmax)
-        for mono, coef in poly.items():
-            powers = {f"y{k + 1}": e for k, e in enumerate(mono) if e}
-            out = out + table.times_monomial(powers, coef)
-        return out
+        out = NumeratorSum(self.space, table.dmax)
+        out.add(table, self.poly_terms(poly))
+        return out.table()
 
 
 def _deriv_coeff(ts: TangencySpace, entries, beta, mono, derivs) -> Rat:
@@ -357,24 +360,26 @@ def _deriv_coeff(ts: TangencySpace, entries, beta, mono, derivs) -> Rat:
     return factor * val
 
 
-def genus0_tangency_potential(geom: TargetGeometry, gw: GWTable, dmax: int) -> SeriesTable:
-    """Full genus-0 first-descendant potential up to total degree dmax."""
+def genus0_tangency_potential(
+    geom: TargetGeometry, gw: GWTable, dmax: int, box: CurveClass | None = None
+) -> SeriesTable:
+    """Full genus-0 first-descendant potential up to total degree dmax, on
+    the classes componentwise <= `box` if given: the equations for a class
+    read only classes below it."""
     ts = TangencySpace(geom)
     r = geom.rank
     entries: dict = {}
     # y = 0 slice from the Gromov-Witten table
     for (beta, key), val in gw.entries.items():
-        if val == 0:
+        if val == 0 or sum(beta) > dmax or not in_box(beta, box):
             continue
         mono = tuple(key.count(c) for c in ts.nondiv) + (0,) * (r - 1)
-        entries[(beta, mono)] = val
+        entries[(beta, mono)] = Fraction(val)
 
     for t in range(1, dmax + 1):
-        lower = SeriesTable(
-            ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t}
-        )
+        lower = SeriesTable._trusted(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
         quad_cache: dict = {}
-        for beta in geom.curve_classes(t):
+        for beta in geom.curve_classes(t, box):
             dv = next((i for i in geom.divisors if geom.degree_of(i, beta)), None)
             if dv is None:
                 continue
@@ -387,14 +392,14 @@ def genus0_tangency_potential(geom: TargetGeometry, gw: GWTable, dmax: int) -> S
                 rhs = _pde_rhs_coeff(ts, entries, quad_cache[(dv, k_idx)], beta, target, k_idx, dv)
                 if rhs:
                     entries[(beta, mono)] = rhs / dd
-    return SeriesTable(ts.space, dmax, entries)
+    return SeriesTable._trusted(ts.space, dmax, entries)
 
 
 def _quad_table(ts: TangencySpace, lower: SeriesTable, k_idx: int, dv: int, t: int) -> SeriesTable:
     """sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}, degree t only."""
     gamma = ts.gamma
     r = ts.geom.rank
-    out = SeriesTable(ts.space, t)
+    out = NumeratorSum(ts.space, t)
     left_cache: dict[int, SeriesTable] = {}
     right_cache: dict[int, SeriesTable] = {}
     for e in range(1, r):
@@ -412,8 +417,8 @@ def _quad_table(ts: TangencySpace, lower: SeriesTable, k_idx: int, dv: int, t: i
             right = right_cache[f]
             if right.is_zero():
                 continue
-            out = out + ts.poly_times(series_product(left, right, total=t), poly)
-    return out
+            out.add(series_product(left, right, total=t), ts.poly_terms(poly))
+    return out.table()
 
 
 def _pde_rhs_coeff(ts, entries, quad: SeriesTable, beta, target, k_idx: int, dv: int) -> Rat:
@@ -490,18 +495,20 @@ def genus1_tangency_potential(
     seeds: dict[CurveClass, Rat] | dict[tuple, Rat],
     dmax: int,
     check_overdetermined: bool = False,
+    box: CurveClass | None = None,
 ) -> SeriesTable:
     """Genus-1 first-descendant potential from its psi-free slice.
 
     `seeds` maps curve classes to the genus-1 invariant with the gated number
     of point-type insertions (the only psi-free stratum for the built-in
     surfaces).  With check_overdetermined, every admissible k-equation for a
-    stratum must agree, else ValueError.
+    stratum must agree, else ValueError.  With `box`, only the classes
+    componentwise <= box are solved, and only their seeds are read.
     """
     ts = TangencySpace(geom)
     consts = genus1_degree0_constants(geom)
     entries: dict = {}
-    for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t)):
+    for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
         slice_keys = [k for k in ts.gated_keys(1, beta) if not any(k[ts.nx:])]
         if not slice_keys:
             continue
@@ -512,9 +519,9 @@ def genus1_tangency_potential(
             entries[(tuple(beta), slice_keys[0])] = Fraction(val)
 
     for t in range(1, dmax + 1):
-        g1_lower = SeriesTable(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
+        g1_lower = SeriesTable._trusted(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
         rhs_by_k: dict[int, SeriesTable] = {}
-        for beta in geom.curve_classes(t):
+        for beta in geom.curve_classes(t, box):
             for mono in ts.descendant_keys(1, beta):
                 choices = [k + 1 for k, b in enumerate(mono[ts.nx:]) if b]
                 vals = []
@@ -531,37 +538,32 @@ def genus1_tangency_potential(
                     )
                 if vals[0]:
                     entries[(tuple(beta), mono)] = vals[0]
-    return SeriesTable(ts.space, dmax, entries)
+    return SeriesTable._trusted(ts.space, dmax, entries)
 
 
 def _genus1_rhs(ts, g0, g1_lower, consts, k_idx: int, t: int) -> SeriesTable:
     """The right side of the y_k equation, degree t only."""
     gamma = ts.gamma
     r = ts.geom.rank
-    out = SeriesTable(ts.space, t)
-    g0t = g0.truncate(t)
+    out = NumeratorSum(ts.space, t)
+    # g1_lower starts in degree 1, so its products at degree t read G0 below t
+    below = g0.filter_keys(lambda deg, mono: sum(deg) < t)
     top = g0.filter_keys(lambda deg, mono: sum(deg) == t)
+    rights = {f: g1_lower.partial(f"x{f}") for f in range(1, r)}
     for e in range(1, r):
-        left = g0t.partial(f"x{k_idx}").partial(f"x{e}")
-        if left.is_zero():
-            continue
+        left = below.partial(f"x{k_idx}").partial(f"x{e}")
         left_top = top.partial(f"x{k_idx}").partial(f"x{e}")
         for f in range(1, r):
             poly = gamma[e][f]
             if not poly:
                 continue
-            right = g1_lower.partial(f"x{f}")
-            term = series_product(left, right, total=t)
+            out.add(series_product(left, rights[f], total=t), ts.poly_terms(poly))
             if consts.get(f):
-                term = term + left_top.scale(consts[f])
-            if not term.is_zero():
-                out = out + ts.poly_times(term, poly)
+                out.add(left_top, ts.poly_terms(poly, consts[f]))
     for e in range(1, r):
         for f in range(1, r):
             poly = gamma[e][f]
-            if not poly:
-                continue
-            third = top.partial(f"x{k_idx}").partial(f"x{e}").partial(f"x{f}")
-            if not third.is_zero():
-                out = out + ts.poly_times(third, poly).scale(Fraction(1, 24))
-    return out
+            if poly:
+                third = top.partial(f"x{k_idx}").partial(f"x{e}").partial(f"x{f}")
+                out.add(third, ts.poly_terms(poly, Fraction(1, 24)))
+    return out.table()

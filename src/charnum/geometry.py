@@ -25,7 +25,7 @@ from math import comb
 
 from .series import Rat, format_rat, parse_rat
 
-__all__ = ["TargetGeometry", "GeometryError", "builtin_geometry", "load_geometry", "BUILTIN_NAMES"]
+__all__ = ["TargetGeometry", "GeometryError", "builtin_geometry", "load_geometry", "in_box", "BUILTIN_NAMES"]
 
 
 class GeometryError(ValueError):
@@ -33,6 +33,11 @@ class GeometryError(ValueError):
 
 
 CurveClass = tuple[int, ...]
+
+
+def in_box(beta: CurveClass, box: CurveClass | None) -> bool:
+    """Whether `beta` lies componentwise below `box`; every class does if box is None."""
+    return box is None or all(d <= b for d, b in zip(beta, box))
 
 
 @dataclass(frozen=True)
@@ -111,22 +116,22 @@ class TargetGeometry:
     def is_effective(self, beta: CurveClass) -> bool:
         return all(d >= 0 for d in beta) and any(beta)
 
-    def curve_classes(self, total: int):
-        """All effective classes with total degree == total (lexicographic)."""
+    def curve_classes(self, total: int, box: CurveClass | None = None):
+        """All effective classes with total degree == total (lexicographic),
+        only those componentwise <= `box` if given."""
         n = len(self.divisors)
-        if n == 1:
-            if total > 0:
-                yield (total,)
-            return
-        def rec(prefix, rem, slots):
-            if slots == 1:
-                yield prefix + (rem,)
+        cap = box or (total,) * n
+
+        def rec(prefix, rem, slot):
+            if slot == n - 1:
+                if rem <= cap[slot]:
+                    yield prefix + (rem,)
                 return
-            for x in range(rem + 1):
-                yield from rec(prefix + (x,), rem - x, slots - 1)
-        for beta in rec((), total, n):
-            if any(beta):
-                yield beta
+            for x in range(min(rem, cap[slot]) + 1):
+                yield from rec(prefix + (x,), rem - x, slot + 1)
+
+        if total > 0:
+            yield from rec((), total, 0)
 
     # -- serialization ---------------------------------------------------------
 

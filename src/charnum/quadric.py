@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .geometry import in_box
 from .gw import GWTable
 from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
 from .surface import Surface
@@ -125,9 +126,10 @@ def quadric_dim_ok(genus: int, d1: int, d2: int, a: int, b: int, c: int) -> bool
     return a + b + 2 * c == 2 * (d1 + d2) - 1 + genus
 
 
-def quadric_genus0(gw: GWTable, dmax: int) -> SeriesTable:
-    """Genus-0 quadric characteristic numbers up to total degree dmax."""
-    return QUADRIC.genus0(gw, dmax)
+def quadric_genus0(gw: GWTable, dmax: int, box: tuple[int, int] | None = None) -> SeriesTable:
+    """Genus-0 quadric characteristic numbers up to total degree dmax, on the
+    bidegrees componentwise <= `box` if given."""
+    return QUADRIC.genus0(gw, dmax, box)
 
 
 def quadric_genus1(
@@ -136,15 +138,18 @@ def quadric_genus1(
     seeds: dict[tuple[int, int], Rat],
     dmax: int,
     check_overdetermined: bool = False,
+    box: tuple[int, int] | None = None,
 ) -> SeriesTable:
     """Genus-1 quadric characteristic numbers via the correction formula.
 
     `seeds` maps bidegrees to the genus-1 point-only invariant.  Only entries
     with both partial degrees positive are enumerative; rule-supported
-    bidegrees are dropped from the output.
+    bidegrees are dropped from the output.  With `box`, only the bidegrees
+    componentwise <= box are computed and returned, `g0` needs only those,
+    and only their seeds are read.
     """
-    virtual = QUADRIC.genus1_virtual(gw, g0, seeds, dmax, check_overdetermined)
+    virtual = QUADRIC.genus1_virtual(gw, g0, seeds, dmax, check_overdetermined, box)
     i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax), dmax)
     # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
     g1 = virtual - QUADRIC.pair(i_pot + j_pot, g0)
-    return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1)
+    return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1 and in_box(deg, box))

@@ -31,6 +31,7 @@ __all__ = [
     "SeriesTable",
     "DiffOperator",
     "series_product",
+    "NumeratorSum",
 ]
 
 
@@ -193,17 +194,9 @@ class SeriesTable:
         Multiplying v^b/b! by v gives (b+1) * v^{b+1}/(b+1)!, so the stored
         invariant picks up (m+1)...(m+k) per slot.
         """
-        coef = _as_rat(coef)
-        if coef == 0:
-            return SeriesTable._trusted(self.space, self.dmax, {})
-        c = coef.numerator if coef.denominator == 1 else coef
-        shift = _exp_shift(self.space, powers.items())
-        # the shift is injective on keys, so no two entries meet
-        out: dict[Key, Rat] = {}
-        for (deg, mono), val in self.entries.items():
-            new, fac = _raise(mono, shift)
-            out[(deg, new)] = val * (c * fac)
-        return SeriesTable._trusted(self.space, self.dmax, out)
+        out = NumeratorSum(self.space, self.dmax)
+        out.add(self, [(coef, powers)])
+        return out.table()
 
     def truncate(self, dmax: int) -> "SeriesTable":
         return SeriesTable._trusted(
@@ -222,9 +215,10 @@ class SeriesTable:
 
         Each old exponent variable maps to a list of (coefficient, new name);
         an empty list sets it to zero.  The i-th degree variable becomes the
-        i-th one of `new_space`.  Works on plain coefficients (value / m!)
-        and restores factorials at the end, which is exactly the EGF
-        composition rule.
+        i-th one of `new_space`.  An entry at exponents m expands into
+        integer multiples of itself (`_expand`); with the coefficients over a
+        common denominator cden, its terms are integer numerators over
+        den * cden^|m|, and one Fraction is built per output entry.
         """
         old_sp = self.space
         if len(new_space.degree_vars) != len(old_sp.degree_vars):
@@ -234,52 +228,23 @@ class SeriesTable:
             if old not in exp_map:
                 raise KeyError(f"assignment must cover every exponent variable; missing {old!r}")
             targets.append([(_as_rat(c), new_space.exp_index(n)) for c, n in exp_map[old]])
+        cden = lcm(*(c.denominator for tgt in targets for c, _ in tgt))
+        # a zero coefficient contributes only through its zeroth power
+        int_targets = [[(c.numerator * (cden // c.denominator), j) for c, j in tgt if c] for tgt in targets]
 
-        nexp = len(new_space.exp_vars)
-        out: dict[Key, Rat] = {}
+        den = _denominator(self)
+        top = max((sum(mono) for _, mono in self.entries), default=0)
+        expansions: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        acc: dict[Key, int] = {}
         for (deg, mono), val in self.entries.items():
-            plain = val
-            for m in mono:
-                plain /= factorial(m)
-            # expand slot by slot: (sum_j c_j z_j)^m distributes multinomially
-            acc: dict[tuple[int, ...], Rat] = {tuple([0] * nexp): plain}
-            for i, m in enumerate(mono):
-                if m == 0:
-                    continue
-                tgt = targets[i]
-                if not tgt:
-                    acc = {}
-                    break
-                nxt: dict[tuple[int, ...], Rat] = {}
-                for split in _compositions(m, len(tgt)):
-                    w = Fraction(_multinomial(m, split))
-                    term = Fraction(1)
-                    bump = [0] * nexp
-                    for (c, j), k in zip(tgt, split):
-                        if k:
-                            term *= c**k
-                            bump[j] += k
-                    if term == 0:
-                        continue
-                    for base, pv in acc.items():
-                        key = tuple(b + e for b, e in zip(base, bump))
-                        s = nxt.get(key, Fraction(0)) + pv * w * term
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
-                acc = nxt
-            for nmono, pv in acc.items():
-                v = pv
-                for m in nmono:
-                    v *= factorial(m)
+            terms = expansions.get(mono)
+            if terms is None:
+                terms = expansions[mono] = _expand(mono, int_targets, len(new_space.exp_vars))
+            num = val.numerator * (den // val.denominator) * cden ** (top - sum(mono))
+            for nmono, w in terms:
                 key = (deg, nmono)
-                s = out.get(key, Fraction(0)) + v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SeriesTable(new_space, self.dmax, out)
+                acc[key] = acc.get(key, 0) + num * w
+        return SeriesTable._trusted(new_space, self.dmax, _from_numerators(acc, den * cden**top))
 
     # -- canonical text form -------------------------------------------------
 
@@ -331,13 +296,34 @@ def _compositions(m: int, parts: int):
             yield (first,) + rest
 
 
-def _multinomial(m: int, split: tuple[int, ...]) -> int:
-    out = 1
-    rem = m
-    for k in split:
-        out *= comb(rem, k)
-        rem -= k
-    return out
+def _expand(
+    mono: tuple[int, ...], targets: list[list[tuple[int, int]]], nexp: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The EGF image of the monomial x^mono under x_i -> sum_j c_ij z_j.
+
+    prod_i x_i^{m_i}/m_i! becomes sum prod c_ij^{k_ij} z^n / prod k_ij! over
+    the splits m_i = sum_j k_ij, with n_l the sum of the k_ij sent to z_l.
+    Restoring n! turns prod_l n_l!/prod k_ij! into a product of binomials,
+    so with integer c_ij every stored multiple (n, w) has an integer w.
+    """
+    acc: dict[tuple[int, ...], int] = {(0,) * nexp: 1}
+    for m, tgt in zip(mono, targets):
+        if not m:
+            continue
+        if not tgt:
+            return []
+        nxt: dict[tuple[int, ...], int] = {}
+        for split in _compositions(m, len(tgt)):
+            for base, w in acc.items():
+                new = list(base)
+                for (c, j), k in zip(tgt, split):
+                    if k:
+                        w *= comb(new[j] + k, k) * c**k
+                        new[j] += k
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + w
+        acc = nxt
+    return [(key, w) for key, w in acc.items() if w]
 
 
 def _exp_shift(space: VarSpace, powers: Iterable[tuple[str, int]]) -> tuple[tuple[int, int], ...]:
@@ -373,6 +359,57 @@ def _from_numerators(acc: dict[Key, int], den: int) -> dict[Key, Rat]:
     for key, num in acc.items():
         acc[key] = Fraction(num) if den == 1 else Fraction(num, den)
     return acc
+
+
+class NumeratorSum:
+    """A running sum of tables times monomials, as integer numerators over
+    one common denominator; `table` builds one Fraction per entry.
+
+    Tables go in through `add` and never meet as Fractions, so a sum of many
+    terms costs integer additions, not a Fraction per term and key.
+    """
+
+    __slots__ = ("space", "dmax", "acc", "den")
+
+    def __init__(self, space: VarSpace, dmax: int):
+        self.space = space
+        self.dmax = dmax
+        self.acc: dict[Key, int] = {}
+        self.den = 1
+
+    def add(self, t: SeriesTable, terms: Iterable[tuple[Rat | int, Mapping[str, int]]]) -> None:
+        """Add sum_j c_j m_j t for the (coefficient c_j, monomial m_j) of
+        `terms`, in one pass over t; entries above `dmax` are left out."""
+        if t.space != self.space:
+            raise VariableMismatch(f"{t.space} vs {self.space}")
+        plan = [(_as_rat(c), _exp_shift(self.space, mono.items())) for c, mono in terms]
+        plan = [(c, shift) for c, shift in plan if c]
+        if not plan or not t.entries:
+            return
+        tden = _denominator(t)
+        cden = lcm(*(c.denominator for c, _ in plan))
+        den = lcm(self.den, tden * cden)
+        if den != self.den:
+            grow = den // self.den
+            for key in self.acc:
+                self.acc[key] *= grow
+            self.den = den
+        rest = den // (tden * cden)
+        plan = [(c.numerator * (cden // c.denominator) * rest, shift) for c, shift in plan]
+        acc = self.acc
+        cut = t.dmax > self.dmax
+        for (deg, mono), val in t.entries.items():
+            if cut and sum(deg) > self.dmax:
+                continue
+            num = val.numerator * (tden // val.denominator)
+            for c, shift in plan:
+                new, fac = _raise(mono, shift) if shift else (mono, 1)
+                key = (deg, new)
+                acc[key] = acc.get(key, 0) + num * c * fac
+
+    def table(self) -> SeriesTable:
+        """The sum as a table; the accumulator is used up."""
+        return SeriesTable._trusted(self.space, self.dmax, _from_numerators(self.acc, self.den))
 
 
 def series_product(f: SeriesTable, g: SeriesTable, *, total: int | None = None) -> SeriesTable:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import descend
-from .geometry import TargetGeometry
+from .geometry import CurveClass, TargetGeometry
 from .gw import GWTable
 from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
 
@@ -99,29 +99,39 @@ class Surface:
         out[f"y{point}"] = [(1, "w")]
         return out
 
-    def genus0(self, gw: GWTable, dmax: int) -> SeriesTable:
-        """All genus-0 characteristic numbers up to total degree dmax.
+    def genus0(self, gw: GWTable, dmax: int, box: CurveClass | None = None) -> SeriesTable:
+        """All genus-0 characteristic numbers up to total degree dmax, on the
+        classes componentwise <= `box` if given.
 
         Level n reads G below degree n only through G_s = ds(G), G_u and the
         images of G_s and ds(G_s).  The maps are linear and keep the curve
         class, so each level adds its own slice to them for the levels above.
+        A class reads only classes below it, so the box needs no others.
+        The tangency product <G_s, G_s> is read only at w = 0, and w adds up
+        in products and is never lowered by the operators, so G_s and its
+        images keep only their w = 0 part.
         """
         geom = self._geometry(gw)
         point_class = geom.rank - 1
+        w = self.space.exp_index("w")
+
+        def flat(t: SeriesTable) -> SeriesTable:
+            return t.filter_keys(lambda deg, mono: not mono[w])
+
         empty = SeriesTable._trusted(self.space, dmax, {})
         g_s = g_u = empty
         images_s = images_ss = self.images(empty)
         entries: dict = {}
         for n in range(1, dmax + 1):
             level: dict = {}
-            for beta in geom.curve_classes(n):
+            for beta in geom.curve_classes(n, box):
                 npts = self.c1 * n - 1
                 seed = Fraction(gw.lookup(beta, [point_class] * npts))
                 if seed:
                     level[(beta, (npts, 0, 0))] = seed
             qv = self.pair_images(g_s, images_s, n).scale(Fraction(1, 2))
             qw = self.pair_images(g_u, images_ss, n)
-            for beta in geom.curve_classes(n):
+            for beta in geom.curve_classes(n, box):
                 for a, b, c in self.strata(0, n):
                     if b == 0 and c == 0:
                         continue
@@ -137,11 +147,12 @@ class Surface:
             if n < dmax:
                 new = SeriesTable._trusted(self.space, dmax, level)
                 new_s = self.ds(new)
-                g_s = g_s + new_s
+                flat_s = flat(new_s)
+                g_s = g_s + flat_s
                 g_u = g_u + new.partial("u")
-                images_s = tuple(old + add for old, add in zip(images_s, self.images(new_s)))
+                images_s = tuple(old + flat(add) for old, add in zip(images_s, self.images(flat_s)))
                 images_ss = tuple(old + add for old, add in zip(images_ss, self.images(self.ds(new_s))))
-        return SeriesTable(self.space, dmax, entries)
+        return SeriesTable._trusted(self.space, dmax, entries)
 
     def genus1_virtual(
         self,
@@ -150,19 +161,21 @@ class Surface:
         seeds: dict[tuple, Rat],
         dmax: int,
         check_overdetermined: bool = False,
+        box: CurveClass | None = None,
     ) -> SeriesTable:
         """The genus-1 virtual potential in (u, v, w), plus (1/24) P G^0.
 
-        Runs both tangency potentials up to total degree dmax from the GW
-        table and the genus-1 point-only `seeds` (by curve class), then
-        substitutes `tangency_map`; the degree slots keep their position.
-        What is left to subtract is each surface's own cover term.
+        Runs both tangency potentials up to total degree dmax (on the classes
+        componentwise <= `box` if given) from the GW table and the genus-1
+        point-only `seeds` (by curve class), then substitutes `tangency_map`;
+        the degree slots keep their position.  What is left to subtract is
+        each surface's own cover term.
         """
         geom = self._geometry(gw)
-        gamma0 = descend.genus0_tangency_potential(geom, gw, dmax)
+        gamma0 = descend.genus0_tangency_potential(geom, gw, dmax, box)
         gamma1 = descend.genus1_tangency_potential(
             geom, gamma0, {tuple(k): Fraction(v) for k, v in seeds.items()}, dmax,
-            check_overdetermined=check_overdetermined,
+            check_overdetermined=check_overdetermined, box=box,
         )
         virtual = gamma1.substitute(self.space, self.tangency_map(geom))
         return virtual + self.point(g0).scale(Fraction(1, 24))

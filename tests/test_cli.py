@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from charnum.geometry import builtin_geometry
+from charnum.geometry import builtin_geometry, in_box
+from charnum.seeds import packaged_seed_text
 
 from charnum.cli import parse_descendant, run
 
@@ -75,6 +76,28 @@ def test_genus2_with_virtual_file(tmp_path):
 def test_genus1_seed_bound_exceeded_exit3():
     code, _ = capture(["compute", "--target", "p2", "--genus", "1", "--dmax", "6"])
     assert code == 3
+
+
+def test_missing_genus1_seed_names_a_class_in_the_box(capsys):
+    # the packaged quadric seeds stop at total degree 5; (0, 6) lies outside 4,2
+    assert capture(["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "4,2"]) == (3, "")
+    assert capsys.readouterr().err == "missing seed file entry: genus-1 bidegree (4, 2)\n"
+
+
+def test_seed_file_needs_only_the_classes_in_the_box(tmp_path):
+    records = packaged_seed_text("p1xp1-genus1").splitlines()
+
+    def bidegree(record):  # d1,d2;insertion counts;value
+        return tuple(int(d) for d in record.split(";")[0].split(","))
+
+    kept = [ln for ln in records if ln.startswith("#") or in_box(bidegree(ln), (3, 2))]
+    assert len(kept) < len(records)
+    path = tmp_path / "box.seeds"
+    path.write_text("\n".join(kept) + "\n")
+    argv = ["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "3,2"]
+    code, text = capture([*argv, "--seeds", str(path)])
+    assert code == 0 and json.loads(text)
+    assert (code, text) == capture(argv)
 
 
 def test_usage_error_exit2(capsys):

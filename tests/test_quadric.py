@@ -3,9 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+import pytest
+
+from charnum import descend
 from charnum.descend import DescendantEngine, DescendantSpec
+from charnum.geometry import TargetGeometry, in_box
 from charnum.oracles import hurwitz_bruteforce
-from charnum.quadric import hurwitz, quadric_dim_ok, quadric_genus1, rule_cover_potentials
+from charnum.quadric import hurwitz, quadric_dim_ok, quadric_genus0, quadric_genus1, rule_cover_potentials
 
 
 # -- Hurwitz numbers -----------------------------------------------------------
@@ -157,3 +161,52 @@ def test_corrections_vanish_without_multiple_covers(gw_quadric, g0_quadric, quad
     small = quadric_genus1(gw_quadric, g0_quadric, quadric_genus1_seeds, 3)
     for deg in ((1, 1), (2, 1), (1, 2)):
         assert not any(d == deg for (d, _) in small.entries)
+
+
+# -- the degree box ----------------------------------------------------------------
+
+BOXES = [(d1, d2) for d1 in range(6) for d2 in range(6) if 1 <= d1 + d2 <= 5]
+
+
+def box_part(table, box):
+    return {key: val for key, val in table.entries.items() if in_box(key[0], box)}
+
+
+@pytest.mark.parametrize("box", BOXES, ids=lambda box: f"{box[0]},{box[1]}")
+def test_boxed_tables_are_the_total_degree_tables_cut_to_the_box(
+    box, gw_quadric, g0_quadric, g1_quadric, quadric_genus1_seeds
+):
+    dmax = sum(box)
+    g0 = quadric_genus0(gw_quadric, dmax, box)
+    assert g0.entries == box_part(g0_quadric, box)
+    g1 = quadric_genus1(gw_quadric, g0, quadric_genus1_seeds, dmax, box=box)
+    assert g1.entries == box_part(g1_quadric, box)
+
+
+def test_no_class_outside_the_box_reaches_a_recursion(monkeypatch, gw_quadric, quadric_genus1_seeds):
+    box, dmax = (3, 1), 4
+    solved = []  # every class a level loop visits
+    classes = TargetGeometry.curve_classes
+
+    def spy_classes(self, total, *args):
+        for beta in classes(self, total, *args):
+            solved.append(beta)
+            yield beta
+
+    potentials = []
+
+    def spy(potential):
+        def run(*args, **kwargs):
+            potentials.append(potential(*args, **kwargs))
+            return potentials[-1]
+        return run
+
+    monkeypatch.setattr(TargetGeometry, "curve_classes", spy_classes)
+    for name in ("genus0_tangency_potential", "genus1_tangency_potential"):
+        monkeypatch.setattr(descend, name, spy(getattr(descend, name)))
+    g0 = quadric_genus0(gw_quadric, dmax, box)
+    quadric_genus1(gw_quadric, g0, quadric_genus1_seeds, dmax, box=box)
+    inside = {(d1, d2) for d1 in range(4) for d2 in range(2)} - {(0, 0)}
+    assert set(solved) == inside
+    assert len(potentials) == 2
+    assert sum(not in_box(deg, box) for pot in potentials for deg, _ in pot.entries) == 0

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charnum.descend import TangencySpace
+from charnum.geometry import builtin_geometry
 from charnum.planecurves import PLANE
 from charnum.quadric import QUADRIC
-from charnum.series import DiffOperator, SeriesTable, VarSpace, VariableMismatch, series_product
+from charnum.series import DiffOperator, NumeratorSum, SeriesTable, VarSpace, VariableMismatch, series_product
 
 SP = VarSpace(("s",), ("u", "v", "w"))
+TS = TangencySpace(builtin_geometry("p2"))  # degree x1, exponents x2, y1, y2: the shape of SP
 
 
 def table(entries, dmax=6, space=SP):
@@ -232,7 +236,13 @@ def test_operations_keep_tables_clean(f, g, var, c, k):
         series_product(f, g, total=k),
         f.truncate(k),
         f.filter_keys(lambda deg, mono: mono[0] <= 1),
+        f.substitute(SP, {"u": [(c, "v"), (1, "u")], "v": [(-1, "w"), (c, "w")], "w": []}),
+        TS.poly_times(SeriesTable(TS.space, f.dmax, f.entries), {(1, 0): c, (0, 1): Fraction(-1, 2), (0, 0): 1}),
     ]
+    acc = NumeratorSum(SP, k)
+    acc.add(f, [(c, {"v": 1}), (1, {})])
+    acc.add(g, [(Fraction(1, 3), {"w": 2}), (-c, {"u": 1})])
+    results.append(acc.table())
     for t in results:
         assert_clean(t)
 
@@ -342,3 +352,97 @@ def test_plane_operators_equal_term_by_term(f, op):
 def test_quadric_operators_equal_term_by_term(f, op):
     for known in (QUADRIC.point, *QUADRIC.lines, op):
         assert_exact(known(f), naive_apply(known, f))
+
+
+def naive_substitute(f, space, exp_map):
+    """Expand each x^m/m! as a sum over the m-letter words in the targets,
+    one Fraction at a time, and restore the factorials of the new exponents."""
+    out = {}
+    for (deg, mono), val in f.entries.items():
+        terms = {(0,) * len(space.exp_vars): val}
+        for old, m in zip(f.space.exp_vars, mono):
+            targets = exp_map[old]
+            nxt = {}
+            for word in product(targets, repeat=m):
+                c = Fraction(1, factorial(m))
+                bump = [0] * len(space.exp_vars)
+                for coef, name in word:
+                    c *= coef
+                    bump[space.exp_index(name)] += 1
+                for base, v in terms.items():
+                    key = tuple(a + b for a, b in zip(base, bump))
+                    nxt[key] = nxt.get(key, Fraction(0)) + v * c
+            terms = nxt
+        for nmono, v in terms.items():
+            key = (deg, nmono)
+            out[key] = out.get(key, Fraction(0)) + v * prod(map(factorial, nmono))
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_times_poly(t, terms):
+    """sum_j c_j m_j t, one monomial and one Fraction rising factorial at a time."""
+    sp = t.space
+    out = {}
+    for coef, powers in terms:
+        for (deg, exps), val in t.entries.items():
+            exps = list(exps)
+            val = val * coef
+            for name, k in powers.items():
+                i = sp.exp_vars.index(name)
+                val = val * Fraction(factorial(exps[i] + k), factorial(exps[i]))
+                exps[i] += k
+            key = (deg, tuple(exps))
+            out[key] = out.get(key, Fraction(0)) + val
+    return {k: v for k, v in out.items() if v}
+
+
+SRC_SP = VarSpace(("s",), ("x", "y"))
+COEFS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(2, 3)]),
+)
+# each old variable goes to zero to three (coefficient, new name) terms; names may repeat
+ASSIGNMENTS = st.fixed_dictionaries(
+    {old: st.lists(st.tuples(COEFS, st.sampled_from(SP.exp_vars)), max_size=3) for old in SRC_SP.exp_vars}
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_tables(SRC_SP), ASSIGNMENTS)
+def test_substitute_equals_word_expansion(f, exp_map):
+    assert_exact(f.substitute(SP, exp_map), naive_substitute(f, SP, exp_map))
+
+
+def test_substitute_fractional_negative_zero_and_empty_targets():
+    f = table({((1,), (2, 1)): Fraction(5, 3), ((2,), (0, 2)): Fraction(-7, 2), ((1,), (3, 0)): 4}, space=SRC_SP)
+    exp_map = {"x": [(Fraction(1, 2), "u"), (-3, "v"), (0, "w")], "y": [(Fraction(-2, 5), "u"), (1, "u")]}
+    assert_exact(f.substitute(SP, exp_map), naive_substitute(f, SP, exp_map))
+    killed = {"x": [(1, "u")], "y": []}
+    assert_exact(f.substitute(SP, killed), naive_substitute(f, SP, killed))
+    assert f.substitute(SP, killed).entries == {((1,), (3, 0, 0)): 4}
+
+
+POLYS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), COEFS, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_tables(TS.space), POLYS)
+def test_poly_times_equals_monomial_by_monomial(f, poly):
+    for p in (poly, *(TS.gamma[e][g] for e in range(1, 3) for g in range(1, 3))):
+        assert_exact(TS.poly_times(f, p), naive_times_poly(f, TS.poly_terms(p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_tables(SP), exact_tables(SP), POLYS, POLYS, st.integers(0, 5))
+def test_numerator_sum_equals_fraction_sums(f, g, p, q, dmax):
+    """Tables over different denominators, added in turn, with the cut at dmax."""
+    terms_f = [(c, {"v": a, "w": b}) for (a, b), c in p.items()]
+    terms_g = [(c, {"u": a, "v": b}) for (a, b), c in q.items()]
+    acc = NumeratorSum(SP, dmax)
+    acc.add(f, terms_f)
+    acc.add(g, terms_g)
+    expected = {}
+    for part in (naive_times_poly(f, terms_f), naive_times_poly(g, terms_g)):
+        for key, val in part.items():
+            expected[key] = expected.get(key, Fraction(0)) + val
+    assert_exact(acc.table(), {k: v for k, v in expected.items() if v and sum(k[0]) <= dmax})
