@@ -188,6 +188,7 @@ def cmd_gw(args, out) -> int:
 
 
 SPEC_RE = re.compile(r"tau(\d+)\(T(\d+)\)(?:\^(\d+))?")
+MAX_INSERTIONS = 64  # checked before the powers are expanded, so a huge ^k fails at once
 
 
 def parse_descendant(text: str):
@@ -197,15 +198,18 @@ def parse_descendant(text: str):
             f"a descendant spec needs exactly one '@', as in 'tau...(...) @ g=.. d=.. target=..', got {text!r}"
         )
     head, tail = text.split("@")
-    insertions = []
+    powers = []
     for token in head.split():
         m = SPEC_RE.fullmatch(token)
         if m is None:
             raise ValueError(
                 f"each insertion before '@' must be tau<m>(T<i>) or tau<m>(T<i>)^<k>, got {token!r}"
             )
-        power = int(m.group(3) or 1)
-        insertions.extend([(int(m.group(1)), int(m.group(2)))] * power)
+        powers.append(((int(m.group(1)), int(m.group(2))), int(m.group(3) or 1)))
+    count = sum(power for _, power in powers)
+    if count > MAX_INSERTIONS:
+        raise ValueError(f"the spec has {count} insertions, more than the cap of {MAX_INSERTIONS}")
+    insertions = [ins for ins, power in powers for _ in range(power)]
     if not insertions:
         raise ValueError(f"no insertions parsed from {head!r}")
     opts = {}

@@ -147,6 +147,15 @@ class DescendantEngine:
         self.geom = geom
         self.gw = gw
         self.memo: dict[tuple, Rat] = memo if memo is not None else {}
+        self.codims = [geom.codim(i) for i in range(geom.rank)]
+        # the gluing pairs (e, f) with gamma^{ef} != 0, by (codim e, codim f)
+        self.gluing: dict[tuple[int, int], list[tuple[int, int, Rat]]] = {}
+        for e, row in enumerate(geom.pairing_inv):
+            for f, c in enumerate(row):
+                if c:
+                    self.gluing.setdefault((self.codims[e], self.codims[f]), []).append((e, f, c))
+        # cup expansions by their sorted non-unit indices, for this engine only
+        self.cups: dict[tuple[int, ...], dict[int, Rat]] = {}
 
     def value(self, spec: DescendantSpec) -> Rat:
         if spec.genus != 0:
@@ -198,32 +207,59 @@ class DescendantEngine:
         beta = spec.beta
         total = Fraction(0)
         # cup-merge terms
-        for k, c in geom.cup_classes((g2, g3)).items():
+        for k, c in self._cup((g2, g3)).items():
             total += c * self.value(DescendantSpec(0, beta, others + ((m1, g1), (m2 + m3, k))))
-        for k, c in geom.cup_classes((g1, g2)).items():
+        for k, c in self._cup((g1, g2)).items():
             total -= c * self.value(DescendantSpec(0, beta, others + ((m1 + m2, k), (m3, g3))))
-        for k, c in geom.cup_classes((g1, g3)).items():
+        for k, c in self._cup((g1, g3)).items():
             total -= c * self.value(DescendantSpec(0, beta, others + ((m1 + m3, k), (m2, g2))))
-        # splitting sum over curve-class and mark distributions
-        ginv = geom.pairing_inv
-        pairs = [(e, f) for e in range(geom.rank) for f in range(geom.rank) if ginv[e][f]]
+        # splitting sum over curve-class and mark distributions; a side is
+        # dimension-valid for one codimension of its gluing class only, so
+        # only the pairs (e, f) of those codimensions are visited
         side_cache: dict = {}
-        for beta1, beta2 in class_splits(beta, nonzero=True):
-            for s1, s2, w_split in multiset_splits(others):
-                opts1 = list(_ab_partitions(s1 + ((m1, g1),), forced=()))
-                opts2 = list(_ab_partitions(s2, forced=((m2, g2), (m3, g3))))
-                for (a1, b1), w1 in opts1:
-                    for (a2, b2), w2 in opts2:
+        splits = [
+            (b1, b2, geom.vdim(0, b1, 0), geom.vdim(0, b2, 0)) for b1, b2 in class_splits(beta, nonzero=True)
+        ]
+        for s1, s2, w_split in multiset_splits(others):
+            opts1 = self._sides(s1 + ((m1, g1),), forced=())
+            opts2 = self._sides(s2, forced=((m2, g2), (m3, g3)))
+            for beta1, beta2, v1, v2 in splits:
+                for a1, b1, need1, w1 in opts1:
+                    for a2, b2, need2, w2 in opts2:
+                        glue = self.gluing.get((v1 + need1, v2 + need2))
+                        if glue is None:
+                            continue
                         w = w_split * w1 * w2
-                        for e, f in pairs:
+                        for e, f, c in glue:
                             lhs = self._eval_side(side_cache, beta1, a1, b1, e)
                             if lhs == 0:
                                 continue
                             rhs = self._eval_side(side_cache, beta2, a2, b2, f)
                             if rhs == 0:
                                 continue
-                            total += w * ginv[e][f] * lhs * rhs
+                            total += w * c * lhs * rhs
         return total
+
+    def _sides(self, marks, forced):
+        """The A | B options of one side, each with the codimension its gluing
+        class needs for the side to be dimension-valid, less vdim(0, beta, 0):
+        the cup table is graded, so the glued class has codim
+        sum_B codim + codim(e)."""
+        codim = self.codims
+        out = []
+        for (a, b), w in _ab_partitions(marks, forced):
+            need = len(a) + 1 - sum(codim[c] + m for m, c in a) - sum(codim[c] + m - 1 for m, c in b)
+            out.append((a, b, need, w))
+        return out
+
+    def _cup(self, indices) -> dict[int, Rat]:
+        """`geom.cup_classes`, memoized by the sorted non-unit indices: the
+        cup product is commutative and associative with unit T0."""
+        key = tuple(sorted(i for i in indices if i))
+        hit = self.cups.get(key)
+        if hit is None:
+            hit = self.cups[key] = self.geom.cup_classes(key)
+        return hit
 
     def _eval_side(self, cache, beta, a_marks, b_marks, gluing_class: int) -> Rat:
         """One side of a split: marks A plus the gluing mark carrying the cup
@@ -233,9 +269,8 @@ class DescendantEngine:
         if hit is not None:
             return hit
         mb = sum(m - 1 for m, _ in b_marks)
-        b_classes = tuple(c for _, c in b_marks)
         out = Fraction(0)
-        for k, c in self.geom.cup_classes(b_classes + (gluing_class,)).items():
+        for k, c in self._cup(tuple(c for _, c in b_marks) + (gluing_class,)).items():
             out += c * self.value(DescendantSpec(0, beta, a_marks + ((mb, k),)))
         cache[key] = out
         return out
@@ -521,13 +556,16 @@ def genus1_tangency_potential(
     for t in range(1, dmax + 1):
         g1_lower = SeriesTable._trusted(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
         rhs_by_k: dict[int, SeriesTable] = {}
+        level = None
         for beta in geom.curve_classes(t, box):
             for mono in ts.descendant_keys(1, beta):
                 choices = [k + 1 for k, b in enumerate(mono[ts.nx:]) if b]
                 vals = []
                 for k_idx in choices:
                     if k_idx not in rhs_by_k:
-                        rhs_by_k[k_idx] = _genus1_rhs(ts, g0, g1_lower, consts, k_idx, t)
+                        if level is None:
+                            level = _Genus1Level(g0, g1_lower, t, geom.rank)
+                        rhs_by_k[k_idx] = _genus1_rhs(ts, level, consts, k_idx)
                     vals.append(rhs_by_k[k_idx].coeff(beta, ts.lowered(mono, k_idx)))
                     if not check_overdetermined:
                         break
@@ -541,29 +579,49 @@ def genus1_tangency_potential(
     return SeriesTable._trusted(ts.space, dmax, entries)
 
 
-def _genus1_rhs(ts, g0, g1_lower, consts, k_idx: int, t: int) -> SeriesTable:
+class _Genus1Level:
+    """The tables that every y_k equation of one level t reads: G0 below t
+    and at t, their x-partials, and the x_f-partials of G1 below t.  The
+    partials commute, so each is kept under its sorted indices; the whole
+    is dropped after the level."""
+
+    def __init__(self, g0: SeriesTable, g1_lower: SeriesTable, t: int, r: int):
+        self.t = t
+        # g1_lower starts in degree 1, so its products at degree t read G0 below t
+        self.partials: dict[tuple, SeriesTable] = {
+            ("below", ()): g0.filter_keys(lambda deg, mono: sum(deg) < t),
+            ("top", ()): g0.filter_keys(lambda deg, mono: sum(deg) == t),
+        }
+        self.rights = {f: g1_lower.partial(f"x{f}") for f in range(1, r)}
+
+    def partial(self, name: str, *idx: int) -> SeriesTable:
+        """G0 "below" or "top" differentiated once by each x_i, i in idx."""
+        idx = tuple(sorted(idx))
+        hit = self.partials.get((name, idx))
+        if hit is None:
+            hit = self.partials[(name, idx)] = self.partial(name, *idx[:-1]).partial(f"x{idx[-1]}")
+        return hit
+
+
+def _genus1_rhs(ts, level: _Genus1Level, consts, k_idx: int) -> SeriesTable:
     """The right side of the y_k equation, degree t only."""
     gamma = ts.gamma
     r = ts.geom.rank
+    t = level.t
     out = NumeratorSum(ts.space, t)
-    # g1_lower starts in degree 1, so its products at degree t read G0 below t
-    below = g0.filter_keys(lambda deg, mono: sum(deg) < t)
-    top = g0.filter_keys(lambda deg, mono: sum(deg) == t)
-    rights = {f: g1_lower.partial(f"x{f}") for f in range(1, r)}
     for e in range(1, r):
-        left = below.partial(f"x{k_idx}").partial(f"x{e}")
-        left_top = top.partial(f"x{k_idx}").partial(f"x{e}")
+        left = level.partial("below", k_idx, e)
+        left_top = level.partial("top", k_idx, e)
         for f in range(1, r):
             poly = gamma[e][f]
             if not poly:
                 continue
-            out.add(series_product(left, rights[f], total=t), ts.poly_terms(poly))
+            out.add(series_product(left, level.rights[f], total=t), ts.poly_terms(poly))
             if consts.get(f):
                 out.add(left_top, ts.poly_terms(poly, consts[f]))
     for e in range(1, r):
         for f in range(1, r):
             poly = gamma[e][f]
             if poly:
-                third = top.partial(f"x{k_idx}").partial(f"x{e}").partial(f"x{f}")
-                out.add(third, ts.poly_terms(poly, Fraction(1, 24)))
+                out.add(level.partial("top", k_idx, e, f), ts.poly_terms(poly, Fraction(1, 24)))
     return out.table()

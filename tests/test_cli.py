@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from charnum.geometry import builtin_geometry, in_box
 from charnum.seeds import packaged_seed_text
 
-from charnum.cli import parse_descendant, run
+from charnum.cli import MAX_INSERTIONS, parse_descendant, run
 
 
 def capture(argv, env=None):
@@ -166,6 +167,18 @@ def test_descendant_spec_parsing(capsys):
     ):
         assert capture(["descendant", spec, "--no-cache"]) == (2, ""), spec
     assert capture(["descendant", "tau1(T0) @ g=1 d=0", "--no-cache"]) == (0, "1/8\n")
+
+
+def test_descendant_insertion_cap_is_checked_before_expanding(capsys):
+    assert len(parse_descendant(f"tau0(T2)^{MAX_INSERTIONS} @ d=1")[2]) == MAX_INSERTIONS
+    with pytest.raises(ValueError, match=f"{MAX_INSERTIONS + 1} insertions"):
+        parse_descendant(f"tau0(T2)^{MAX_INSERTIONS} tau1(T1) @ d=1")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert capture(["descendant", "tau0(T2)^99999999 @ d=1", "--no-cache"]) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "99999999" in err and str(MAX_INSERTIONS) in err, err
 
 
 def test_descendant_value_and_cache(tmp_path):

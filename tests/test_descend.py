@@ -9,6 +9,7 @@ import pytest
 from charnum.descend import (
     DescendantEngine,
     DescendantSpec,
+    _ab_partitions,
     dimension_valid,
     genus0_integrated_residual,
     genus0_pde_residual,
@@ -18,8 +19,9 @@ from charnum.descend import (
     reduce_special,
 )
 from charnum.geometry import builtin_geometry
-from charnum.gw import wdvv_solve
+from charnum.gw import class_splits, multiset_splits, wdvv_solve
 from charnum.oracles import hurwitz_bruteforce
+from charnum.seeds import default_gw_seeds
 from charnum.series import SeriesTable
 
 
@@ -167,6 +169,132 @@ def test_all_m_zero_equals_gw(engine, gw_p2):
         assert engine.value(DescendantSpec(0, (d,), ((0, 2),) * n)) == gw_p2.lookup(
             (d,), [2] * n
         )
+
+
+class UnprunedEngine(DescendantEngine):
+    """Reference: the splitting sum visiting every pair (e, f) with
+    gamma^{ef} != 0 and expanding every cup product afresh, leaving the
+    dimension check to `value()`."""
+
+    def _recurse(self, spec, choice=None):
+        geom = self.geom
+        ins = list(spec.insertions)
+        if len(ins) < 3:
+            dv = next(i for i in geom.divisors if geom.degree_of(i, spec.beta))
+            padded = DescendantSpec(0, spec.beta, tuple(ins) + ((0, dv),))
+            return self._recurse(padded, choice) / geom.degree_of(dv, spec.beta)
+        if choice is None:
+            p1 = max(range(len(ins)), key=lambda t: (ins[t][0], -ins[t][1]))
+            p2, p3 = sorted(t for t in range(len(ins)) if t != p1)[:2]
+        else:
+            p1, p2, p3 = choice
+        (m1, g1), (m2, g2), (m3, g3) = ins[p1], ins[p2], ins[p3]
+        m1 -= 1
+        others = tuple(ins[t] for t in range(len(ins)) if t not in (p1, p2, p3))
+        beta = spec.beta
+        total = Fraction(0)
+        for k, c in geom.cup_classes((g2, g3)).items():
+            total += c * self.value(DescendantSpec(0, beta, others + ((m1, g1), (m2 + m3, k))))
+        for k, c in geom.cup_classes((g1, g2)).items():
+            total -= c * self.value(DescendantSpec(0, beta, others + ((m1 + m2, k), (m3, g3))))
+        for k, c in geom.cup_classes((g1, g3)).items():
+            total -= c * self.value(DescendantSpec(0, beta, others + ((m1 + m3, k), (m2, g2))))
+        ginv = geom.pairing_inv
+        pairs = [(e, f) for e in range(geom.rank) for f in range(geom.rank) if ginv[e][f]]
+        for beta1, beta2 in class_splits(beta, nonzero=True):
+            for s1, s2, w_split in multiset_splits(others):
+                for (a1, b1), w1 in _ab_partitions(s1 + ((m1, g1),), forced=()):
+                    for (a2, b2), w2 in _ab_partitions(s2, forced=((m2, g2), (m3, g3))):
+                        for e, f in pairs:
+                            lhs = self._side(beta1, a1, b1, e)
+                            rhs = self._side(beta2, a2, b2, f)
+                            total += w_split * w1 * w2 * ginv[e][f] * lhs * rhs
+        return total
+
+    def _side(self, beta, a_marks, b_marks, gluing_class):
+        mb = sum(m - 1 for m, _ in b_marks)
+        b_classes = tuple(c for _, c in b_marks)
+        out = Fraction(0)
+        for k, c in self.geom.cup_classes(b_classes + (gluing_class,)).items():
+            out += c * self.value(DescendantSpec(0, beta, a_marks + ((mb, k),)))
+        return out
+
+
+def _sample_specs(geom, classes, count, seed, max_marks=5):
+    """Distinct dimension-valid genus-0 specs with psi powers <= 3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(4000):
+        beta = rng.choice(classes)
+        n = rng.randint(1, max_marks)
+        ins = tuple((rng.randint(0, 3), rng.randrange(1, geom.rank)) for _ in range(n))
+        spec = DescendantSpec(0, beta, ins)
+        if spec.psi_total and dimension_valid(geom, spec) and spec not in out:
+            out.append(spec)
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, dmax, classes, padded",
+    [
+        ("p2", 3, [(1,), (2,), (3,)], DescendantSpec(0, (2,), ((3, 2), (0, 2)))),
+        ("p1xp1", 3, [(1, 0), (1, 1), (2, 1), (1, 2)], DescendantSpec(0, (1, 1), ((2, 3),))),
+        ("p3", 2, [(1,), (2,)], DescendantSpec(0, (2,), ((3, 3), (1, 3)))),
+        ("gr24", 1, [(1,)], DescendantSpec(0, (1,), ((3, 4),))),
+    ],
+)
+def test_pruned_splitting_sum_matches_unpruned_reference(name, dmax, classes, padded):
+    geom = builtin_geometry(name)
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
+    pruned, reference = DescendantEngine(geom, gw), UnprunedEngine(geom, gw)
+    specs = [padded] + _sample_specs(geom, classes, 12, seed=len(name))
+    assert dimension_valid(geom, padded) and len(reduce_special(geom, padded)[2].insertions) < 3
+    assert any(max(m for m, _ in s.insertions) == 3 for s in specs)
+    nonzero = 0
+    for spec in specs:
+        value = pruned.value(spec)
+        assert value == reference.value(spec), spec.describe()
+        nonzero += value != 0
+    assert nonzero >= len(specs) // 3, "the sampled specs should mostly be nonzero"
+
+
+def _spy(engine):
+    """Record every spec the engine's recursion passes to `value()`."""
+    seen = []
+    inner = engine.value
+    engine.value = lambda spec: seen.append(spec) or inner(spec)
+    return seen
+
+
+def test_splitting_sum_skips_dimension_invalid_sides(p2, gw_p2):
+    spec = DescendantSpec(0, (4,), ((0, 2),) * 6 + ((1, 1),) * 3 + ((2, 1),))
+    pruned, reference = DescendantEngine(p2, gw_p2), UnprunedEngine(p2, gw_p2)
+    seen, ref_seen = _spy(pruned), _spy(reference)
+    assert pruned.value(spec) == reference.value(spec) != 0
+    assert len(seen) > 100
+    assert all(dimension_valid(p2, s) for s in seen)
+    # the unpruned sum does ask for such sides, so the spy has something to catch
+    assert sum(not dimension_valid(p2, s) for s in ref_seen) > len(seen)
+
+
+@pytest.fixture(scope="module")
+def engine_p2_d6(p2):
+    return DescendantEngine(p2, wdvv_solve(p2, default_gw_seeds(p2), 6))
+
+
+@pytest.mark.parametrize(
+    "beta, ins, value",
+    [
+        ((6,), ((0, 2),) * 9 + ((1, 1),) * 8, -525939120),
+        ((6,), ((0, 2),) * 11 + ((1, 1),) * 6, 3680184240),
+        ((6,), ((0, 2),) * 14 + ((2, 1), (1, 1)), 59648544),
+        ((5,), ((0, 2),) * 6 + ((1, 1),) * 8, -8006040),
+    ],
+)
+def test_heavy_plane_descendants(engine_p2_d6, beta, ins, value):
+    assert engine_p2_d6.value(DescendantSpec(0, beta, ins)) == value
 
 
 # -- the first-descendant differential equations ------------------------------
