@@ -90,7 +90,8 @@ class CacheFile:
             fcntl.flock(dir_fd, fcntl.LOCK_EX)  # released when dir_fd closes
             saved = CacheFile(self.path, self.fingerprint)
             saved.load()  # what other writers saved since this cache was loaded
-            self.records = {**saved.records, **self.records}
+            for key, val in saved.records.items():  # in place: the records may be a live memo
+                self.records.setdefault(key, val)
             body = [
                 f"{_format_key(0, beta, ins)} {format_rat(val)}" for (beta, ins), val in sorted(self.records.items())
             ]
@@ -107,10 +108,3 @@ class CacheFile:
                 raise
         finally:
             os.close(dir_fd)
-
-    # the engine memo maps (beta, insertions) -> value already
-    def absorb(self, memo: dict) -> None:
-        self.records.update(memo)
-
-    def seed_memo(self) -> dict:
-        return dict(self.records)

@@ -238,7 +238,6 @@ def cmd_descendant(args, out) -> int:
     dmax = sum(degrees)
     if genus == 0:
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
-        engine = DescendantEngine(geom, gw)
         cache = None
         if not args.no_cache:
             cache_path = Path(args.cache) if args.cache else default_cache_dir() / f"{geom.name}.cache"
@@ -247,10 +246,11 @@ def cmd_descendant(args, out) -> int:
                 cache.load()
             except OSError as e:
                 raise ValueError(f"cannot read the cache file {cache_path}: {e.strerror}") from None
-            engine.memo.update(cache.seed_memo())
+        # the cache's records are the engine's memo, so the file is rewritten only when it grew
+        engine = DescendantEngine(geom, gw, None if cache is None else cache.records)
+        known = len(engine.memo)
         value = engine.value(DescendantSpec(0, degrees, insertions))
-        if cache is not None:
-            cache.absorb(engine.memo)
+        if cache is not None and len(engine.memo) > known:
             try:
                 cache.save()
             except OSError as e:
@@ -263,9 +263,10 @@ def cmd_descendant(args, out) -> int:
             )
             return EXIT_USAGE
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
-        g0 = genus0_tangency_potential(geom, gw, dmax)
+        # a class reads only the classes below it, so only those of the box are solved
+        g0 = genus0_tangency_potential(geom, gw, dmax, degrees)
         seeds = _genus1_seed_table(geom, args)
-        g1 = genus1_tangency_potential(geom, g0, seeds, dmax)
+        g1 = genus1_tangency_potential(geom, g0, seeds, dmax, box=degrees)
         value = _extract_first_descendant(geom, g1, degrees, insertions)
     else:
         sys.stderr.write("descendant supports genus 0 and 1\n")
@@ -281,15 +282,7 @@ def _extract_first_descendant(geom, g1: SeriesTable, beta, insertions):
     _, factor, spec = red
     if not dimension_valid(geom, spec):
         return Fraction(0)
-    ts = TangencySpace(geom)
-    counts_x = [0] * len(ts.nondiv)
-    counts_y = [0] * (geom.rank - 1)
-    for m, c in spec.insertions:
-        if m == 0:
-            counts_x[ts.nondiv.index(c)] += 1
-        else:
-            counts_y[c - 1] += 1
-    return factor * g1.coeff(spec.beta, tuple(counts_x) + tuple(counts_y))
+    return factor * g1.coeff(spec.beta, TangencySpace(geom).key(spec.insertions))
 
 
 def cmd_hurwitz(args, out) -> int:

@@ -361,6 +361,15 @@ class TangencySpace:
         keys.sort(key=lambda k: sum(k[self.nx:]))
         return keys
 
+    def key(self, insertions) -> tuple[int, ...]:
+        """The exponent vector of a product of insertions (m, c) with m <= 1:
+        tau_0 fills the x-slot of its class of codim >= 2, tau_1 the y-slot
+        of T_1..T_r."""
+        out = [0] * len(self.space.exp_vars)
+        for m, c in insertions:
+            out[self.nx + c - 1 if m else self.nondiv.index(c)] += 1
+        return tuple(out)
+
     def lowered(self, key: tuple[int, ...], k: int) -> tuple[int, ...]:
         """`key` with one y_k fewer."""
         out = list(key)
@@ -402,18 +411,17 @@ def genus0_tangency_potential(
     the classes componentwise <= `box` if given: the equations for a class
     read only classes below it."""
     ts = TangencySpace(geom)
-    r = geom.rank
     entries: dict = {}
     # y = 0 slice from the Gromov-Witten table
     for (beta, key), val in gw.entries.items():
         if val == 0 or sum(beta) > dmax or not in_box(beta, box):
             continue
-        mono = tuple(key.count(c) for c in ts.nondiv) + (0,) * (r - 1)
-        entries[(beta, mono)] = Fraction(val)
+        entries[(beta, ts.key((0, c) for c in key))] = Fraction(val)
 
     for t in range(1, dmax + 1):
         lower = SeriesTable._trusted(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
-        quad_cache: dict = {}
+        level = _Level(t, below=lower)
+        quad_by_dv_k: dict[tuple[int, int], SeriesTable] = {}
         for beta in geom.curve_classes(t, box):
             dv = next((i for i in geom.divisors if geom.degree_of(i, beta)), None)
             if dv is None:
@@ -422,38 +430,52 @@ def genus0_tangency_potential(
             for mono in ts.descendant_keys(0, beta):
                 k_idx = next(k + 1 for k, b in enumerate(mono[ts.nx:]) if b)
                 target = ts.lowered(mono, k_idx)
-                if (dv, k_idx) not in quad_cache:
-                    quad_cache[(dv, k_idx)] = _quad_table(ts, lower, k_idx, dv, t)
-                rhs = _pde_rhs_coeff(ts, entries, quad_cache[(dv, k_idx)], beta, target, k_idx, dv)
+                quad = quad_by_dv_k.get((dv, k_idx))
+                if quad is None:
+                    # sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}
+                    out = NumeratorSum(ts.space, t)
+                    _metric_sum(ts, level, out, ("below", k_idx), ("below", dv, dv))
+                    quad = quad_by_dv_k[(dv, k_idx)] = out.table()
+                rhs = _pde_rhs_coeff(ts, entries, quad, beta, target, k_idx, dv)
                 if rhs:
                     entries[(beta, mono)] = rhs / dd
     return SeriesTable._trusted(ts.space, dmax, entries)
 
 
-def _quad_table(ts: TangencySpace, lower: SeriesTable, k_idx: int, dv: int, t: int) -> SeriesTable:
-    """sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}, degree t only."""
-    gamma = ts.gamma
+class _Level:
+    """The tables that the equations of one level t read, by name, and their
+    x-partials.  The partials commute, so each is kept under its sorted
+    indices; the whole is dropped after the level."""
+
+    def __init__(self, t: int, **tables: SeriesTable):
+        self.t = t
+        self.partials: dict[tuple, SeriesTable] = {(name, ()): table for name, table in tables.items()}
+
+    def partial(self, name: str, *idx: int) -> SeriesTable:
+        """The table `name` differentiated once by each x_i, i in idx."""
+        idx = tuple(sorted(idx))
+        hit = self.partials.get((name, idx))
+        if hit is None:
+            hit = self.partials[(name, idx)] = self.partial(name, *idx[:-1]).partial(f"x{idx[-1]}")
+        return hit
+
+
+def _metric_sum(ts: TangencySpace, level: _Level, out: NumeratorSum, left: tuple, right: tuple) -> None:
+    """Add sum_{e,f} L_{x_e} gamma^{ef} R_{x_f}, degree `level.t` only, to `out`,
+    where `left` and `right` are a table name of `level` and x-indices."""
     r = ts.geom.rank
-    out = NumeratorSum(ts.space, t)
-    left_cache: dict[int, SeriesTable] = {}
-    right_cache: dict[int, SeriesTable] = {}
     for e in range(1, r):
         for f in range(1, r):
-            poly = gamma[e][f]
+            poly = ts.gamma[e][f]
             if not poly:
                 continue
-            if e not in left_cache:
-                left_cache[e] = lower.partial(f"x{k_idx}").partial(f"x{e}")
-            if f not in right_cache:
-                right_cache[f] = lower.partial(f"x{f}").partial(f"x{dv}").partial(f"x{dv}")
-            left = left_cache[e]
-            if left.is_zero():
+            lhs = level.partial(*left, e)
+            if lhs.is_zero():
                 continue
-            right = right_cache[f]
-            if right.is_zero():
+            rhs = level.partial(*right, f)
+            if rhs.is_zero():
                 continue
-            out.add(series_product(left, right, total=t), ts.poly_terms(poly))
-    return out.table()
+            out.add(series_product(lhs, rhs, total=level.t), ts.poly_terms(poly))
 
 
 def _pde_rhs_coeff(ts, entries, quad: SeriesTable, beta, target, k_idx: int, dv: int) -> Rat:
@@ -564,7 +586,10 @@ def genus1_tangency_potential(
                 for k_idx in choices:
                     if k_idx not in rhs_by_k:
                         if level is None:
-                            level = _Genus1Level(g0, g1_lower, t, geom.rank)
+                            # G1 starts in degree 1, so its products at degree t read G0 below t
+                            below = g0.filter_keys(lambda deg, _: sum(deg) < t)
+                            top = g0.filter_keys(lambda deg, _: sum(deg) == t)
+                            level = _Level(t, below=below, top=top, g1=g1_lower)
                         rhs_by_k[k_idx] = _genus1_rhs(ts, level, consts, k_idx)
                     vals.append(rhs_by_k[k_idx].coeff(beta, ts.lowered(mono, k_idx)))
                     if not check_overdetermined:
@@ -579,49 +604,19 @@ def genus1_tangency_potential(
     return SeriesTable._trusted(ts.space, dmax, entries)
 
 
-class _Genus1Level:
-    """The tables that every y_k equation of one level t reads: G0 below t
-    and at t, their x-partials, and the x_f-partials of G1 below t.  The
-    partials commute, so each is kept under its sorted indices; the whole
-    is dropped after the level."""
-
-    def __init__(self, g0: SeriesTable, g1_lower: SeriesTable, t: int, r: int):
-        self.t = t
-        # g1_lower starts in degree 1, so its products at degree t read G0 below t
-        self.partials: dict[tuple, SeriesTable] = {
-            ("below", ()): g0.filter_keys(lambda deg, mono: sum(deg) < t),
-            ("top", ()): g0.filter_keys(lambda deg, mono: sum(deg) == t),
-        }
-        self.rights = {f: g1_lower.partial(f"x{f}") for f in range(1, r)}
-
-    def partial(self, name: str, *idx: int) -> SeriesTable:
-        """G0 "below" or "top" differentiated once by each x_i, i in idx."""
-        idx = tuple(sorted(idx))
-        hit = self.partials.get((name, idx))
-        if hit is None:
-            hit = self.partials[(name, idx)] = self.partial(name, *idx[:-1]).partial(f"x{idx[-1]}")
-        return hit
-
-
-def _genus1_rhs(ts, level: _Genus1Level, consts, k_idx: int) -> SeriesTable:
-    """The right side of the y_k equation, degree t only."""
-    gamma = ts.gamma
+def _genus1_rhs(ts, level: _Level, consts, k_idx: int) -> SeriesTable:
+    """The right side of the y_k equation, degree t only: the metric sum of
+    G0 below t and G1, plus the degree-0 constants of G1_{x_f} and the 1/24
+    term, both on G0 at t."""
+    out = NumeratorSum(ts.space, level.t)
+    _metric_sum(ts, level, out, ("below", k_idx), ("g1",))
     r = ts.geom.rank
-    t = level.t
-    out = NumeratorSum(ts.space, t)
     for e in range(1, r):
-        left = level.partial("below", k_idx, e)
-        left_top = level.partial("top", k_idx, e)
         for f in range(1, r):
-            poly = gamma[e][f]
+            poly = ts.gamma[e][f]
             if not poly:
                 continue
-            out.add(series_product(left, level.rights[f], total=t), ts.poly_terms(poly))
             if consts.get(f):
-                out.add(left_top, ts.poly_terms(poly, consts[f]))
-    for e in range(1, r):
-        for f in range(1, r):
-            poly = gamma[e][f]
-            if poly:
-                out.add(level.partial("top", k_idx, e, f), ts.poly_terms(poly, Fraction(1, 24)))
+                out.add(level.partial("top", k_idx, e), ts.poly_terms(poly, consts[f]))
+            out.add(level.partial("top", k_idx, e, f), ts.poly_terms(poly, Fraction(1, 24)))
     return out.table()

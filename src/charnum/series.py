@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Rat = Fraction
 
@@ -51,9 +51,6 @@ class VarSpace:
 
     def degree_index(self, name: str) -> int:
         return self.degree_vars.index(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.degree_vars or name in self.exp_vars
 
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]  # (curve class, exponent multi-index)
@@ -105,9 +102,6 @@ class SeriesTable:
         return out
 
     # -- basic protocol ----------------------------------------------------
-
-    def __iter__(self) -> Iterator[tuple[Key, Rat]]:
-        return iter(sorted(self.entries.items()))
 
     def __len__(self) -> int:
         return len(self.entries)

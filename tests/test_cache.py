@@ -58,15 +58,12 @@ def test_unparsable_record_under_its_digest_is_ignored(tmp_path, p2):
 def test_warm_cache_reproduces_values(tmp_path, p2):
     gw = wdvv_solve(p2, default_gw_seeds(p2), 2)
     spec = DescendantSpec(0, (2,), ((0, 2),) * 4 + ((1, 1),))
-    engine = DescendantEngine(p2, gw)
-    cold = engine.value(spec)
     cache = CacheFile(tmp_path / "p2.cache", p2.fingerprint())
-    cache.absorb(engine.memo)
+    cold = DescendantEngine(p2, gw, cache.records).value(spec)
     cache.save()
-    warm_engine = DescendantEngine(p2, gw)
     warm = CacheFile(tmp_path / "p2.cache", p2.fingerprint())
     warm.load()
-    warm_engine.memo.update(warm.seed_memo())
+    warm_engine = DescendantEngine(p2, gw, warm.records)
     assert warm_engine.value(spec) == cold
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from charnum.geometry import builtin_geometry, in_box
 from charnum.seeds import packaged_seed_text
 
+from charnum import cli
 from charnum.cli import MAX_INSERTIONS, parse_descendant, run
 
 
@@ -276,6 +277,35 @@ def test_edited_cache_record_is_ignored_and_rewritten(tmp_path, capsys, record, 
     assert capture(argv) == (0, "40\n")
     assert "Traceback" not in capsys.readouterr().err
     assert path.read_text() == good
+
+
+def test_warm_repeat_leaves_the_cache_file_alone(tmp_path):
+    path = tmp_path / "p2.cache"
+    argv = ["descendant", CACHED_SPEC, "--cache", str(path)]
+    assert capture(argv) == (0, "40\n")
+    before = path.stat()
+    assert capture(argv) == (0, "40\n")
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_genus1_descendant_solves_only_the_box(monkeypatch):
+    potentials = []
+
+    def spy(potential):
+        def run(*args, **kwargs):
+            potentials.append(potential(*args, **kwargs))
+            return potentials[-1]
+        return run
+
+    for name in ("genus0_tangency_potential", "genus1_tangency_potential"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    box = (3, 1)
+    argv = ["descendant", "tau0(T3)^2 tau1(T1)^4 tau1(T3) @ g=1 d=3,1 target=p1xp1", "--no-cache"]
+    assert capture(argv) == (0, "-31\n")
+    assert len(potentials) == 2
+    assert all(pot.entries for pot in potentials)
+    assert sum(not in_box(deg, box) for pot in potentials for deg, _ in pot.entries) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from charnum.descend import (
 from charnum.geometry import builtin_geometry
 from charnum.gw import class_splits, multiset_splits, wdvv_solve
 from charnum.oracles import hurwitz_bruteforce
-from charnum.seeds import default_gw_seeds
+from charnum.seeds import default_gw_seeds, load_genus1_seeds, packaged_seed_text
 from charnum.series import SeriesTable
 
 
@@ -327,6 +328,47 @@ def test_quadric_potential_residuals(quadric, gw_quadric):
     for k in (1, 2, 3):
         assert genus0_pde_residual(quadric, g0, k, 1, 2).is_zero(), k
     assert genus0_integrated_residual(quadric, g0, 3).is_zero()
+
+
+def _partials_during(monkeypatch, run) -> list[tuple[SeriesTable, str]]:
+    """(table, variable) for every `SeriesTable.partial` call of run()."""
+    calls = []
+    partial = SeriesTable.partial
+
+    def spy(self, var):
+        calls.append((self, var))  # holds the table, so no id is reused
+        return partial(self, var)
+
+    monkeypatch.setattr(SeriesTable, "partial", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _repeats(calls) -> int:
+    return sum(n - 1 for n in Counter((id(t), var) for t, var in calls).values())
+
+
+@pytest.mark.parametrize(
+    "name, dmax, box", [("p1xp1", 5, (3, 2)), ("p2", 5, None), ("p3", 3, None), ("gr24", 1, None)]
+)
+def test_genus0_potential_differentiates_no_table_twice(monkeypatch, name, dmax, box):
+    geom = builtin_geometry(name)
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
+    calls = _partials_during(monkeypatch, lambda: genus0_tangency_potential(geom, gw, dmax, box))
+    assert calls
+    assert _repeats(calls) == 0
+
+
+@pytest.mark.parametrize("name, dmax, box", [("p1xp1", 5, (3, 2)), ("p2", 5, None)])
+def test_genus1_potential_differentiates_no_table_twice(monkeypatch, name, dmax, box):
+    geom = builtin_geometry(name)
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
+    seeds = load_genus1_seeds(packaged_seed_text(f"{name}-genus1"), geom)
+    g0 = genus0_tangency_potential(geom, gw, dmax, box)
+    calls = _partials_during(monkeypatch, lambda: genus1_tangency_potential(geom, g0, seeds, dmax, box=box))
+    assert calls
+    assert _repeats(calls) == 0
 
 
 # -- genus 1 -------------------------------------------------------------------
