@@ -237,7 +237,6 @@ def cmd_descendant(args, out) -> int:
         raise ValueError(f"{geom.name} has the basis classes T0..T{geom.rank - 1} only")
     dmax = sum(degrees)
     if genus == 0:
-        gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
         cache = None
         if not args.no_cache:
             cache_path = Path(args.cache) if args.cache else default_cache_dir() / f"{geom.name}.cache"
@@ -247,7 +246,7 @@ def cmd_descendant(args, out) -> int:
             except OSError as e:
                 raise ValueError(f"cannot read the cache file {cache_path}: {e.strerror}") from None
         # the cache's records are the engine's memo, so the file is rewritten only when it grew
-        engine = DescendantEngine(geom, gw, None if cache is None else cache.records)
+        engine = DescendantEngine(geom, _SolveOnLookup(geom, dmax), None if cache is None else cache.records)
         known = len(engine.memo)
         value = engine.value(DescendantSpec(0, degrees, insertions))
         if cache is not None and len(engine.memo) > known:
@@ -273,6 +272,21 @@ def cmd_descendant(args, out) -> int:
         return EXIT_USAGE
     out.write(format_rat(value) + "\n")
     return EXIT_OK
+
+
+class _SolveOnLookup:
+    """The genus-0 table of a descendant request, solved on the engine's
+    first lookup: a value the cache already holds needs no WDVV solve."""
+
+    def __init__(self, geom: TargetGeometry, dmax: int):
+        self.geom = geom
+        self.dmax = dmax
+        self.table: GWTable | None = None
+
+    def lookup(self, beta, insertions) -> Fraction:
+        if self.table is None:
+            self.table = wdvv_solve(self.geom, default_gw_seeds(self.geom), self.dmax)
+        return self.table.lookup(beta, insertions)
 
 
 def _extract_first_descendant(geom, g1: SeriesTable, beta, insertions):

@@ -52,7 +52,11 @@ class InsufficientSeeds(ValueError):
 
 
 GWKey = tuple[CurveClass, tuple[int, ...]]
-_ZERO = Fraction(0)
+
+
+def _int_view(x: Rat) -> int | Rat:
+    """x as an int when it is integral: int products skip Fraction's gcd."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass
@@ -63,11 +67,13 @@ class GWTable:
     # integer views of the ring, built once per table: step[i] = codim(T_i) - 1,
     # slot[i] = position of T_i among the divisors (None otherwise), the
     # nonzero inverse-pairing entries grouped by the step of their first index,
-    # and vdim(0, beta, 0) per class as it is first needed
+    # vdim(0, beta, 0) per class and the degree-0 three-point integrals by
+    # their sorted triple, each as it is first needed
     step: tuple[int, ...] = field(init=False, repr=False, compare=False)
     slot: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
     pairs_by_step: dict[int, list[tuple[int, int, Rat]]] = field(init=False, repr=False, compare=False)
     vdims: dict[CurveClass, int] = field(init=False, repr=False, compare=False, default_factory=dict)
+    triples: dict[tuple[int, int, int], int | Rat] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         geom = self.geom
@@ -77,8 +83,7 @@ class GWTable:
         for e, row in enumerate(geom.pairing_inv):
             for f, g in enumerate(row):
                 if g:
-                    g = int(g) if g.denominator == 1 else g  # keeps sign * w * g an int
-                    self.pairs_by_step.setdefault(self.step[e], []).append((e, f, g))
+                    self.pairs_by_step.setdefault(self.step[e], []).append((e, f, _int_view(g)))
 
     def vdim(self, beta: CurveClass) -> int:
         """vdim(0, beta, 0), the weight a class's canonical keys must carry."""
@@ -87,15 +92,25 @@ class GWTable:
             v = self.vdims[beta] = self.geom.vdim(0, beta, 0)
         return v
 
-    def _strip(self, beta: CurveClass, insertions) -> tuple[Rat, GWKey | None]:
-        """(coef, None) for a known value, (coef, key) for coef times an unknown."""
+    def _triple(self, ins: tuple[int, ...]) -> int | Rat:
+        """<T_i T_j T_k>_0, the int numerator when it is integral."""
+        key = tuple(sorted(ins))
+        v = self.triples.get(key)
+        if v is None:
+            v = _int_view(self.geom.integral(self.geom.cup_classes(key)))
+            self.triples[key] = v
+        return v
+
+    def _strip(self, beta: CurveClass, insertions) -> tuple[int | Rat, GWKey | None]:
+        """(coef, None) for a known value, (coef, key) for coef times an
+        unknown.  coef is an int unless a stored value is not integral."""
         beta = tuple(beta)
         total = sum(beta)
         ins = tuple(insertions)
         if total == 0:
             if len(ins) != 3:
-                return _ZERO, None
-            return self.geom.integral(self.geom.cup_classes(ins)), None
+                return 0, None
+            return self._triple(ins), None
         if total > self.dmax or min(beta) < 0:
             raise KeyError(f"curve class {beta} outside the truncation bound {self.dmax}")
         step, slot = self.step, self.slot
@@ -104,7 +119,7 @@ class GWTable:
         kept = []
         for i in ins:
             if i == 0:
-                return _ZERO, None  # string equation
+                return 0, None  # string equation
             s = slot[i]
             if s is None:
                 kept.append(i)
@@ -112,21 +127,21 @@ class GWTable:
             else:
                 factor *= beta[s]  # divisor equation
                 if not factor:
-                    return _ZERO, None
+                    return 0, None
         if weight != self.vdim(beta):
-            return _ZERO, None  # dimension gate
+            return 0, None  # dimension gate
         full = (beta, tuple(sorted(kept)))
         val = self.entries.get(full)
         if val is not None:
-            return val * factor, None
-        return Fraction(factor), full
+            return _int_view(val) * factor, None
+        return factor, full
 
     def lookup(self, beta: CurveClass, insertions) -> Rat:
         """Invariant with arbitrary insertions; strips T0/divisors first."""
         coef, unknown = self._strip(beta, insertions)
         if unknown is not None:
             raise KeyError(f"table incomplete at beta={unknown[0]}, insertions={unknown[1]}")
-        return coef
+        return Fraction(coef)
 
     def canonical_value(self, beta: CurveClass, key: tuple[int, ...]) -> Rat:
         return self.entries.get((tuple(beta), tuple(sorted(key))), Fraction(0))
@@ -205,6 +220,9 @@ def _assoc_sum(table: GWTable, beta: CurveClass, splits, marks, sign: int, out: 
     beta1 > 0 that sum is the dimension gate's weight (T0 kills the term,
     divisors have step 0), and for beta1 = 0 it says the three codimensions
     add up to dim, off which a degree-0 three-point integral vanishes.
+
+    The sums stay Python ints while every factor is integral; a stored value
+    or a g^{ef} that is not makes its term, and the sum, a Fraction.
     """
     a, b, c, d = marks
     for beta1, beta2 in class_splits(beta):
@@ -228,10 +246,11 @@ def wdvv_instance_residual(geom, table: GWTable, inst: Instance) -> dict[GWKey |
     zero terms are dropped, so {} means 0 = 0."""
     i, j, k, l = inst.marks
     splits = [(m1, m2, w, sum(table.step[x] for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
-    out: dict[GWKey | None, Rat] = {}
+    out: dict[GWKey | None, int | Rat] = {}
     _assoc_sum(table, inst.beta, splits, (i, j, k, l), 1, out)
     _assoc_sum(table, inst.beta, splits, (i, k, j, l), -1, out)
-    return {k: v for k, v in out.items() if v}
+    # the elimination divides by these, so it gets Fractions, never ints
+    return {k: Fraction(v) for k, v in out.items() if v}
 
 
 def _candidate_instances(geom: TargetGeometry, beta: CurveClass, key: tuple[int, ...]):

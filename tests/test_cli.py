@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -228,6 +231,18 @@ def test_gr24_insufficiency_exit3():
     assert code == 3
 
 
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
+
+
+def test_gw_requests_match_the_benchmark_digests():
+    # the reference exit codes and stdout digests of the benchmark's `gw` requests
+    refs = {key: ref for key, ref in json.loads(REFS.read_text()).items() if key.startswith("gw ")}
+    assert len(refs) == 7
+    for key, ref in refs.items():
+        code, text = capture(shlex.split(key))
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (ref["exit"], ref["sha256"]), key
+
+
 def test_verify_suites_pass():
     for suite in ("p2-genus0", "metric"):
         code, text = capture(["verify", "--suite", suite])
@@ -287,6 +302,32 @@ def test_warm_repeat_leaves_the_cache_file_alone(tmp_path):
     assert capture(argv) == (0, "40\n")
     after = path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_warm_descendant_hit_skips_wdvv(tmp_path, monkeypatch):
+    solves = []
+    solve = cli.wdvv_solve
+
+    def counting(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "wdvv_solve", counting)
+    argv = ["descendant", CACHED_SPEC, "--cache", str(tmp_path / "p2.cache")]
+    cold = capture(argv)
+    assert (cold, len(solves)) == ((0, "40\n"), 1)
+    solves.clear()
+    assert (capture(argv), len(solves)) == (cold, 0)
+
+
+def test_gr24_degree2_descendant_still_refused(tmp_path, capsys):
+    # the table is solved on the first lookup, so the refusal comes from inside the recursion
+    argv = ["descendant", "tau1(T4) tau0(T5)^2 @ d=2 target=gr24", "--cache", str(tmp_path / "gr24.cache")]
+    for _ in range(2):
+        assert capture(argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("insufficient seed data"), err
+    assert not (tmp_path / "gr24.cache").exists()
 
 
 def test_genus1_descendant_solves_only_the_box(monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -228,6 +229,9 @@ def test_pruned_contraction_equals_all_pairs(name):
         if beta != dropped
     }
     table = GWTable(g, dmax, entries)
+    dv = g.divisors[0]
+    for (beta, key), val in entries.items():
+        assert table.lookup(beta, key + (dv,)) == g.degree_of(dv, beta) * val
     betas = [b for t in range(1, dmax + 1) for b in g.curve_classes(t)]
     nonzero = 0
     for n in range(60):
@@ -243,10 +247,55 @@ def test_pruned_contraction_equals_all_pairs(name):
                 break
         inst = Instance(beta, marks, extras)
         expect = _all_pairs_residual(table, inst)
-        assert wdvv_instance_residual(g, table, inst) == expect, inst.describe()
+        got = wdvv_instance_residual(g, table, inst)
+        assert got == expect, inst.describe()
+        assert all(type(v) is Fraction for v in got.values()), inst.describe()
         nonzero += bool(expect)
     # on P^1 every residual is 0 = 0: its one invariant has no insertions
     assert nonzero or name == "p1"
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_no_int_reaches_the_elimination(name, monkeypatch):
+    # residuals are summed on ints; the elimination divides by their
+    # coefficients, where an int pivot would make 1 / row[pivot] a float
+    import charnum.gw as gw
+
+    g = builtin_geometry(name)
+    coefs = []
+    residual = gw.wdvv_instance_residual
+
+    def recording(geom, table, inst):
+        out = residual(geom, table, inst)
+        coefs.extend(out.values())
+        return out
+
+    monkeypatch.setattr(gw, "wdvv_instance_residual", recording)
+    if name == "gr24":
+        # degree 1 is seeded in full; degree 2 evaluates instances before its refusal
+        with pytest.raises(InsufficientSeeds):
+            wdvv_solve(g, default_gw_seeds(g), 2)
+    table = wdvv_solve(g, default_gw_seeds(g), WDVV_DMAX[name])
+    assert coefs or name == "p1"
+    assert all(type(v) is Fraction for v in coefs)
+    assert all(type(v) is Fraction for v in table.entries.values())
+    looked_up = [table.lookup(beta, key) for beta, key in table.entries]
+    looked_up += [table.lookup(beta, key + (dv,)) for beta, key in table.entries for dv in g.divisors]
+    looked_up += [table.lookup((0,) * len(g.divisors), t) for t in product(range(g.rank), repeat=3)]
+    looked_up += [table.lookup(beta, (0,) + key) for beta, key in table.entries]
+    assert all(type(v) is Fraction for v in looked_up)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_degree0_triples_read_one_memo_entry(name):
+    g = builtin_geometry(name)
+    table = GWTable(g, 1)
+    zero = (0,) * len(g.divisors)
+    for t in product(range(g.rank), repeat=3):
+        assert table._strip(zero, t) == (g.integral(g.cup_classes(t)), None), t
+        assert tuple(sorted(t)) in table.triples
+    # every permutation of a triple reads the entry of its sorted form
+    assert sorted(table.triples) == list(combinations_with_replacement(range(g.rank), 3))
 
 
 def test_table_from_config_equals_builtin():
