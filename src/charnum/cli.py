@@ -6,8 +6,9 @@ verify (built-in consistency suites).  Values are always exact: "p/q", or
 the bare integer when q = 1.  Output is deterministic byte-for-byte for
 fixed inputs, across cold and warm caches.
 
-Exit codes: 2 usage, 1 verification mismatch, 3 missing seed data or an
-out-of-scope request (genus 2 below degree 4).
+Exit codes: 2 usage, 1 verification mismatch (seed data that two equations
+of a solve contradict), 3 missing seed data or an out-of-scope request
+(genus 2 below degree 4).
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def cmd_compute(args, out) -> int:
         if quadric:
             table = quadric_genus1(gw, g0, seeds, dmax, box=box)
         else:
-            table = charnum_genus1(g0, {b[0]: v for b, v in seeds.items()}, dmax)
+            table = charnum_genus1(g0, seeds, dmax)
     if args.genus == 2:
         if not args.virtual2:
             raise FileNotFoundError("genus-2 virtual numbers (pass --virtual2 <path>; records d;a,b,c;p/q)")
@@ -261,10 +262,10 @@ def cmd_descendant(args, out) -> int:
                 "(no higher-power genus-1 recursion is implemented)\n"
             )
             return EXIT_USAGE
+        seeds = _genus1_seed_table(geom, args)
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
         # a class reads only the classes below it, so only those of the box are solved
         g0 = genus0_tangency_potential(geom, gw, dmax, degrees)
-        seeds = _genus1_seed_table(geom, args)
         g1 = genus1_tangency_potential(geom, g0, seeds, dmax, box=degrees)
         value = _extract_first_descendant(geom, g1, degrees, insertions)
     else:

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import comb
 
 from .geometry import CurveClass, TargetGeometry, in_box
-from .gw import GWTable, class_splits, multiset_splits
+from .gw import GWTable, SeedConflict, class_splits, multiset_splits
 from .metric import deformed_metric
 from .series import NumeratorSum, Rat, SeriesTable, VarSpace, series_product
 
@@ -551,15 +551,14 @@ def genus1_tangency_potential(
     g0: SeriesTable,
     seeds: dict[CurveClass, Rat] | dict[tuple, Rat],
     dmax: int,
-    check_overdetermined: bool = False,
     box: CurveClass | None = None,
 ) -> SeriesTable:
     """Genus-1 first-descendant potential from its psi-free slice.
 
     `seeds` maps curve classes to the genus-1 invariant with the gated number
     of point-type insertions (the only psi-free stratum for the built-in
-    surfaces).  With check_overdetermined, every admissible k-equation for a
-    stratum must agree, else ValueError.  With `box`, only the classes
+    surfaces).  A stratum is solved by the y_k equation of every y_k it holds,
+    and unequal values raise SeedConflict.  With `box`, only the classes
     componentwise <= box are solved, and only their seeds are read.
     """
     ts = TangencySpace(geom)
@@ -592,12 +591,10 @@ def genus1_tangency_potential(
                             level = _Level(t, below=below, top=top, g1=g1_lower)
                         rhs_by_k[k_idx] = _genus1_rhs(ts, level, consts, k_idx)
                     vals.append(rhs_by_k[k_idx].coeff(beta, ts.lowered(mono, k_idx)))
-                    if not check_overdetermined:
-                        break
-                if check_overdetermined and len(set(vals)) > 1:
-                    raise ValueError(
-                        f"genus-1 recursion overdetermination failure at beta={beta}, "
-                        f"stratum={mono}: {vals}"
+                if len(set(vals)) > 1:
+                    raise SeedConflict(
+                        f"the genus-1 y_k equations disagree at beta={beta}, "
+                        f"stratum={mono}: {', '.join(map(str, vals))}"
                     )
                 if vals[0]:
                     entries[(tuple(beta), mono)] = vals[0]

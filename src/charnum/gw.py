@@ -44,7 +44,7 @@ __all__ = [
 
 
 class SeedConflict(ValueError):
-    """Two associativity instances force different values."""
+    """Two equations force different values."""
 
 
 class InsufficientSeeds(ValueError):

@@ -58,8 +58,8 @@ def hurwitz_bruteforce(d: int, b: int) -> FactorizationCount:
     one by one.  A state is the partial product together with the orbits of
     the transpositions taken so far (each point labelled by the least point
     of its orbit), and a tuple counts when it ends at the identity with one
-    orbit.  No cut-and-join or character is used, so this stays a route
-    independent of `quadric.hurwitz`.
+    orbit.  No recursion, cut-and-join or character is used, so this stays a
+    route independent of `quadric.hurwitz`.
 
     Desk scale only: d <= 6, b <= 12.
     """
@@ -206,9 +206,8 @@ def run_verify_suite(suite: str, out) -> int:
         gw = wdvv_solve(geom, default_gw_seeds(geom), 3)
         g0 = charnum_genus0(gw, 3)
         seeds = load_genus1_seeds(packaged_seed_text("p2-genus1"), geom)
-        seeds_by_d = {b[0]: v for b, v in seeds.items()}
-        direct = charnum_genus1(g0, seeds_by_d, 3, check_overdetermined=True)
-        virtual = charnum_genus1_virtual_route(gw, g0, seeds_by_d, 3)
+        direct = charnum_genus1(g0, seeds, 3)
+        virtual = charnum_genus1_virtual_route(gw, g0, seeds, 3)
         for key, va, vb in cross_check(direct.entries, virtual.entries):
             failures += 1
             out.write(f"mismatch at {key}: direct {va} virtual route {vb}\n")

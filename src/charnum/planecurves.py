@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .descend import DescendantSpec
-from .gw import GWTable
+from .gw import GWTable, SeedConflict
 from .series import DiffOperator, Rat, SeriesTable, VarSpace
 from .surface import Surface
 
@@ -56,7 +56,6 @@ __all__ = [
     "charnum_genus1_virtual_route",
     "charnum_genus2",
     "genus2_corrections",
-    "dim_ok",
 ]
 
 P2_SPACE = VarSpace(("s",), ("u", "v", "w"))
@@ -71,10 +70,6 @@ def point_operator() -> DiffOperator:
 
 
 PLANE = Surface("p2", P2_SPACE, (line_operator(),), point_operator(), c1=3, d_sq=1)
-
-
-def dim_ok(genus: int, d: int, a: int, b: int, c: int) -> bool:
-    return a + b + 2 * c == 3 * d + genus - 1
 
 
 def cover_polynomials() -> tuple[SeriesTable, SeriesTable]:
@@ -156,17 +151,14 @@ def _genus1_correction_blocks(g0: SeriesTable) -> tuple[SeriesTable, SeriesTable
     return block("s"), block("u")
 
 
-def charnum_genus1(
-    g0: SeriesTable,
-    seeds: dict[int, Rat],
-    dmax: int,
-    check_overdetermined: bool = False,
-) -> SeriesTable:
+def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
     """Genus-1 characteristic numbers by direct recursion.
 
     Internally solves for the double-cover-inclusive potential and subtracts
-    E at the end.  `seeds` maps d to the point-only count N^1_d(3d,0,0);
-    missing degrees raise KeyError.
+    E at the end.  `seeds` maps the class (d,) to the point-only count
+    N^1_d(3d,0,0); missing degrees raise KeyError.  A stratum with both a
+    tangency and a flag is solved by both equations, and unequal values
+    raise SeedConflict.
     """
     rv24, rw24 = _genus1_correction_blocks(g0)
     e_table, _ = cover_polynomials()
@@ -174,10 +166,10 @@ def charnum_genus1(
     images_u = PLANE.images(g0.partial("u"))
     entries: dict = {}
     for d in range(1, dmax + 1):
-        if d not in seeds:
+        if (d,) not in seeds:
             raise KeyError(f"genus-1 seed for degree {d} is missing")
-        if seeds[d]:
-            entries[((d,), (3 * d, 0, 0))] = Fraction(seeds[d])
+        if seeds[(d,)]:
+            entries[((d,), (3 * d, 0, 0))] = Fraction(seeds[(d,)])
         lower = SeriesTable(P2_SPACE, dmax, {k: v for k, v in entries.items() if k[0][0] < d})
         qv = PLANE.pair_images(lower, images_s, d)
         qw = PLANE.pair_images(lower, images_u, d)
@@ -187,16 +179,17 @@ def charnum_genus1(
             vals = []
             if c > 0:
                 vals.append(qw.coeff((d,), (a, b, c - 1)) + rw24.coeff((d,), (a, b, c - 1)))
-            if b > 0 and (c == 0 or check_overdetermined):
+            if b > 0:
                 prev = entries.get(((d,), (a + 1, b - 1, c)), Fraction(0))
                 vals.append(
                     prev
                     + qv.coeff((d,), (a, b - 1, c))
                     + rv24.coeff((d,), (a, b - 1, c))
                 )
-            if check_overdetermined and len(set(vals)) > 1:
-                raise ValueError(
-                    f"genus-1 tangency/flag equations disagree at d={d}, (a,b,c)=({a},{b},{c}): {vals}"
+            if len(set(vals)) > 1:
+                raise SeedConflict(
+                    f"the genus-1 tangency and flag equations disagree at d={d}, "
+                    f"(a,b,c)=({a},{b},{c}): {', '.join(map(str, vals))}"
                 )
             if vals[0]:
                 entries[((d,), (a, b, c))] = vals[0]
@@ -205,17 +198,12 @@ def charnum_genus1(
 
 
 def charnum_genus1_virtual_route(
-    gw: GWTable,
-    g0: SeriesTable,
-    seeds: dict[int, Rat],
-    dmax: int,
-    check_overdetermined: bool = False,
+    gw: GWTable, g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int
 ) -> SeriesTable:
     """Genus-1 numbers via the tangency potential and the correction formula
-    enumerative = virtual + (1/24) P G^0 - E."""
-    seeds_by_class = {(d,): v for d, v in seeds.items()}
+    enumerative = virtual + (1/24) P G^0 - E; `seeds` as for `charnum_genus1`."""
     e_table, _ = cover_polynomials()
-    virtual = PLANE.genus1_virtual(gw, g0, seeds_by_class, dmax, check_overdetermined)
+    virtual = PLANE.genus1_virtual(gw, g0, seeds, dmax)
     return virtual - e_table.truncate(dmax)
 
 

@@ -7,12 +7,10 @@ a + b + 2c = 2(d1+d2) - 1 + g; tables are symmetric under swapping rulings.
 
 Hurwitz potentials H^g(t,v) = sum_{d>0} e^{dt} sum_b v^b/b! N^g_d(b) count
 d-sheeted genus-g covers of the sphere simply branched over b = 2d + 2g - 2
-points; they satisfy
-
-    H0_vt = v H0_tt . H0_tt
-    H1_v  = 2v H0_tt . H1_t + (1/24) 2v (H0_ttt - H0_tt)
-
-seeded only by the identity cover N^0_1(0) = 1.  Genus-1 covers of a ruling,
+points.  They are the first-descendant potentials of `descend` on P^1, with
+t the degree and v the tau_1(pt) variable, seeded only by the identity cover
+N^0_1(0) = 1; `oracles.hurwitz_bruteforce` counts the same numbers by
+factorizations in the symmetric group.  Genus-1 covers of a ruling,
 packaged as I = u H1_{u1} + (v^2 + w) H1_v (and J with the rulings swapped),
 are the excess components behind the genus-1 correction formula
 
@@ -25,15 +23,14 @@ P = 2v d/du1 + 2v d/du2 + (4v^2 + 2w) d/du.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .geometry import in_box
-from .gw import GWTable
-from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
+from .descend import genus0_tangency_potential, genus1_tangency_potential
+from .geometry import builtin_geometry, in_box
+from .gw import GWTable, wdvv_solve
+from .seeds import default_gw_seeds
+from .series import DiffOperator, Rat, SeriesTable, VarSpace
 from .surface import Surface
 
 __all__ = [
-    "HURWITZ_SPACE",
     "Q_SPACE",
     "QUADRIC",
     "hurwitz",
@@ -41,43 +38,20 @@ __all__ = [
     "rule_cover_potentials",
     "quadric_genus0",
     "quadric_genus1",
-    "quadric_dim_ok",
 ]
 
-HURWITZ_SPACE = VarSpace(("t",), ("v",))
 Q_SPACE = VarSpace(("u1", "u2"), ("u", "v", "w"))
 
 
 def hurwitz(gmax: int, dmax: int) -> dict[tuple[int, int, int], Rat]:
-    """Simple Hurwitz numbers as {(g, d, b): value}, g <= gmax <= 1."""
+    """Simple Hurwitz numbers as {(g, d, b): value}, g <= gmax <= 1, read off
+    the first-descendant potentials of P^1."""
     if gmax > 1:
         raise ValueError("only genus 0 and 1 are covered by the two recursions")
-    h0: dict = {((1,), (0,)): Fraction(1)}
-    for d in range(2, dmax + 1):
-        lower = SeriesTable(HURWITZ_SPACE, dmax, h0)
-        tt = lower.partial("t").partial("t")
-        rhs = series_product(tt, tt, total=d).times_monomial({"v": 1})
-        b = 2 * d - 2
-        val = rhs.coeff((d,), (b - 1,)) / d
-        if val:
-            h0[((d,), (b,))] = val
-    out = {(0, deg[0], mono[0]): v for (deg, mono), v in h0.items()}
-    if gmax == 0:
-        return out
-    h0t = SeriesTable(HURWITZ_SPACE, dmax, h0)
-    tt = h0t.partial("t").partial("t")
-    correction = (tt.partial("t") - tt).times_monomial({"v": 1}, Fraction(2, 24))
-    h1: dict = {}
-    for d in range(1, dmax + 1):
-        lower = SeriesTable(HURWITZ_SPACE, dmax, h1)
-        rhs = series_product(tt, lower.partial("t"), total=d).times_monomial({"v": 1}, 2) + correction
-        b = 2 * d
-        val = rhs.coeff((d,), (b - 1,))
-        if val:
-            h1[((d,), (b,))] = val
-    for (deg, mono), v in h1.items():
-        out[(1, deg[0], mono[0])] = v
-    return out
+    p1 = builtin_geometry("p1")
+    h0 = genus0_tangency_potential(p1, wdvv_solve(p1, default_gw_seeds(p1), dmax), dmax)
+    potentials = [h0] if gmax == 0 else [h0, genus1_tangency_potential(p1, h0, {}, dmax)]
+    return {(g, deg[0], mono[0]): v for g, h in enumerate(potentials) for (deg, mono), v in h.entries.items()}
 
 
 def hurwitz_in_ruling(table: dict[tuple[int, int, int], Rat], genus: int, ruling: int, dmax: int) -> SeriesTable:
@@ -122,10 +96,6 @@ QUADRIC = Surface(
 )
 
 
-def quadric_dim_ok(genus: int, d1: int, d2: int, a: int, b: int, c: int) -> bool:
-    return a + b + 2 * c == 2 * (d1 + d2) - 1 + genus
-
-
 def quadric_genus0(gw: GWTable, dmax: int, box: tuple[int, int] | None = None) -> SeriesTable:
     """Genus-0 quadric characteristic numbers up to total degree dmax, on the
     bidegrees componentwise <= `box` if given."""
@@ -137,7 +107,6 @@ def quadric_genus1(
     g0: SeriesTable,
     seeds: dict[tuple[int, int], Rat],
     dmax: int,
-    check_overdetermined: bool = False,
     box: tuple[int, int] | None = None,
 ) -> SeriesTable:
     """Genus-1 quadric characteristic numbers via the correction formula.
@@ -148,7 +117,7 @@ def quadric_genus1(
     componentwise <= box are computed and returned, `g0` needs only those,
     and only their seeds are read.
     """
-    virtual = QUADRIC.genus1_virtual(gw, g0, seeds, dmax, check_overdetermined, box)
+    virtual = QUADRIC.genus1_virtual(gw, g0, seeds, dmax, box)
     i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax), dmax)
     # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
     g1 = virtual - QUADRIC.pair(i_pot + j_pot, g0)

@@ -160,7 +160,6 @@ class Surface:
         g0: SeriesTable,
         seeds: dict[tuple, Rat],
         dmax: int,
-        check_overdetermined: bool = False,
         box: CurveClass | None = None,
     ) -> SeriesTable:
         """The genus-1 virtual potential in (u, v, w), plus (1/24) P G^0.
@@ -173,9 +172,6 @@ class Surface:
         """
         geom = self._geometry(gw)
         gamma0 = descend.genus0_tangency_potential(geom, gw, dmax, box)
-        gamma1 = descend.genus1_tangency_potential(
-            geom, gamma0, {tuple(k): Fraction(v) for k, v in seeds.items()}, dmax,
-            check_overdetermined=check_overdetermined, box=box,
-        )
+        gamma1 = descend.genus1_tangency_potential(geom, gamma0, seeds, dmax, box)
         virtual = gamma1.substitute(self.space, self.tangency_map(geom))
         return virtual + self.point(g0).scale(Fraction(1, 24))

@@ -41,13 +41,12 @@ def g0_p2(gw_p2):
 
 @pytest.fixture(scope="session")
 def p2_genus1_seeds(p2):
-    table = load_genus1_seeds(packaged_seed_text("p2-genus1"), p2)
-    return {beta[0]: v for beta, v in table.items()}
+    return load_genus1_seeds(packaged_seed_text("p2-genus1"), p2)
 
 
 @pytest.fixture(scope="session")
 def g1_p2(g0_p2, p2_genus1_seeds):
-    return charnum_genus1(g0_p2, p2_genus1_seeds, 4, check_overdetermined=True)
+    return charnum_genus1(g0_p2, p2_genus1_seeds, 4)
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +61,7 @@ def g0_quadric(gw_quadric):
 
 @pytest.fixture(scope="session")
 def g1_quadric(gw_quadric, g0_quadric, quadric_genus1_seeds):
-    return quadric_genus1(gw_quadric, g0_quadric, quadric_genus1_seeds, 5, check_overdetermined=True)
+    return quadric_genus1(gw_quadric, g0_quadric, quadric_genus1_seeds, 5)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from charnum.geometry import builtin_geometry, in_box
 from charnum.seeds import packaged_seed_text
+from charnum.series import SeriesTable
 
 from charnum import cli
 from charnum.cli import MAX_INSERTIONS, parse_descendant, run
@@ -234,13 +235,25 @@ def test_gr24_insufficiency_exit3():
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 
 
-def test_gw_requests_match_the_benchmark_digests():
-    # the reference exit codes and stdout digests of the benchmark's `gw` requests
-    refs = {key: ref for key, ref in json.loads(REFS.read_text()).items() if key.startswith("gw ")}
-    assert len(refs) == 7
+def replay_benchmark_requests(prefix: str, count: int) -> None:
+    """Replay the benchmark's reference requests starting with `prefix`: same exit code and stdout digest."""
+    refs = {key: ref for key, ref in json.loads(REFS.read_text()).items() if key.startswith(prefix)}
+    assert len(refs) == count
     for key, ref in refs.items():
         code, text = capture(shlex.split(key))
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (ref["exit"], ref["sha256"]), key
+
+
+def test_gw_requests_match_the_benchmark_digests():
+    replay_benchmark_requests("gw ", 7)
+
+
+@pytest.mark.parametrize(
+    "prefix, count",
+    [("compute --target p2 --genus 1 ", 9), ("compute --target p1xp1 --genus 1 ", 3), ("verify ", 4)],
+)
+def test_genus1_and_verify_requests_match_the_benchmark_digests(prefix, count):
+    replay_benchmark_requests(prefix, count)
 
 
 def test_verify_suites_pass():
@@ -328,6 +341,30 @@ def test_gr24_degree2_descendant_still_refused(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("insufficient seed data"), err
     assert not (tmp_path / "gr24.cache").exists()
+
+
+def test_wrong_genus0_table_stops_genus1_compute(monkeypatch, capsys):
+    genus0 = cli.charnum_genus0
+
+    def wrong(gw, dmax):
+        table = genus0(gw, dmax)
+        entries = dict(table.entries)
+        entries[(3,), (8, 0, 0)] += 1
+        return SeriesTable(table.space, table.dmax, entries)
+
+    monkeypatch.setattr(cli, "charnum_genus0", wrong)
+    assert capture(["compute", "--target", "p2", "--genus", "1", "--dmax", "4"]) == (1, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("seed data fails verification"), err
+
+
+def test_genus1_descendant_reads_the_seeds_before_solving(monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(cli, "wdvv_solve", lambda *args: solves.append(args))
+    assert capture(["descendant", "tau0(T4)^5 @ g=1 d=3 target=p5", "--no-cache"]) == (3, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("missing seed file"), err
+    assert solves == []
 
 
 def test_genus1_descendant_solves_only_the_box(monkeypatch):

@@ -388,7 +388,7 @@ def test_genus1_seed_slice(p2, gw_p2):
 
 def test_genus1_k_overdetermination(p2, gw_p2):
     g0 = genus0_tangency_potential(p2, gw_p2, 3)
-    genus1_tangency_potential(p2, g0, {(3,): Fraction(1)}, 3, check_overdetermined=True)
+    genus1_tangency_potential(p2, g0, {(3,): Fraction(1)}, 3)
 
 
 def test_genus1_missing_seed_defaults_to_zero(p2, gw_p2):
@@ -440,7 +440,7 @@ def test_p1_hurwitz_through_both_recursions():
     p1 = builtin_geometry("p1")
     gw = wdvv_solve(p1, {((1,), ()): Fraction(1)}, 4)
     g0 = genus0_tangency_potential(p1, gw, 4)
-    g1 = genus1_tangency_potential(p1, g0, {}, 4, check_overdetermined=True)
+    g1 = genus1_tangency_potential(p1, g0, {}, 4)
     for d in range(1, 5):
         for g, table in ((0, g0), (1, g1)):
             b = 2 * d + 2 * g - 2

@@ -5,14 +5,15 @@ from math import comb
 
 import pytest
 
-from charnum.descend import DescendantEngine
+from charnum.descend import DescendantEngine, genus0_tangency_potential, genus1_tangency_potential
+from charnum.gw import SeedConflict
 from charnum.planecurves import (
     P2_SPACE,
+    PLANE,
     charnum_genus1,
     charnum_genus1_virtual_route,
     charnum_genus2,
     cover_polynomials,
-    dim_ok,
     genus2_corrections,
     line_operator,
     point_operator,
@@ -58,7 +59,7 @@ def test_cubic_characteristic_numbers(g0_p2):
 
 def test_dimension_gate_everywhere(g0_p2):
     for (deg, mono), val in g0_p2.entries.items():
-        assert dim_ok(0, deg[0], *mono), (deg, mono)
+        assert mono in PLANE.strata(0, deg[0]), (deg, mono)
         assert val.denominator == 1 and val > 0
 
 
@@ -161,17 +162,39 @@ def test_genus1_classical_cubics(g1_p2):
 
 def test_genus1_missing_seed_degree_raises(g0_p2):
     with pytest.raises(KeyError):
-        charnum_genus1(g0_p2, {1: 0, 2: 0}, 3)
+        charnum_genus1(g0_p2, {(1,): 0, (2,): 0}, 3)
 
 
 def test_genus1_routes_agree(gw_p2, g0_p2, p2_genus1_seeds, g1_p2):
-    virtual = charnum_genus1_virtual_route(gw_p2, g0_p2, p2_genus1_seeds, 4, check_overdetermined=True)
+    virtual = charnum_genus1_virtual_route(gw_p2, g0_p2, p2_genus1_seeds, 4)
     assert virtual == g1_p2
+
+
+def bumped(table: SeriesTable, key) -> SeriesTable:
+    """`table` with 1 added to the entry at `key`."""
+    entries = dict(table.entries)
+    entries[key] += 1
+    return SeriesTable(table.space, table.dmax, entries)
+
+
+def test_wrong_genus0_entry_stops_both_genus1_routes(p2, gw_p2, g0_p2, p2_genus1_seeds):
+    # every genus-0 entry of degree <= 3 is read by two equations of a genus-1 stratum that then disagree
+    low = [key for key in g0_p2.entries if key[0][0] <= 3]
+    assert len(low) == 39
+    for key in low:
+        with pytest.raises(SeedConflict, match="tangency and flag equations disagree"):
+            charnum_genus1(bumped(g0_p2, key), p2_genus1_seeds, 4)
+    gamma0 = genus0_tangency_potential(p2, gw_p2, 4)
+    low = [key for key in gamma0.entries if key[0][0] <= 3]
+    assert len(low) == 36
+    for key in low:
+        with pytest.raises(SeedConflict, match="y_k equations disagree"):
+            genus1_tangency_potential(p2, bumped(gamma0, key), p2_genus1_seeds, 4)
 
 
 def test_genus1_integrality(g1_p2):
     for (deg, mono), val in g1_p2.entries.items():
-        assert dim_ok(1, deg[0], *mono)
+        assert mono in PLANE.strata(1, deg[0])
         assert val.denominator == 1 and val >= 0
 
 
