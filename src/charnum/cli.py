@@ -265,9 +265,10 @@ def cmd_descendant(args, out) -> int:
         seeds = _genus1_seed_table(geom, args)
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
         # a class reads only the classes below it, so only those of the box are solved
-        g0 = genus0_tangency_potential(geom, gw, dmax, degrees)
-        g1 = genus1_tangency_potential(geom, g0, seeds, dmax, box=degrees)
-        value = _extract_first_descendant(geom, g1, degrees, insertions)
+        ts = TangencySpace(geom)
+        g0 = genus0_tangency_potential(geom, gw, dmax, degrees, ts=ts)
+        g1 = genus1_tangency_potential(geom, g0, seeds, dmax, box=degrees, ts=ts)
+        value = _extract_first_descendant(ts, g1, degrees, insertions)
     else:
         sys.stderr.write("descendant supports genus 0 and 1\n")
         return EXIT_USAGE
@@ -290,14 +291,14 @@ class _SolveOnLookup:
         return self.table.lookup(beta, insertions)
 
 
-def _extract_first_descendant(geom, g1: SeriesTable, beta, insertions):
-    red = reduce_special(geom, DescendantSpec(1, beta, insertions))
+def _extract_first_descendant(ts: TangencySpace, g1: SeriesTable, beta, insertions):
+    red = reduce_special(ts.geom, DescendantSpec(1, beta, insertions))
     if red[0] == "value":
         return red[1]
     _, factor, spec = red
-    if not dimension_valid(geom, spec):
+    if not dimension_valid(ts.geom, spec):
         return Fraction(0)
-    return factor * g1.coeff(spec.beta, TangencySpace(geom).key(spec.insertions))
+    return factor * g1.coeff(spec.beta, ts.key(spec.insertions))
 
 
 def cmd_hurwitz(args, out) -> int:

@@ -49,7 +49,7 @@ from math import comb
 from .geometry import CurveClass, TargetGeometry, in_box
 from .gw import GWTable, SeedConflict, class_splits, multiset_splits
 from .metric import deformed_metric
-from .series import NumeratorSum, Rat, SeriesTable, VarSpace, series_product
+from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, series_product
 
 __all__ = [
     "DescendantSpec",
@@ -405,12 +405,17 @@ def _deriv_coeff(ts: TangencySpace, entries, beta, mono, derivs) -> Rat:
 
 
 def genus0_tangency_potential(
-    geom: TargetGeometry, gw: GWTable, dmax: int, box: CurveClass | None = None
+    geom: TargetGeometry,
+    gw: GWTable,
+    dmax: int,
+    box: CurveClass | None = None,
+    ts: TangencySpace | None = None,
 ) -> SeriesTable:
     """Full genus-0 first-descendant potential up to total degree dmax, on
     the classes componentwise <= `box` if given: the equations for a class
-    read only classes below it."""
-    ts = TangencySpace(geom)
+    read only classes below it.  `ts`, the `TangencySpace` of `geom`, is
+    built here unless the caller shares one between potentials."""
+    ts = TangencySpace(geom) if ts is None else ts
     entries: dict = {}
     # y = 0 slice from the Gromov-Witten table
     for (beta, key), val in gw.entries.items():
@@ -444,12 +449,15 @@ def genus0_tangency_potential(
 
 class _Level:
     """The tables that the equations of one level t read, by name, and their
-    x-partials.  The partials commute, so each is kept under its sorted
-    indices; the whole is dropped after the level."""
+    x-partials, each also as a product operand.  The partials commute, so
+    each is kept under its sorted indices; the whole is dropped after the
+    level.  Partials only lower exponents, so one packing fits them all."""
 
     def __init__(self, t: int, **tables: SeriesTable):
         self.t = t
         self.partials: dict[tuple, SeriesTable] = {(name, ()): table for name, table in tables.items()}
+        self.packing = Packing.fitting(tables.values())
+        self.operands: dict[tuple, Operand] = {}
 
     def partial(self, name: str, *idx: int) -> SeriesTable:
         """The table `name` differentiated once by each x_i, i in idx."""
@@ -457,6 +465,14 @@ class _Level:
         hit = self.partials.get((name, idx))
         if hit is None:
             hit = self.partials[(name, idx)] = self.partial(name, *idx[:-1]).partial(f"x{idx[-1]}")
+        return hit
+
+    def operand(self, name: str, *idx: int) -> Operand:
+        """`partial(name, *idx)` prepared for `series_product`."""
+        idx = tuple(sorted(idx))
+        hit = self.operands.get((name, idx))
+        if hit is None:
+            hit = self.operands[(name, idx)] = Operand(self.packing, self.partial(name, *idx))
         return hit
 
 
@@ -469,13 +485,10 @@ def _metric_sum(ts: TangencySpace, level: _Level, out: NumeratorSum, left: tuple
             poly = ts.gamma[e][f]
             if not poly:
                 continue
-            lhs = level.partial(*left, e)
-            if lhs.is_zero():
+            if level.partial(*left, e).is_zero() or level.partial(*right, f).is_zero():
                 continue
-            rhs = level.partial(*right, f)
-            if rhs.is_zero():
-                continue
-            out.add(series_product(lhs, rhs, total=level.t), ts.poly_terms(poly))
+            product = series_product(level.operand(*left, e), level.operand(*right, f), total=level.t)
+            out.add(product, ts.poly_terms(poly))
 
 
 def _pde_rhs_coeff(ts, entries, quad: SeriesTable, beta, target, k_idx: int, dv: int) -> Rat:
@@ -552,6 +565,7 @@ def genus1_tangency_potential(
     seeds: dict[CurveClass, Rat] | dict[tuple, Rat],
     dmax: int,
     box: CurveClass | None = None,
+    ts: TangencySpace | None = None,
 ) -> SeriesTable:
     """Genus-1 first-descendant potential from its psi-free slice.
 
@@ -559,9 +573,10 @@ def genus1_tangency_potential(
     of point-type insertions (the only psi-free stratum for the built-in
     surfaces).  A stratum is solved by the y_k equation of every y_k it holds,
     and unequal values raise SeedConflict.  With `box`, only the classes
-    componentwise <= box are solved, and only their seeds are read.
+    componentwise <= box are solved, and only their seeds are read.  `ts` as
+    for `genus0_tangency_potential`.
     """
-    ts = TangencySpace(geom)
+    ts = TangencySpace(geom) if ts is None else ts
     consts = genus1_degree0_constants(geom)
     entries: dict = {}
     for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):

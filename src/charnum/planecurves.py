@@ -41,7 +41,7 @@ from math import comb, factorial
 
 from .descend import DescendantSpec
 from .gw import GWTable, SeedConflict
-from .series import DiffOperator, Rat, SeriesTable, VarSpace
+from .series import DiffOperator, NumeratorSum, Operand, Rat, SeriesTable, VarSpace
 from .surface import Surface
 
 __all__ = [
@@ -131,22 +131,28 @@ def charnum_genus0(gw: GWTable, dmax: int) -> SeriesTable:
 
 def _genus1_correction_blocks(g0: SeriesTable) -> tuple[SeriesTable, SeriesTable]:
     """The 1/24 blocks of the two genus-1 equations (pure genus-0 data): the
-    tangency block takes x = s, the flag block x = u."""
-    L, P = line_operator(), point_operator()
+    tangency block takes x = s, the flag block x = u.  With f = G^0_x a block is
+
+        (1/24) (L f_s + P f_u - 2 L f + 2 f - f_s - 2v f_v - (2v^2 + 2w) f_w)
+      = (1/24) (f_ss + 4v f_su + (2v^2 + 2w) f_uu - 3 f_s - 4v f_u + 2 f
+                - 2v f_v - (2v^2 + 2w) f_w),
+
+    formed in one `NumeratorSum` over the partials of f."""
+    c = Fraction(1, 24)
 
     def block(x: str) -> SeriesTable:
         f = g0.partial(x)
-        f_s = f.partial("s")
-        return (
-            L(f_s)
-            + P(f.partial("u"))
-            - L(f).scale(2)
-            + f.scale(2)
-            - f_s
-            - f.partial("v").times_monomial({"v": 1}, 2)
-            - f.partial("w").times_monomial({"v": 2}, 2)
-            - f.partial("w").times_monomial({"w": 1}, 2)
-        ).scale(Fraction(1, 24))
+        f_s, f_u = f.partial("s"), f.partial("u")
+        out = NumeratorSum(P2_SPACE, g0.dmax)
+        out.add(f_s.partial("s"), [(c, {})])
+        out.add(f_s.partial("u"), [(4 * c, {"v": 1})])
+        out.add(f_u.partial("u"), [(2 * c, {"v": 2}), (2 * c, {"w": 1})])
+        out.add(f_s, [(-3 * c, {})])
+        out.add(f_u, [(-4 * c, {"v": 1})])
+        out.add(f, [(2 * c, {})])
+        out.add(f.partial("v"), [(-2 * c, {"v": 1})])
+        out.add(f.partial("w"), [(-2 * c, {"v": 2}), (-2 * c, {"w": 1})])
+        return out.table()
 
     return block("s"), block("u")
 
@@ -158,21 +164,25 @@ def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> Serie
     E at the end.  `seeds` maps the class (d,) to the point-only count
     N^1_d(3d,0,0); missing degrees raise KeyError.  A stratum with both a
     tangency and a flag is solved by both equations, and unequal values
-    raise SeedConflict.
+    raise SeedConflict.  The images of G^0 are prepared once as product
+    operands, and the partials of G^1 gain one degree slice per level.
     """
     rv24, rw24 = _genus1_correction_blocks(g0)
     e_table, _ = cover_polynomials()
-    images_s = PLANE.images(g0.partial("s"))
-    images_u = PLANE.images(g0.partial("u"))
+    # as before, no product reaches above the degrees that G^0 holds
+    pk = PLANE.packing(min(dmax, g0.dmax))
+    images_s = [Operand(pk, t) for t in PLANE.images(g0.partial("s"))]
+    images_u = [Operand(pk, t) for t in PLANE.images(g0.partial("u"))]
+    lower = [Operand(pk) for _ in images_s]
     entries: dict = {}
     for d in range(1, dmax + 1):
         if (d,) not in seeds:
             raise KeyError(f"genus-1 seed for degree {d} is missing")
+        level: dict = {}
         if seeds[(d,)]:
-            entries[((d,), (3 * d, 0, 0))] = Fraction(seeds[(d,)])
-        lower = SeriesTable(P2_SPACE, dmax, {k: v for k, v in entries.items() if k[0][0] < d})
-        qv = PLANE.pair_images(lower, images_s, d)
-        qw = PLANE.pair_images(lower, images_u, d)
+            level[((d,), (3 * d, 0, 0))] = Fraction(seeds[(d,)])
+        qv = PLANE.pair_operands(lower, images_s, d)
+        qw = PLANE.pair_operands(lower, images_u, d)
         for a, b, c in PLANE.strata(1, d):
             if b == 0 and c == 0:
                 continue
@@ -180,7 +190,7 @@ def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> Serie
             if c > 0:
                 vals.append(qw.coeff((d,), (a, b, c - 1)) + rw24.coeff((d,), (a, b, c - 1)))
             if b > 0:
-                prev = entries.get(((d,), (a + 1, b - 1, c)), Fraction(0))
+                prev = level.get(((d,), (a + 1, b - 1, c)), Fraction(0))
                 vals.append(
                     prev
                     + qv.coeff((d,), (a, b - 1, c))
@@ -192,8 +202,12 @@ def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> Serie
                     f"(a,b,c)=({a},{b},{c}): {', '.join(map(str, vals))}"
                 )
             if vals[0]:
-                entries[((d,), (a, b, c))] = vals[0]
-    solved = SeriesTable(P2_SPACE, dmax, entries)
+                level[((d,), (a, b, c))] = vals[0]
+        entries.update(level)
+        if d < dmax:
+            for operand, t in zip(lower, PLANE.partials(SeriesTable._trusted(P2_SPACE, dmax, level))):
+                operand.extend(t)
+    solved = SeriesTable._trusted(P2_SPACE, dmax, entries)
     return solved - e_table.truncate(dmax)
 
 

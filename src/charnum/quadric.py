@@ -23,7 +23,7 @@ P = 2v d/du1 + 2v d/du2 + (4v^2 + 2w) d/du.
 
 from __future__ import annotations
 
-from .descend import genus0_tangency_potential, genus1_tangency_potential
+from .descend import TangencySpace, genus0_tangency_potential, genus1_tangency_potential
 from .geometry import builtin_geometry, in_box
 from .gw import GWTable, wdvv_solve
 from .seeds import default_gw_seeds
@@ -49,8 +49,9 @@ def hurwitz(gmax: int, dmax: int) -> dict[tuple[int, int, int], Rat]:
     if gmax > 1:
         raise ValueError("only genus 0 and 1 are covered by the two recursions")
     p1 = builtin_geometry("p1")
-    h0 = genus0_tangency_potential(p1, wdvv_solve(p1, default_gw_seeds(p1), dmax), dmax)
-    potentials = [h0] if gmax == 0 else [h0, genus1_tangency_potential(p1, h0, {}, dmax)]
+    ts = TangencySpace(p1)
+    h0 = genus0_tangency_potential(p1, wdvv_solve(p1, default_gw_seeds(p1), dmax), dmax, ts=ts)
+    potentials = [h0] if gmax == 0 else [h0, genus1_tangency_potential(p1, h0, {}, dmax, ts=ts)]
     return {(g, deg[0], mono[0]): v for g, h in enumerate(potentials) for (deg, mono), v in h.entries.items()}
 
 
@@ -120,5 +121,5 @@ def quadric_genus1(
     virtual = QUADRIC.genus1_virtual(gw, g0, seeds, dmax, box)
     i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax), dmax)
     # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
-    g1 = virtual - QUADRIC.pair(i_pot + j_pot, g0)
+    g1 = virtual - QUADRIC.pair(i_pot + j_pot, g0, box=box)
     return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1 and in_box(deg, box))

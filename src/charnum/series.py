@@ -12,15 +12,24 @@ derivative by a degree variable is a grading-weighted scaling.  Factorial
 weights enter only through products (binomial convolution) and through
 multiplication by monomials in the exponent variables.
 
-Everything is a `fractions.Fraction`; no floats anywhere.
+A product convolves `Operand`s: each factor is grouped into degree slices
+and classes, its exponent vectors are packed into ints by a shared
+`Packing` (a mixed radix, so packed vectors add without carries), and its
+values become the integer numerators of the EGF coefficients N/(a! b! c!)
+over one denominator per slice.  A level loop prepares each slice of its
+factors once, when the slice is solved, and reuses it at every level above.
+
+Table values are `fractions.Fraction`s; the operations work on integer
+numerators over common denominators and build one Fraction per output
+entry.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
-from operator import add
+from math import comb, factorial, lcm, prod
+from operator import add, mul
 from typing import Iterable, Mapping
 
 Rat = Fraction
@@ -31,6 +40,8 @@ __all__ = [
     "SeriesTable",
     "DiffOperator",
     "series_product",
+    "Packing",
+    "Operand",
     "NumeratorSum",
 ]
 
@@ -134,11 +145,13 @@ class SeriesTable:
         dmax = min(self.dmax, other.dmax)
         out = dict(self.entries)
         for key, val in other.entries.items():
-            s = out.get(key, Fraction(0)) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            old = out.get(key)
+            if old is not None:
+                val += old
+                if not val:
+                    del out[key]
+                    continue
+            out[key] = val
         if self.dmax != other.dmax:
             out = {k: v for k, v in out.items() if sum(k[0]) <= dmax}
         return SeriesTable._trusted(self.space, dmax, out)
@@ -406,35 +419,161 @@ class NumeratorSum:
         return SeriesTable._trusted(self.space, self.dmax, _from_numerators(self.acc, self.den))
 
 
-def series_product(f: SeriesTable, g: SeriesTable, *, total: int | None = None) -> SeriesTable:
+class Packing:
+    """The keys one family of product operands may hold.
+
+    Classes have total degree <= `dmax` (and lie componentwise <= `box` if
+    given), and exponent slot i is at most `bounds[i]` in every operand.  An
+    exponent vector is packed into one int in the mixed radix
+    2 bounds[i] + 1, so two packed vectors add as their slots do, with no
+    carry: the exponents of a product term are one int addition.
+    """
+
+    __slots__ = ("space", "dmax", "bounds", "box", "weights", "_packed", "_unpacked")
+
+    def __init__(self, space: VarSpace, dmax: int, bounds: Iterable[int], box: tuple[int, ...] | None = None):
+        self.space = space
+        self.dmax = dmax
+        self.bounds = tuple(bounds)
+        self.box = box
+        weights = [1]
+        for b in self.bounds[:-1]:
+            weights.append(weights[-1] * (2 * b + 1))
+        self.weights = tuple(weights)
+        # memos of `pack` and `unpack`
+        self._packed: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._unpacked: dict[int, tuple[tuple[int, ...], int]] = {}
+
+    @classmethod
+    def fitting(cls, tables: Iterable[SeriesTable], box: tuple[int, ...] | None = None) -> "Packing":
+        """The packing of `tables`, over their common space and smallest dmax."""
+        first, *rest = tables = list(tables)
+        for t in rest:
+            first._check_same_space(t)
+        monos = [mono for t in tables for _, mono in t.entries]
+        bounds = map(max, zip(*monos)) if monos else [0] * len(first.space.exp_vars)
+        return cls(first.space, min(t.dmax for t in tables), bounds, box)
+
+    def pack(self, mono: tuple[int, ...]) -> tuple[int, int]:
+        """The packed key of `mono`, and the product of its factorials."""
+        hit = self._packed.get(mono)
+        if hit is None:
+            if any(map(int.__gt__, mono, self.bounds)):
+                raise ValueError(f"exponents {mono} exceed the packing bounds {self.bounds}")
+            hit = self._packed[mono] = (sum(map(mul, mono, self.weights)), prod(map(factorial, mono)))
+        return hit
+
+    def unpack(self, key: int) -> tuple[tuple[int, ...], int]:
+        """The exponents of a packed key, and the product of their factorials."""
+        hit = self._unpacked.get(key)
+        if hit is None:
+            mono, rest = [], key
+            for b in self.bounds:
+                rest, m = divmod(rest, 2 * b + 1)
+                mono.append(m)
+            hit = self._unpacked[key] = (tuple(mono), prod(map(factorial, mono)))
+        return hit
+
+
+class Operand:
+    """One factor of `series_product`, prepared once, one degree slice at a time.
+
+    A slice holds the entries of one total degree, grouped by class, each
+    as (packed exponents, integer numerator of its EGF coefficient v/m!)
+    over the slice's common denominator: the least common multiple of the
+    denominators of the v/m!.  A product term is then one int addition of
+    keys and one int product of numerators, with no binomial weight.
+    Entries above the packing's dmax are left out.
+    """
+
+    __slots__ = ("packing", "slices", "size")
+
+    def __init__(self, packing: Packing, t: SeriesTable | None = None):
+        self.packing = packing
+        # total degree -> (denominator, [(class, [(packed exponents, numerator)])])
+        self.slices: dict[int, tuple[int, list[tuple[tuple[int, ...], list[tuple[int, int]]]]]] = {}
+        self.size = 0
+        if t is not None:
+            self.extend(t)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def extend(self, t: SeriesTable) -> None:
+        """Prepare the slices of `t`; none of its total degrees may be here yet."""
+        pk = self.packing
+        if t.space != pk.space:
+            raise VariableMismatch(f"{t.space} vs {pk.space}")
+        by_total: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
+        for (deg, mono), val in t.entries.items():
+            total = sum(deg)
+            if total <= pk.dmax:
+                key, mfact = pk._packed.get(mono) or pk.pack(mono)
+                num, den = val.as_integer_ratio()
+                by_total.setdefault(total, []).append((deg, key, num, den * mfact))
+        for total, rows in by_total.items():
+            if total in self.slices:
+                raise ValueError(f"total degree {total} is already prepared")
+            den = lcm(*(d for _, _, _, d in rows))
+            groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            for deg, key, num, d in rows:
+                groups.setdefault(deg, []).append((key, num * (den // d)))
+            self.slices[total] = (den, list(groups.items()))
+            self.size += len(rows)
+
+
+def series_product(f: SeriesTable | Operand, g: SeriesTable | Operand, *, total: int | None = None) -> SeriesTable:
     """EGF product: curve classes add, exponent slots convolve binomially.
 
-    With `total`, only the part of total degree `total` is formed: every
-    pair whose total degrees do not add up to it is skipped.  Both factors
-    are brought to a common denominator and their integer numerators
-    convolved, so one Fraction is built per output entry.
+    The factors are two tables, or two `Operand`s over one `Packing`, which
+    a level loop prepares once and reuses.  With `total`, only the part of
+    total degree `total` is formed: only the slice pairs whose total degrees
+    add up to it are visited.  With a box, class pairs whose sum leaves it
+    are skipped.  The numerators of each slice pair are convolved over the
+    common denominator of all pairs, and the factorials are restored and
+    one Fraction built per output entry.
     """
-    f._check_same_space(g)
-    dmax = min(f.dmax, g.dmax)
-    df, dg = _denominator(f), _denominator(g)
-    # group by total degree so pairs over the bound (or off `total`) are never visited
-    by_deg_g: dict[int, list[tuple[Key, int]]] = {}
-    for key, val in g.entries.items():
-        by_deg_g.setdefault(sum(key[0]), []).append((key, val.numerator * (dg // val.denominator)))
-    totals = range(dmax + 1) if total is None else range(total, min(total, dmax) + 1)
-    acc: dict[Key, int] = {}
-    for (deg1, m1), v1 in f.entries.items():
-        n1 = v1.numerator * (df // v1.denominator)
-        tot1 = sum(deg1)
-        for tot in totals:
-            for (deg2, m2), n2 in by_deg_g.get(tot - tot1, ()):
-                w = n1 * n2
-                for a, b in zip(m1, m2):
-                    if a and b:
-                        w *= comb(a + b, a)
-                key = (tuple(map(add, deg1, deg2)), tuple(map(add, m1, m2)))
-                acc[key] = acc.get(key, 0) + w
-    return SeriesTable._trusted(f.space, dmax, _from_numerators(acc, df * dg))
+    if isinstance(f, SeriesTable) and isinstance(g, SeriesTable):
+        pk = Packing.fitting((f, g))
+        f, g = Operand(pk, f), Operand(pk, g)
+    elif not (isinstance(f, Operand) and isinstance(g, Operand)):
+        raise TypeError("series_product needs two tables or two operands")
+    elif f.packing is not g.packing:
+        raise ValueError("the operands of a product must share one packing")
+    pk = f.packing
+    pairs = [
+        (slice_f, slice_g)
+        for tf, slice_f in f.slices.items()
+        for tot in (range(tf, pk.dmax + 1) if total is None else (total,) if total <= pk.dmax else ())
+        if (slice_g := g.slices.get(tot - tf)) is not None
+    ]
+    den = lcm(*(df * dg for (df, _), (dg, _) in pairs))
+    box = pk.box
+    by_class: dict[tuple[int, ...], dict[int, int]] = {}
+    for (df, groups_f), (dg, groups_g) in pairs:
+        scale = den // (df * dg)
+        for deg_f, terms_f in groups_f:
+            if scale != 1:
+                terms_f = [(key, num * scale) for key, num in terms_f]
+            for deg_g, terms_g in groups_g:
+                deg = tuple(map(add, deg_f, deg_g))
+                if box is not None and any(map(int.__gt__, deg, box)):
+                    continue
+                acc = by_class.get(deg)
+                if acc is None:
+                    acc = by_class[deg] = {}
+                get = acc.get
+                for key_f, num_f in terms_f:
+                    for key_g, num_g in terms_g:
+                        key = key_f + key_g
+                        acc[key] = get(key, 0) + num_f * num_g
+    out: dict[Key, Rat] = {}
+    for deg, acc in by_class.items():
+        for key, num in acc.items():
+            if num:
+                mono, mfact = pk.unpack(key)
+                out[(deg, mono)] = Fraction(num * mfact, den)
+    return SeriesTable._trusted(pk.space, pk.dmax, out)
 
 
 @dataclass(frozen=True)

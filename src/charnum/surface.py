@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import descend
 from .geometry import CurveClass, TargetGeometry
 from .gw import GWTable
-from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
+from .series import DiffOperator, Operand, Packing, Rat, SeriesTable, VarSpace, series_product
 
 __all__ = ["Surface"]
 
@@ -63,21 +63,36 @@ class Surface:
             out = out + f.partial(x)
         return out
 
+    def partials(self, f: SeriesTable) -> tuple[SeriesTable, ...]:
+        """(F_u, F_{x_1}, F_{x_2}, ...): the left-hand factors of <F, G>."""
+        return (f.partial("u"), *(f.partial(x) for x in self.space.degree_vars))
+
     def images(self, g: SeriesTable) -> tuple[SeriesTable, ...]:
         """(P G, L_1 G, L_2 G, ...): the right-hand factors of <F, G>."""
         return (self.point(g), *(line(g) for line in self.lines))
 
-    def pair(self, f: SeriesTable, g: SeriesTable, total: int | None = None) -> SeriesTable:
-        """sum_i F_{x_i} . L_i G + F_u . P G, only at total degree `total` if given."""
-        return self.pair_images(f, self.images(g), total)
+    def packing(self, dmax: int, box: CurveClass | None = None) -> Packing:
+        """A packing for every factor of a level loop to total degree dmax at
+        genus <= 1: an entry of G^g at total degree n has a + b + 2c =
+        c1 n - 1 + g <= c1 dmax, and the operators raise v by at most 2."""
+        return Packing(self.space, dmax, [self.c1 * dmax + 2] * len(self.space.exp_vars), box)
 
-    def pair_images(self, f: SeriesTable, images: tuple[SeriesTable, ...], total: int | None = None) -> SeriesTable:
-        """`pair` with G given by its `images`, for a G shared by many pairings."""
-        point_image, *line_images = images
-        out = series_product(f.partial("u"), point_image, total=total)
-        for x, image in zip(self.space.degree_vars, line_images):
-            out = out + series_product(f.partial(x), image, total=total)
-        return out
+    def pair(
+        self, f: SeriesTable, g: SeriesTable, total: int | None = None, box: CurveClass | None = None
+    ) -> SeriesTable:
+        """sum_i F_{x_i} . L_i G + F_u . P G, only at total degree `total` and
+        on the classes componentwise <= `box` if given."""
+        lefts, rights = self.partials(f), self.images(g)
+        pk = Packing.fitting((*lefts, *rights), box)
+        return self.pair_operands([Operand(pk, t) for t in lefts], [Operand(pk, t) for t in rights], total)
+
+    @staticmethod
+    def pair_operands(lefts, rights, total: int | None = None) -> SeriesTable:
+        """`pair` with its factors prepared: the operands of `partials` and `images`."""
+        first, *rest = (series_product(left, right, total=total) for left, right in zip(lefts, rights))
+        for product in rest:
+            first = first + product
+        return first
 
     def _geometry(self, gw: GWTable) -> TargetGeometry:
         """The geometry of `gw`, which must be this surface's."""
@@ -103,13 +118,16 @@ class Surface:
         """All genus-0 characteristic numbers up to total degree dmax, on the
         classes componentwise <= `box` if given.
 
-        Level n reads G below degree n only through G_s = ds(G), G_u and the
-        images of G_s and ds(G_s).  The maps are linear and keep the curve
-        class, so each level adds its own slice to them for the levels above.
-        A class reads only classes below it, so the box needs no others.
-        The tangency product <G_s, G_s> is read only at w = 0, and w adds up
-        in products and is never lowered by the operators, so G_s and its
-        images keep only their w = 0 part.
+        Level n reads G below degree n only through the partials of
+        G_s = ds(G) and G_u and the images of G_s and ds(G_s).  The maps are
+        linear and keep the curve class, so these factors are product
+        operands that gain one degree slice per level, prepared once, and
+        level n convolves only the slice pairs (k, n - k).  A class reads
+        only classes below it, so the box needs no others, and the products
+        skip the class pairs that leave it.  The tangency product
+        <G_s, G_s> is read only at w = 0, and w adds up in products and is
+        never lowered by the operators, so G_s and its images keep only
+        their w = 0 part.
         """
         geom = self._geometry(gw)
         point_class = geom.rank - 1
@@ -118,9 +136,10 @@ class Surface:
         def flat(t: SeriesTable) -> SeriesTable:
             return t.filter_keys(lambda deg, mono: not mono[w])
 
-        empty = SeriesTable._trusted(self.space, dmax, {})
-        g_s = g_u = empty
-        images_s = images_ss = self.images(empty)
+        pk = self.packing(dmax, box)
+        # the factors of <G_s, G_s> and <G_u, G_ss>
+        factors = [[Operand(pk) for _ in range(1 + len(self.lines))] for _ in range(4)]
+        left_s, right_s, left_u, right_ss = factors
         entries: dict = {}
         for n in range(1, dmax + 1):
             level: dict = {}
@@ -129,8 +148,8 @@ class Surface:
                 seed = Fraction(gw.lookup(beta, [point_class] * npts))
                 if seed:
                     level[(beta, (npts, 0, 0))] = seed
-            qv = self.pair_images(g_s, images_s, n).scale(Fraction(1, 2))
-            qw = self.pair_images(g_u, images_ss, n)
+            qv = self.pair_operands(left_s, right_s, n).scale(Fraction(1, 2))
+            qw = self.pair_operands(left_u, right_ss, n)
             for beta in geom.curve_classes(n, box):
                 for a, b, c in self.strata(0, n):
                     if b == 0 and c == 0:
@@ -148,10 +167,15 @@ class Surface:
                 new = SeriesTable._trusted(self.space, dmax, level)
                 new_s = self.ds(new)
                 flat_s = flat(new_s)
-                g_s = g_s + flat_s
-                g_u = g_u + new.partial("u")
-                images_s = tuple(old + flat(add) for old, add in zip(images_s, self.images(flat_s)))
-                images_ss = tuple(old + add for old, add in zip(images_ss, self.images(self.ds(new_s))))
+                slices = (
+                    self.partials(flat_s),
+                    map(flat, self.images(flat_s)),
+                    self.partials(new.partial("u")),
+                    self.images(self.ds(new_s)),
+                )
+                for operands, tables in zip(factors, slices):
+                    for operand, t in zip(operands, tables):
+                        operand.extend(t)
         return SeriesTable._trusted(self.space, dmax, entries)
 
     def genus1_virtual(
@@ -171,7 +195,8 @@ class Surface:
         each surface's own cover term.
         """
         geom = self._geometry(gw)
-        gamma0 = descend.genus0_tangency_potential(geom, gw, dmax, box)
-        gamma1 = descend.genus1_tangency_potential(geom, gamma0, seeds, dmax, box)
+        ts = descend.TangencySpace(geom)
+        gamma0 = descend.genus0_tangency_potential(geom, gw, dmax, box, ts=ts)
+        gamma1 = descend.genus1_tangency_potential(geom, gamma0, seeds, dmax, box, ts=ts)
         virtual = gamma1.substitute(self.space, self.tangency_map(geom))
         return virtual + self.point(g0).scale(Fraction(1, 24))

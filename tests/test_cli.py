@@ -256,6 +256,11 @@ def test_genus1_and_verify_requests_match_the_benchmark_digests(prefix, count):
     replay_benchmark_requests(prefix, count)
 
 
+@pytest.mark.parametrize("prefix, count", [("compute --target p2 --genus 0 ", 12), ("compute --target p1xp1 --genus 0 ", 3)])
+def test_genus0_requests_match_the_benchmark_digests(prefix, count):
+    replay_benchmark_requests(prefix, count)
+
+
 def test_verify_suites_pass():
     for suite in ("p2-genus0", "metric"):
         code, text = capture(["verify", "--suite", suite])

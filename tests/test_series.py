@@ -12,7 +12,16 @@ from charnum.descend import TangencySpace
 from charnum.geometry import builtin_geometry
 from charnum.planecurves import PLANE
 from charnum.quadric import QUADRIC
-from charnum.series import DiffOperator, NumeratorSum, SeriesTable, VarSpace, VariableMismatch, series_product
+from charnum.series import (
+    DiffOperator,
+    NumeratorSum,
+    Operand,
+    Packing,
+    SeriesTable,
+    VarSpace,
+    VariableMismatch,
+    series_product,
+)
 
 SP = VarSpace(("s",), ("u", "v", "w"))
 TS = TangencySpace(builtin_geometry("p2"))  # degree x1, exponents x2, y1, y2: the shape of SP
@@ -446,3 +455,78 @@ def test_numerator_sum_equals_fraction_sums(f, g, p, q, dmax):
         for key, val in part.items():
             expected[key] = expected.get(key, Fraction(0)) + val
     assert_exact(acc.table(), {k: v for k, v in expected.items() if v and sum(k[0]) <= dmax})
+
+
+# -- the product kernel: packed keys and prepared degree slices -------------------
+
+WIDE_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).filter(bool).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=720),
+)
+
+
+def wide_tables(space, top=12):
+    """Tables with exponents up to `top`, far beyond the radix of small tables,
+    and keys that may lie above their own dmax."""
+    degs = st.tuples(*[st.integers(0, 4 if len(space.degree_vars) == 1 else 3)] * len(space.degree_vars))
+    exps = st.tuples(*[st.integers(0, top)] * len(space.exp_vars))
+    entries = st.dictionaries(st.tuples(degs, exps), WIDE_VALUES, max_size=10)
+    return st.builds(lambda dmax, d: SeriesTable(space, dmax, d), st.integers(0, 5), entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([SP, Q_SP, TS.space]).flatmap(lambda sp: st.tuples(wide_tables(sp), wide_tables(sp))))
+def test_kernel_equals_binomial_convolution(fg):
+    """Negative and fractional values, wide exponents, unequal dmax, totals
+    above dmax and empty factors."""
+    f, g = fg
+    assert_exact(series_product(f, g), naive_product(f, g))
+    for n in range(min(f.dmax, g.dmax) + 3):
+        assert_exact(series_product(f, g, total=n), naive_product(f, g, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_tables(Q_SP, top=6), wide_tables(Q_SP, top=6), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_kernel_skips_class_pairs_outside_the_box(f, g, box):
+    pk = Packing.fitting((f, g), box)
+    inside = {k: v for k, v in naive_product(f, g).items() if all(a <= b for a, b in zip(k[0], box))}
+    assert_exact(series_product(Operand(pk, f), Operand(pk, g)), inside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_tables(SP, top=8), wide_tables(SP, top=8))
+def test_operands_prepared_slice_by_slice_equal_whole_tables(f, g):
+    """A level loop adds one degree slice at a time to a packing with fixed
+    bounds; the products do not depend on how the slices came in."""
+    pk = Packing(SP, min(f.dmax, g.dmax), [8] * 3)
+    by_slice = Operand(pk), Operand(pk)
+    for op, t in zip(by_slice, (f, g)):
+        for n in reversed(range(pk.dmax + 1)):
+            op.extend(t.filter_keys(lambda deg, mono, n=n: sum(deg) == n))
+    whole = Operand(pk, f), Operand(pk, g)
+    assert len(whole[0]) == len(f.truncate(pk.dmax)) and len(by_slice[1]) == len(g.truncate(pk.dmax))
+    for n in (None, *range(pk.dmax + 2)):
+        assert_exact(series_product(*by_slice, total=n), naive_product(f, g, n))
+        assert_exact(series_product(*whole, total=n), naive_product(f, g, n))
+
+
+def test_operand_rejects_exponents_above_its_bounds_and_a_second_slice():
+    pk = Packing(SP, 3, [2, 2, 2])
+    op = Operand(pk, table({((1,), (2, 1, 0)): 3}))
+    with pytest.raises(ValueError, match="bounds"):
+        op.extend(table({((2,), (3, 0, 0)): 1}))
+    with pytest.raises(ValueError, match="already prepared"):
+        op.extend(table({((1,), (0, 0, 1)): 1}))
+    other = Operand(Packing(SP, 3, [2, 2, 2]), table({((1,), (0, 0, 0)): 1}))
+    with pytest.raises(ValueError, match="packing"):
+        series_product(op, other)
+    with pytest.raises(TypeError):
+        series_product(op, table({((1,), (0, 0, 0)): 1}))
+
+
+def test_sum_keeps_the_other_tables_new_keys_as_they_are():
+    f = table({((1,), (1, 0, 0)): Fraction(1, 3), ((1,), (0, 1, 0)): 2})
+    g = table({((1,), (1, 0, 0)): Fraction(-1, 3), ((2,), (0, 0, 1)): Fraction(5, 7)})
+    out = f + g
+    assert out.entries == {((1,), (0, 1, 0)): 2, ((2,), (0, 0, 1)): Fraction(5, 7)}
+    assert out.entries[((2,), (0, 0, 1))] is g.entries[((2,), (0, 0, 1))]
