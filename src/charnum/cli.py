@@ -223,8 +223,16 @@ def parse_descendant(text: str):
         opts[key] = val
     if "d" not in opts:
         raise ValueError("missing the curve class: add d=<degree> after '@'")
-    genus = int(opts.get("g", "0"))
-    degrees = tuple(int(x) for x in opts["d"].split(","))
+    try:
+        genus = int(opts.get("g", "0"))
+    except ValueError:
+        raise ValueError(f"g= must be the genus as an integer, as in g=1, got {opts['g']!r}") from None
+    try:
+        degrees = tuple(int(x) for x in opts["d"].split(","))
+    except ValueError:
+        raise ValueError(
+            f"d= must be the curve class as comma-separated integers, as in d=3 or d=2,1, got {opts['d']!r}"
+        ) from None
     return genus, degrees, tuple(insertions), opts.get("target", "p2")
 
 

@@ -33,6 +33,15 @@ live here:
   constant correction; for the projective line this bookkeeping is what turns
   the equation into the classical simple-Hurwitz recursions.
 
+Both potentials are solved one total degree at a time, and a level reads the
+levels below it only through the products of its quadratic term.  Their
+factors live in a `_SliceStore` for the call: it gains each completed level
+as one degree slice, keeps its x-partials, and prepares each slice of each
+product operand once.  gamma depends on y only, so it commutes with the
+x-partials and the product, and sum_{e,f} L_{x_e} gamma^{ef} R_{x_f} is formed
+as r - 1 products sum_e L_{x_e} M_e against the contractions
+M_e = sum_f gamma^{ef} R_{x_f}.
+
 Variables: one structural degree slot per divisor class, one x-exponent slot
 per class of codimension >= 2, one y-exponent slot per class T_1..T_r.  The
 T_0 slots are dropped: x_0-derivatives vanish identically and the y_0
@@ -49,7 +58,7 @@ from math import comb
 from .geometry import CurveClass, TargetGeometry, in_box
 from .gw import GWTable, SeedConflict, class_splits, multiset_splits
 from .metric import deformed_metric
-from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, series_product
+from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace
 
 __all__ = [
     "DescendantSpec",
@@ -325,41 +334,62 @@ class TangencySpace:
             tuple(f"x{i}" for i in self.nondiv) + tuple(f"y{k}" for k in range(1, geom.rank)),
         )
         self.nx = len(self.nondiv)
+        # the grading weight of each exponent slot in the dimension constraint
+        self.weights = tuple(geom.codim(c) - 1 for c in self.nondiv) + tuple(
+            geom.codim(k) for k in range(1, geom.rank)
+        )
         # gamma^{ef}: polynomial entries over y1..yr at y0 = 0
         self.gamma = deformed_metric(geom)[1].rows
+        # `gated_keys` and `descendant_keys` by (genus, beta)
+        self._keys: dict[tuple[int, CurveClass], tuple[tuple, tuple]] = {}
 
-    def gated_keys(self, genus: int, beta: CurveClass):
+    def gated_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
         """All exponent vectors satisfying the dimension constraint."""
-        geom = self.geom
-        weights = [geom.codim(c) - 1 for c in self.nondiv] + [
-            geom.codim(k) for k in range(1, geom.rank)
-        ]
-        budget = geom.vdim(genus, beta, 0)
-        n = len(weights)
-        out = []
+        return self._gated_and_descendant(genus, beta)[0]
 
-        def rec(pos, rem, acc):
-            if pos == n:
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
-            w = weights[pos]
-            top = rem // w if w else 0
-            for k in range(top + 1):
-                acc.append(k)
-                rec(pos + 1, rem - k * w, acc)
-                acc.pop()
-
-        if budget >= 0:
-            rec(0, budget, [])
-        return out
-
-    def descendant_keys(self, genus: int, beta: CurveClass) -> list[tuple[int, ...]]:
+    def descendant_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
         """The gated exponent vectors with some y-exponent, fewest y first,
         so each one's lowered keys are solved before it."""
-        keys = [k for k in self.gated_keys(genus, beta) if any(k[self.nx:])]
-        keys.sort(key=lambda k: sum(k[self.nx:]))
-        return keys
+        return self._gated_and_descendant(genus, beta)[1]
+
+    def _gated_and_descendant(self, genus: int, beta: CurveClass) -> tuple[tuple, tuple]:
+        hit = self._keys.get((genus, tuple(beta)))
+        if hit is not None:
+            return hit
+        weights = self.weights  # each >= 1
+        last = len(weights) - 1
+        budget = self.geom.vdim(genus, beta, 0)
+        gated = []
+
+        def rec(pos, rem, acc):
+            w = weights[pos]
+            if pos == last:
+                if rem % w == 0:
+                    gated.append((*acc, rem // w))
+                return
+            for k in range(rem // w + 1):
+                rec(pos + 1, rem - k * w, (*acc, k))
+
+        if budget >= 0:
+            rec(0, budget, ())
+        descendant = sorted((k for k in gated if any(k[self.nx:])), key=lambda k: sum(k[self.nx:]))
+        hit = self._keys[(genus, tuple(beta))] = (tuple(gated), tuple(descendant))
+        return hit
+
+    def packing(self, genus: int, dmax: int, box: CurveClass | None = None) -> Packing:
+        """One packing for every product operand of a potential of this
+        genus to total degree dmax on the classes componentwise <= `box` if
+        given; its products skip the others.  An entry of genus g <= genus
+        at class beta has sum_i weights[i] m_i = vdim(g, beta), x-partials
+        only lower exponents, and a factor gamma^{ef} raises each y-slot by
+        at most its degree in gamma; `Packing.pack` raises on anything
+        larger."""
+        geom = self.geom
+        classes = [beta for t in range(1, dmax + 1) for beta in geom.curve_classes(t, box)]
+        budget = max((geom.vdim(g, beta, 0) for beta in classes for g in range(genus + 1)), default=0)
+        ydeg = [max(col) for col in zip(*(mono for row in self.gamma for poly in row for mono in poly))]
+        raise_by = [0] * self.nx + ydeg
+        return Packing(self.space, dmax, [max(budget, 0) // w + k for w, k in zip(self.weights, raise_by)], box)
 
     def key(self, insertions) -> tuple[int, ...]:
         """The exponent vector of a product of insertions (m, c) with m <= 1:
@@ -389,19 +419,18 @@ class TangencySpace:
 
 
 def _deriv_coeff(ts: TangencySpace, entries, beta, mono, derivs) -> Rat:
-    """Coefficient of a multi-derivative of the potential at one key."""
+    """Coefficient of a multi-derivative of the potential at one key; 0 where
+    the key is absent."""
     geom = ts.geom
-    factor = Fraction(1)
+    factor = 1
     mono = list(mono)
     for i in derivs:  # basis index, x-derivative
         if i in geom.divisors:
             factor *= geom.degree_of(i, beta)
-            if factor == 0:
-                return Fraction(0)
         else:
             mono[ts.nondiv.index(i)] += 1
-    val = entries.get((tuple(beta), tuple(mono)), Fraction(0))
-    return factor * val
+    val = entries.get((tuple(beta), tuple(mono)), 0)
+    return val * factor if val and factor != 1 else val
 
 
 def genus0_tangency_potential(
@@ -414,18 +443,23 @@ def genus0_tangency_potential(
     """Full genus-0 first-descendant potential up to total degree dmax, on
     the classes componentwise <= `box` if given: the equations for a class
     read only classes below it.  `ts`, the `TangencySpace` of `geom`, is
-    built here unless the caller shares one between potentials."""
+    built here unless the caller shares one between potentials.
+
+    Level t reads the levels below it only through the products of its
+    quadratic term, so each level, once solved, joins a `_SliceStore` as
+    one degree slice."""
     ts = TangencySpace(geom) if ts is None else ts
-    entries: dict = {}
+    levels: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
     # y = 0 slice from the Gromov-Witten table
     for (beta, key), val in gw.entries.items():
         if val == 0 or sum(beta) > dmax or not in_box(beta, box):
             continue
-        entries[(beta, ts.key((0, c) for c in key))] = Fraction(val)
+        levels[sum(beta)][(beta, ts.key((0, c) for c in key))] = Fraction(val)
 
-    for t in range(1, dmax + 1):
-        lower = SeriesTable._trusted(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
-        level = _Level(t, below=lower)
+    store = _SliceStore(ts, ts.packing(0, dmax, box))
+    for t, level in levels.items():
+        if t > 1:
+            store.add("G", t - 1, levels[t - 1])
         quad_by_dv_k: dict[tuple[int, int], SeriesTable] = {}
         for beta in geom.curve_classes(t, box):
             dv = next((i for i in geom.divisors if geom.degree_of(i, beta)), None)
@@ -439,69 +473,103 @@ def genus0_tangency_potential(
                 if quad is None:
                     # sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}
                     out = NumeratorSum(ts.space, t)
-                    _metric_sum(ts, level, out, ("below", k_idx), ("below", dv, dv))
+                    _metric_sum(store, out, ("G", (k_idx,)), ("G", (dv, dv)), t)
                     quad = quad_by_dv_k[(dv, k_idx)] = out.table()
-                rhs = _pde_rhs_coeff(ts, entries, quad, beta, target, k_idx, dv)
+                rhs = _pde_rhs_coeff(ts, level, quad, beta, target, k_idx, dv)
                 if rhs:
-                    entries[(beta, mono)] = rhs / dd
-    return SeriesTable._trusted(ts.space, dmax, entries)
+                    level[(beta, mono)] = rhs / dd
+    return _joined(ts, dmax, levels)
 
 
-class _Level:
-    """The tables that the equations of one level t read, by name, and their
-    x-partials, each also as a product operand.  The partials commute, so
-    each is kept under its sorted indices; the whole is dropped after the
-    level.  Partials only lower exponents, so one packing fits them all."""
+class _SliceStore:
+    """The tables that the equations of one potential call read, by name,
+    one degree slice at a time.
 
-    def __init__(self, t: int, **tables: SeriesTable):
-        self.t = t
-        self.partials: dict[tuple, SeriesTable] = {(name, ()): table for name, table in tables.items()}
-        self.packing = Packing.fitting(tables.values())
-        self.operands: dict[tuple, Operand] = {}
+    A slice is added once, when its level is complete, and never changes.
+    Its x-partials are memoized under their sorted indices (the partials
+    commute), and each product operand, all over the one `packing`, gains
+    each slice once: `operand(key, t)` extends it by the slices below t it
+    does not hold yet.  An operand key is a partial (name, idx) or a
+    contraction (name, idx, e), the sum over f of gamma^{ef} times the
+    x_f-partial of (name, idx).  The store lives inside one potential call.
+    """
 
-    def partial(self, name: str, *idx: int) -> SeriesTable:
-        """The table `name` differentiated once by each x_i, i in idx."""
+    def __init__(self, ts: TangencySpace, packing: Packing):
+        self.ts = ts
+        self.packing = packing
+        # (name, sorted x-indices) -> total degree -> slice
+        self.slices: dict[tuple[str, tuple[int, ...]], dict[int, SeriesTable]] = {}
+        # operand key -> [operand, number of slices held]
+        self.operands: dict[tuple, list] = {}
+
+    def add(self, name: str, total: int, entries: dict) -> None:
+        """Add the slice of `name` at `total`, which nothing has read yet."""
+        by_total = self.slices.setdefault((name, ()), {})
+        if total in by_total:
+            raise ValueError(f"slice {total} of {name} is already in use")
+        by_total[total] = SeriesTable._trusted(self.ts.space, self.packing.dmax, entries)
+
+    def partial(self, name: str, idx: tuple[int, ...], total: int) -> SeriesTable:
+        """The slice of `name` at `total`, differentiated once by each x_i,
+        i in idx; a slice never added is zero."""
         idx = tuple(sorted(idx))
-        hit = self.partials.get((name, idx))
+        by_total = self.slices.setdefault((name, idx), {})
+        hit = by_total.get(total)
         if hit is None:
-            hit = self.partials[(name, idx)] = self.partial(name, *idx[:-1]).partial(f"x{idx[-1]}")
+            if idx:
+                hit = self.partial(name, idx[:-1], total).partial(f"x{idx[-1]}")
+            else:
+                hit = SeriesTable._trusted(self.ts.space, self.packing.dmax, {})
+            by_total[total] = hit
         return hit
 
-    def operand(self, name: str, *idx: int) -> Operand:
-        """`partial(name, *idx)` prepared for `series_product`."""
-        idx = tuple(sorted(idx))
-        hit = self.operands.get((name, idx))
-        if hit is None:
-            hit = self.operands[(name, idx)] = Operand(self.packing, self.partial(name, *idx))
-        return hit
-
-
-def _metric_sum(ts: TangencySpace, level: _Level, out: NumeratorSum, left: tuple, right: tuple) -> None:
-    """Add sum_{e,f} L_{x_e} gamma^{ef} R_{x_f}, degree `level.t` only, to `out`,
-    where `left` and `right` are a table name of `level` and x-indices."""
-    r = ts.geom.rank
-    for e in range(1, r):
-        for f in range(1, r):
+    def contraction(self, name: str, idx: tuple[int, ...], e: int, total: int) -> SeriesTable:
+        """sum_f gamma^{ef} times the x_f-partial of `name` x idx, at `total`."""
+        ts = self.ts
+        out = NumeratorSum(ts.space, self.packing.dmax)
+        for f in range(1, ts.geom.rank):
             poly = ts.gamma[e][f]
-            if not poly:
-                continue
-            if level.partial(*left, e).is_zero() or level.partial(*right, f).is_zero():
-                continue
-            product = series_product(level.operand(*left, e), level.operand(*right, f), total=level.t)
-            out.add(product, ts.poly_terms(poly))
+            if poly:
+                out.add(self.partial(name, idx + (f,), total), ts.poly_terms(poly))
+        return out.table()
+
+    def operand(self, key: tuple, below: int) -> Operand:
+        """The operand of `key`, holding its slices of total degree < below."""
+        hit = self.operands.get(key)
+        if hit is None:
+            hit = self.operands[key] = [Operand(self.packing), 0]
+        op, held = hit
+        for total in range(held, below):
+            op.extend(self.partial(*key, total) if len(key) == 2 else self.contraction(*key, total))
+        hit[1] = max(held, below)
+        return op
+
+
+def _metric_sum(store: _SliceStore, out: NumeratorSum, left: tuple, right: tuple, t: int) -> None:
+    """Add sum_{e,f} L_{x_e} gamma^{ef} R_{x_f}, degree t only, to `out`, from
+    the slices of `store` below t, where `left` and `right` are a name and
+    x-indices.  gamma depends on y only, so it commutes with the x-partials
+    and the product: the sum is sum_e L_{x_e} M_e with the contraction
+    M_e = sum_f gamma^{ef} R_{x_f}, one product per e."""
+    (lname, lidx), (rname, ridx) = left, right
+    for e in range(1, store.ts.geom.rank):
+        lhs = store.operand((lname, tuple(sorted(lidx + (e,)))), t)
+        if lhs:
+            rhs = store.operand((rname, tuple(sorted(ridx)), e), t)
+            if rhs:
+                out.add_product(lhs, rhs, t)
 
 
 def _pde_rhs_coeff(ts, entries, quad: SeriesTable, beta, target, k_idx: int, dv: int) -> Rat:
     """Right side of the first-descendant equation at one coefficient."""
     geom = ts.geom
-    val = Fraction(0)
+    val = quad.coeff(beta, target)
     for m, c in enumerate(geom.cup_table[dv][dv]):
-        if c:
-            val += c * _deriv_coeff(ts, entries, beta, target, [k_idx, m])
+        if c and (d := _deriv_coeff(ts, entries, beta, target, [k_idx, m])):
+            val += c * d
     for m, c in enumerate(geom.cup_table[k_idx][dv]):
-        if c:
-            val -= 2 * c * _deriv_coeff(ts, entries, beta, target, [m, dv])
-    val += quad.coeff(beta, target)
+        if c and (d := _deriv_coeff(ts, entries, beta, target, [m, dv])):
+            val -= 2 * c * d
     return val
 
 
@@ -575,10 +643,13 @@ def genus1_tangency_potential(
     and unequal values raise SeedConflict.  With `box`, only the classes
     componentwise <= box are solved, and only their seeds are read.  `ts` as
     for `genus0_tangency_potential`.
+
+    G0 is complete, so all its slices join the `_SliceStore` at once; each
+    level of G1 joins it once solved.
     """
     ts = TangencySpace(geom) if ts is None else ts
     consts = genus1_degree0_constants(geom)
-    entries: dict = {}
+    levels: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
     for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
         slice_keys = [k for k in ts.gated_keys(1, beta) if not any(k[ts.nx:])]
         if not slice_keys:
@@ -587,24 +658,29 @@ def genus1_tangency_potential(
         if len(slice_keys) != 1:
             raise ValueError(f"expected one psi-free stratum at beta={beta}, got {slice_keys}")
         if val:
-            entries[(tuple(beta), slice_keys[0])] = Fraction(val)
+            levels[sum(beta)][(tuple(beta), slice_keys[0])] = Fraction(val)
 
-    for t in range(1, dmax + 1):
-        g1_lower = SeriesTable._trusted(ts.space, dmax, {k: v for k, v in entries.items() if sum(k[0]) < t})
+    store = _SliceStore(ts, ts.packing(1, dmax, box))
+    g0_levels: dict[int, dict] = {}
+    for key, val in g0.entries.items():
+        if in_box(key[0], box):
+            g0_levels.setdefault(sum(key[0]), {})[key] = val
+    for total, part in g0_levels.items():
+        store.add("G0", total, part)
+    for t, level in levels.items():
+        if t > 1:
+            store.add("G1", t - 1, levels[t - 1])
         rhs_by_k: dict[int, SeriesTable] = {}
-        level = None
+        top = None
         for beta in geom.curve_classes(t, box):
             for mono in ts.descendant_keys(1, beta):
                 choices = [k + 1 for k, b in enumerate(mono[ts.nx:]) if b]
                 vals = []
                 for k_idx in choices:
                     if k_idx not in rhs_by_k:
-                        if level is None:
-                            # G1 starts in degree 1, so its products at degree t read G0 below t
-                            below = g0.filter_keys(lambda deg, _: sum(deg) < t)
-                            top = g0.filter_keys(lambda deg, _: sum(deg) == t)
-                            level = _Level(t, below=below, top=top, g1=g1_lower)
-                        rhs_by_k[k_idx] = _genus1_rhs(ts, level, consts, k_idx)
+                        if top is None:
+                            top = _genus1_top(store, consts, t)
+                        rhs_by_k[k_idx] = _genus1_rhs(store, top, k_idx, t)
                     vals.append(rhs_by_k[k_idx].coeff(beta, ts.lowered(mono, k_idx)))
                 if len(set(vals)) > 1:
                     raise SeedConflict(
@@ -612,23 +688,48 @@ def genus1_tangency_potential(
                         f"stratum={mono}: {', '.join(map(str, vals))}"
                     )
                 if vals[0]:
-                    entries[(tuple(beta), mono)] = vals[0]
-    return SeriesTable._trusted(ts.space, dmax, entries)
+                    level[(tuple(beta), mono)] = vals[0]
+    return _joined(ts, dmax, levels)
 
 
-def _genus1_rhs(ts, level: _Level, consts, k_idx: int) -> SeriesTable:
-    """The right side of the y_k equation, degree t only: the metric sum of
-    G0 below t and G1, plus the degree-0 constants of G1_{x_f} and the 1/24
-    term, both on G0 at t."""
-    out = NumeratorSum(ts.space, level.t)
-    _metric_sum(ts, level, out, ("below", k_idx), ("g1",))
+def _joined(ts: TangencySpace, dmax: int, levels: dict[int, dict]) -> SeriesTable:
+    """The potential whose entries the level dicts hold."""
+    return SeriesTable._trusted(ts.space, dmax, {key: v for level in levels.values() for key, v in level.items()})
+
+
+def _genus1_top(store: _SliceStore, consts, t: int) -> SeriesTable:
+    """T = sum_{e,f} gamma^{ef} (c_f G0_{x_e} + G0_{x_e x_f} / 24) at degree t:
+    the degree-0 constants c_f of G1_{x_f} times G0, and the 1/24 term.
+    Both terms of the y_k equation are T_{x_k}, as gamma depends on y only.
+    The polynomials that multiply one partial of G0 are summed first, so
+    each partial is walked once."""
+    ts = store.ts
+    polys: dict[tuple[int, ...], dict] = {}  # sorted x-indices -> polynomial
+
+    def put(idx, poly, coef):
+        acc = polys.setdefault(tuple(sorted(idx)), {})
+        for mono, c in poly.items():
+            acc[mono] = acc.get(mono, 0) + coef * c
+
     r = ts.geom.rank
     for e in range(1, r):
         for f in range(1, r):
             poly = ts.gamma[e][f]
-            if not poly:
-                continue
-            if consts.get(f):
-                out.add(level.partial("top", k_idx, e), ts.poly_terms(poly, consts[f]))
-            out.add(level.partial("top", k_idx, e, f), ts.poly_terms(poly, Fraction(1, 24)))
+            if poly:
+                if consts.get(f):
+                    put((e,), poly, consts[f])
+                put((e, f), poly, Fraction(1, 24))
+    out = NumeratorSum(ts.space, t)
+    for idx, poly in polys.items():
+        out.add(store.partial("G0", idx, t), ts.poly_terms(poly))
+    return out.table()
+
+
+def _genus1_rhs(store: _SliceStore, top: SeriesTable, k_idx: int, t: int) -> SeriesTable:
+    """The right side of the y_k equation, degree t only: the metric sum of
+    G0 and G1 (G1 has no degree-0 slice, so a product at t reads G0 below t
+    only), plus T_{x_k} for T = `_genus1_top`."""
+    out = NumeratorSum(store.ts.space, t)
+    _metric_sum(store, out, ("G0", (k_idx,)), ("G1", ()), t)
+    out.add(top.partial(f"x{k_idx}"), [(1, {})])
     return out.table()

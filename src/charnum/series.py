@@ -17,7 +17,10 @@ and classes, its exponent vectors are packed into ints by a shared
 `Packing` (a mixed radix, so packed vectors add without carries), and its
 values become the integer numerators of the EGF coefficients N/(a! b! c!)
 over one denominator per slice.  A level loop prepares each slice of its
-factors once, when the slice is solved, and reuses it at every level above.
+factors once, when the slice is solved, and reuses it at every level above:
+`Surface.genus0`, `planecurves.charnum_genus1` and both tangency potentials
+of `descend`.  The potentials add their products to a `NumeratorSum` with
+`add_product`, straight from the kernel's integer numerators.
 
 Table values are `fractions.Fraction`s; the operations work on integer
 numerators over common denominators and build one Fraction per output
@@ -65,6 +68,7 @@ class VarSpace:
 
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]  # (curve class, exponent multi-index)
+_ZERO = Fraction(0)  # the value of an absent entry
 
 
 def _as_rat(x) -> Rat:
@@ -132,7 +136,7 @@ class SeriesTable:
         return not self.entries
 
     def coeff(self, degrees: Iterable[int], exponents: Iterable[int]) -> Rat:
-        return self.entries.get((tuple(degrees), tuple(exponents)), Fraction(0))
+        return self.entries.get((tuple(degrees), tuple(exponents)), _ZERO)
 
     def _check_same_space(self, other: "SeriesTable") -> None:
         if self.space != other.space:
@@ -183,7 +187,9 @@ class SeriesTable:
             i = sp.degree_index(var)
             for (deg, mono), val in self.entries.items():
                 if deg[i]:
-                    out[(deg, mono)] = val * deg[i]
+                    # built from the numerator: cheaper than Fraction * int
+                    num, den = val.numerator * deg[i], val.denominator
+                    out[(deg, mono)] = Fraction(num) if den == 1 else Fraction(num, den)
         elif var in sp.exp_vars:
             i = sp.exp_index(var)
             for (deg, mono), val in self.entries.items():
@@ -395,13 +401,7 @@ class NumeratorSum:
             return
         tden = _denominator(t)
         cden = lcm(*(c.denominator for c, _ in plan))
-        den = lcm(self.den, tden * cden)
-        if den != self.den:
-            grow = den // self.den
-            for key in self.acc:
-                self.acc[key] *= grow
-            self.den = den
-        rest = den // (tden * cden)
+        rest = self._over(tden * cden)
         plan = [(c.numerator * (cden // c.denominator) * rest, shift) for c, shift in plan]
         acc = self.acc
         cut = t.dmax > self.dmax
@@ -413,6 +413,38 @@ class NumeratorSum:
                 new, fac = _raise(mono, shift) if shift else (mono, 1)
                 key = (deg, new)
                 acc[key] = acc.get(key, 0) + num * c * fac
+
+    def add_product(self, f: Operand, g: Operand, total: int) -> None:
+        """Add the part of total degree `total` of the product of two
+        operands, as `series_product` forms it, straight from the kernel's
+        numerators: no Fraction is built per product entry."""
+        pk = f.packing
+        if pk.space != self.space:
+            raise VariableMismatch(f"{pk.space} vs {self.space}")
+        if total > self.dmax:
+            return
+        den, by_class = _convolve(f, g, total)
+        if not by_class:
+            return
+        rest = self._over(den)
+        acc = self.acc
+        for deg, nums in by_class.items():
+            for key, num in nums.items():
+                if num:
+                    mono, mfact = pk.unpack(key)
+                    key = (deg, mono)
+                    acc[key] = acc.get(key, 0) + num * mfact * rest
+
+    def _over(self, den: int) -> int:
+        """Bring the sum over a multiple of `den`; the factor that takes a
+        numerator over `den` to the sum's denominator."""
+        common = lcm(self.den, den)
+        if common != self.den:
+            grow = common // self.den
+            for key in self.acc:
+                self.acc[key] *= grow
+            self.den = common
+        return common // den
 
     def table(self) -> SeriesTable:
         """The sum as a table; the accumulator is used up."""
@@ -538,7 +570,21 @@ def series_product(f: SeriesTable | Operand, g: SeriesTable | Operand, *, total:
         f, g = Operand(pk, f), Operand(pk, g)
     elif not (isinstance(f, Operand) and isinstance(g, Operand)):
         raise TypeError("series_product needs two tables or two operands")
-    elif f.packing is not g.packing:
+    pk = f.packing
+    den, by_class = _convolve(f, g, total)
+    out: dict[Key, Rat] = {}
+    for deg, acc in by_class.items():
+        for key, num in acc.items():
+            if num:
+                mono, mfact = pk.unpack(key)
+                out[(deg, mono)] = Fraction(num * mfact, den)
+    return SeriesTable._trusted(pk.space, pk.dmax, out)
+
+
+def _convolve(f: Operand, g: Operand, total: int | None) -> tuple[int, dict[tuple[int, ...], dict[int, int]]]:
+    """The kernel of the product: (den, {class: {packed exponents: num}}),
+    each term num * m! / den with m! the factorials of its exponents."""
+    if f.packing is not g.packing:
         raise ValueError("the operands of a product must share one packing")
     pk = f.packing
     pairs = [
@@ -567,13 +613,7 @@ def series_product(f: SeriesTable | Operand, g: SeriesTable | Operand, *, total:
                     for key_g, num_g in terms_g:
                         key = key_f + key_g
                         acc[key] = get(key, 0) + num_f * num_g
-    out: dict[Key, Rat] = {}
-    for deg, acc in by_class.items():
-        for key, num in acc.items():
-            if num:
-                mono, mfact = pk.unpack(key)
-                out[(deg, mono)] = Fraction(num * mfact, den)
-    return SeriesTable._trusted(pk.space, pk.dmax, out)
+    return den, by_class
 
 
 @dataclass(frozen=True)

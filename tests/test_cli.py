@@ -174,6 +174,24 @@ def test_descendant_spec_parsing(capsys):
     assert capture(["descendant", "tau1(T0) @ g=1 d=0", "--no-cache"]) == (0, "1/8\n")
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("tau0(T2)^2 @ g=x d=1", "g= must be the genus as an integer, as in g=1, got 'x'"),
+        ("tau0(T2)^2 @ g=1 d=", "d= must be the curve class as comma-separated integers, as in d=3 or d=2,1, got ''"),
+        ("tau0(T3)^3 @ d=1,x target=p1xp1", "d= must be the curve class"),
+        ("tau0(T2)^2 @ g= d=1", "got ''"),
+    ],
+)
+def test_descendant_malformed_numbers_name_their_key(capsys, spec, named):
+    with pytest.raises(ValueError, match="must be"):
+        parse_descendant(spec)
+    capsys.readouterr()
+    assert capture(["descendant", spec, "--no-cache"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err and "invalid literal" not in err, err
+
+
 def test_descendant_insertion_cap_is_checked_before_expanding(capsys):
     assert len(parse_descendant(f"tau0(T2)^{MAX_INSERTIONS} @ d=1")[2]) == MAX_INSERTIONS
     with pytest.raises(ValueError, match=f"{MAX_INSERTIONS + 1} insertions"):
@@ -235,12 +253,16 @@ def test_gr24_insufficiency_exit3():
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 
 
-def replay_benchmark_requests(prefix: str, count: int) -> None:
-    """Replay the benchmark's reference requests starting with `prefix`: same exit code and stdout digest."""
-    refs = {key: ref for key, ref in json.loads(REFS.read_text()).items() if key.startswith(prefix)}
+def replay_benchmark_requests(prefix: str, count: int, within: str = "", extra: tuple[str, ...] = ()) -> None:
+    """Replay the benchmark's reference requests starting with `prefix` and
+    holding `within`, with the arguments `extra` appended: same exit code and
+    stdout digest."""
+    refs = {
+        key: ref for key, ref in json.loads(REFS.read_text()).items() if key.startswith(prefix) and within in key
+    }
     assert len(refs) == count
     for key, ref in refs.items():
-        code, text = capture(shlex.split(key))
+        code, text = capture(shlex.split(key) + list(extra))
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (ref["exit"], ref["sha256"]), key
 
 
@@ -259,6 +281,11 @@ def test_genus1_and_verify_requests_match_the_benchmark_digests(prefix, count):
 @pytest.mark.parametrize("prefix, count", [("compute --target p2 --genus 0 ", 12), ("compute --target p1xp1 --genus 0 ", 3)])
 def test_genus0_requests_match_the_benchmark_digests(prefix, count):
     replay_benchmark_requests(prefix, count)
+
+
+def test_genus1_descendant_requests_match_the_benchmark_digests():
+    # each runs both tangency potentials; genus 1 reads no cache, and none is touched
+    replay_benchmark_requests("descendant ", 3, within=" @ g=1 ", extra=("--no-cache",))
 
 
 def test_verify_suites_pass():

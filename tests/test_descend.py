@@ -10,7 +10,10 @@ import pytest
 from charnum.descend import (
     DescendantEngine,
     DescendantSpec,
+    TangencySpace,
     _ab_partitions,
+    _metric_sum,
+    _SliceStore,
     dimension_valid,
     genus0_integrated_residual,
     genus0_pde_residual,
@@ -19,11 +22,11 @@ from charnum.descend import (
     genus1_tangency_potential,
     reduce_special,
 )
-from charnum.geometry import builtin_geometry
+from charnum.geometry import builtin_geometry, in_box
 from charnum.gw import class_splits, multiset_splits, wdvv_solve
 from charnum.oracles import hurwitz_bruteforce
 from charnum.seeds import default_gw_seeds, load_genus1_seeds, packaged_seed_text
-from charnum.series import SeriesTable
+from charnum.series import NumeratorSum, Operand, SeriesTable, series_product
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +372,78 @@ def test_genus1_potential_differentiates_no_table_twice(monkeypatch, name, dmax,
     calls = _partials_during(monkeypatch, lambda: genus1_tangency_potential(geom, g0, seeds, dmax, box=box))
     assert calls
     assert _repeats(calls) == 0
+
+
+def _extends_during(monkeypatch, run) -> list[tuple[Operand, list[int]]]:
+    """(operand, the total degrees it gains) for every `Operand.extend` call of run()."""
+    calls = []
+    extend = Operand.extend
+
+    def spy(self, t):
+        totals = sorted({sum(deg) for deg, _ in t.entries if sum(deg) <= self.packing.dmax})
+        calls.append((self, totals))  # holds the operand, so no id is reused
+        return extend(self, t)
+
+    monkeypatch.setattr(Operand, "extend", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name, dmax, box", [("p1xp1", 5, (3, 2)), ("p2", 5, None)])
+def test_each_slice_of_each_stored_operand_is_prepared_once(monkeypatch, name, dmax, box):
+    geom = builtin_geometry(name)
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
+    seeds = load_genus1_seeds(packaged_seed_text(f"{name}-genus1"), geom)
+    g0 = genus0_tangency_potential(geom, gw, dmax, box)
+    for run in (
+        lambda: genus0_tangency_potential(geom, gw, dmax, box),
+        lambda: genus1_tangency_potential(geom, g0, seeds, dmax, box=box),
+    ):
+        calls = _extends_during(monkeypatch, run)
+        prepared = Counter((id(op), total) for op, totals in calls for total in totals)
+        assert prepared and max(prepared.values()) == 1
+        # the operands live through the call and gain one slice at a time
+        assert all(len(totals) <= 1 for _, totals in calls)
+        assert max(Counter(id(op) for op, totals in calls if totals).values()) == dmax - 1
+
+
+def _x_partial(t: SeriesTable, idx) -> SeriesTable:
+    for i in idx:
+        t = t.partial(f"x{i}")
+    return t
+
+
+@pytest.mark.parametrize(
+    "name, dmax, box", [("p1xp1", 5, (3, 2)), ("p2", 5, None), ("p3", 3, None), ("gr24", 1, None)]
+)
+def test_contracted_metric_sum_equals_the_double_sum(name, dmax, box):
+    """sum_e L_{x_e} M_e, M_e = sum_f gamma^{ef} R_{x_f}, against
+    sum_{e,f} gamma^{ef} L_{x_e} R_{x_f} formed product by product from the
+    whole tables below each level, for every left and right factor the
+    potentials contract."""
+    geom = builtin_geometry(name)
+    ts = TangencySpace(geom)
+    g0 = genus0_tangency_potential(geom, wdvv_solve(geom, default_gw_seeds(geom), dmax), dmax, box, ts=ts)
+    store = _SliceStore(ts, ts.packing(0, dmax, box))
+    for total in range(1, dmax + 1):
+        store.add("G", total, {key: v for key, v in g0.entries.items() if sum(key[0]) == total})
+    r = geom.rank
+    for t in range(1, dmax + 1):
+        below = g0.filter_keys(lambda deg, _: sum(deg) < t)
+        for k in range(1, r):
+            for right in ((), *((dv, dv) for dv in geom.divisors)):
+                out = NumeratorSum(ts.space, t)
+                _metric_sum(store, out, ("G", (k,)), ("G", right), t)
+                reference = SeriesTable(ts.space, t)
+                for e in range(1, r):
+                    for f in range(1, r):
+                        if ts.gamma[e][f]:
+                            product = series_product(_x_partial(below, (k, e)), _x_partial(below, (*right, f)), total=t)
+                            reference = reference + ts.poly_times(product, ts.gamma[e][f])
+                expected = {key: v for key, v in reference.entries.items() if in_box(key[0], box)}
+                assert out.table().entries == expected, (t, k, right)
+        assert t > 1 or not expected
 
 
 # -- genus 1 -------------------------------------------------------------------

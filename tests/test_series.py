@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charnum.descend import TangencySpace
-from charnum.geometry import builtin_geometry
+from charnum.geometry import builtin_geometry, in_box
 from charnum.planecurves import PLANE
 from charnum.quadric import QUADRIC
 from charnum.series import (
@@ -508,6 +508,44 @@ def test_operands_prepared_slice_by_slice_equal_whole_tables(f, g):
     for n in (None, *range(pk.dmax + 2)):
         assert_exact(series_product(*by_slice, total=n), naive_product(f, g, n))
         assert_exact(series_product(*whole, total=n), naive_product(f, g, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wide_tables(Q_SP, top=6),
+    wide_tables(Q_SP, top=6),
+    wide_tables(Q_SP, top=6),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 6),
+    COEFS,
+)
+def test_numerator_path_equals_adding_the_product_table(f, g, h, box, dmax, c):
+    """`add_product` into a sum that already holds a table over another
+    denominator, with a box: the same sum as adding `series_product`'s table."""
+    pk = Packing.fitting((f, g), box)
+    ops = Operand(pk, f), Operand(pk, g)
+    direct, via_table = NumeratorSum(Q_SP, dmax), NumeratorSum(Q_SP, dmax)
+    for acc in (direct, via_table):
+        acc.add(h, [(c, {"v": 1})])
+    for n in range(pk.dmax + 2):
+        direct.add_product(*ops, n)
+        via_table.add(series_product(*ops, total=n), [(1, {})])
+    assert_exact(direct.table(), via_table.table().entries)
+    alone = NumeratorSum(Q_SP, dmax)
+    for n in range(pk.dmax + 2):
+        alone.add_product(*ops, n)
+    inside = {k: v for k, v in naive_product(f, g).items() if in_box(k[0], box) and sum(k[0]) <= dmax}
+    assert_exact(alone.table(), inside)
+
+
+def test_numerator_path_checks_its_space():
+    pk = Packing(SP, 3, [2, 2, 2])
+    f = Operand(pk, table({((1,), (1, 0, 0)): Fraction(1, 3)}))
+    with pytest.raises(VariableMismatch):
+        NumeratorSum(Q_SP, 3).add_product(f, f, 2)
+    acc = NumeratorSum(SP, 1)
+    acc.add_product(f, f, 2)  # above the sum's dmax: left out
+    assert acc.table().is_zero()
 
 
 def test_operand_rejects_exponents_above_its_bounds_and_a_second_slice():
