@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -310,7 +311,10 @@ def _extract_first_descendant(ts: TangencySpace, g1: SeriesTable, beta, insertio
 
 
 def cmd_hurwitz(args, out) -> int:
-    dmax = int(args.dmax)
+    try:
+        dmax = int(args.dmax)
+    except ValueError:
+        dmax = 0
     if dmax < 1:
         raise ValueError(f"hurwitz needs a degree D >= 1, got --dmax {args.dmax!r}")
     table = hurwitz_table(args.gmax, dmax)
@@ -338,7 +342,10 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    keeps no state in it."""
     ap = argparse.ArgumentParser(prog="charnum", description=__doc__)
     ap.add_argument("--version", action="version", version=f"charnum {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)

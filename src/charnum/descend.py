@@ -502,12 +502,17 @@ class _SliceStore:
         # operand key -> [operand, number of slices held]
         self.operands: dict[tuple, list] = {}
 
-    def add(self, name: str, total: int, entries: dict) -> None:
-        """Add the slice of `name` at `total`, which nothing has read yet."""
+    def add(self, name: str, total: int, entries: dict, den: int | None = None) -> None:
+        """Add the slice of `name` at `total`, which nothing has read yet:
+        `entries` maps keys to rationals, or with `den` to integer
+        numerators over den."""
         by_total = self.slices.setdefault((name, ()), {})
         if total in by_total:
             raise ValueError(f"slice {total} of {name} is already in use")
-        by_total[total] = SeriesTable._trusted(self.ts.space, self.packing.dmax, entries)
+        if den is None:
+            by_total[total] = SeriesTable._trusted(self.ts.space, self.packing.dmax, entries)
+        else:
+            by_total[total] = SeriesTable._of(self.ts.space, self.packing.dmax, entries, den)
 
     def partial(self, name: str, idx: tuple[int, ...], total: int) -> SeriesTable:
         """The slice of `name` at `total`, differentiated once by each x_i,
@@ -662,11 +667,11 @@ def genus1_tangency_potential(
 
     store = _SliceStore(ts, ts.packing(1, dmax, box))
     g0_levels: dict[int, dict] = {}
-    for key, val in g0.entries.items():
+    for key, num in g0.nums.items():
         if in_box(key[0], box):
-            g0_levels.setdefault(sum(key[0]), {})[key] = val
+            g0_levels.setdefault(sum(key[0]), {})[key] = num
     for total, part in g0_levels.items():
-        store.add("G0", total, part)
+        store.add("G0", total, part, g0.den)
     for t, level in levels.items():
         if t > 1:
             store.add("G1", t - 1, levels[t - 1])

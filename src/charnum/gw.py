@@ -417,6 +417,7 @@ def gw_potential(table: GWTable, space: VarSpace | None = None) -> SeriesTable:
 def parse_seed_records(text: str, geom: TargetGeometry) -> dict[GWKey, Rat]:
     """Read `beta;full-basis exponent vector;p/q` records (# lines ignored)."""
     out: dict[GWKey, Rat] = {}
+    seen: dict[GWKey, int] = {}  # key -> its line
     for n, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -442,6 +443,9 @@ def parse_seed_records(text: str, geom: TargetGeometry) -> dict[GWKey, Rat]:
         top = max(geom.vdim(0, beta, 0), geom.vdim(1, beta, 0))
         if weight > top:
             raise ValueError(f"line {n}: insertion weight {weight} exceeds {top}, the class's virtual dimension in genus 0 or 1")
-        key = tuple(sorted(i for i in range(geom.rank) for _ in range(counts[i])))
-        out[(beta, key)] = val
+        key = (beta, tuple(sorted(i for i in range(geom.rank) for _ in range(counts[i]))))
+        if key in seen:
+            raise ValueError(f"line {n}: repeats the class and insertions of line {seen[key]}")
+        seen[key] = n
+        out[key] = val
     return out

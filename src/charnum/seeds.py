@@ -81,18 +81,30 @@ def load_genus1_seeds(text: str, geom: TargetGeometry) -> dict[tuple, Rat]:
 
 
 def load_virtual2(text: str, dmax: int) -> SeriesTable:
-    """Genus-2 virtual characteristic numbers of the plane: d;a,b,c;p/q."""
+    """Genus-2 virtual characteristic numbers of the plane: d;a,b,c;p/q,
+    each on the genus-2 stratum a + b + 2c = 3d + 1 of its degree."""
     entries = {}
+    seen: dict[tuple, int] = {}  # key -> its line
     for n, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         try:
             d, mono, v = ln.split(";")
+            d = int(d)
             a, b, c = (int(x) for x in mono.split(","))
-            entries[((int(d),), (a, b, c))] = parse_rat(v)
+            val = parse_rat(v)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {n}: expected a record d;a,b,c;p/q, got {ln!r}") from None
+        if min(d, a, b, c) < 0:
+            raise ValueError(f"line {n}: the degree and the counts must not be negative")
+        if a + b + 2 * c != 3 * d + 1:
+            raise ValueError(f"line {n}: a genus-2 record of degree {d} needs a+b+2c = {3 * d + 1}, got {a + b + 2 * c}")
+        key = ((d,), (a, b, c))
+        if key in seen:
+            raise ValueError(f"line {n}: repeats the record of line {seen[key]}")
+        seen[key] = n
+        entries[key] = val
     return SeriesTable(P2_SPACE, dmax, entries)
 
 

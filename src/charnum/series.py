@@ -22,16 +22,18 @@ factors once, when the slice is solved, and reuses it at every level above:
 of `descend`.  The potentials add their products to a `NumeratorSum` with
 `add_product`, straight from the kernel's integer numerators.
 
-Table values are `fractions.Fraction`s; the operations work on integer
-numerators over common denominators and build one Fraction per output
-entry.  No floats anywhere.
+A table holds its values as nonzero integer numerators over one least
+common denominator, and every operation reads and returns numerators, so a
+level loop does integer work only.  `fractions.Fraction`s are built only at
+the boundary: `coeff`, the `entries` view for output, oracles and tests,
+`to_text`, and the checked input of the constructor.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -68,7 +70,6 @@ class VarSpace:
 
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]  # (curve class, exponent multi-index)
-_ZERO = Fraction(0)  # the value of an absent entry
 
 
 def _as_rat(x) -> Rat:
@@ -80,11 +81,14 @@ def _as_rat(x) -> Rat:
 class SeriesTable:
     """Sparse graded EGF table; immutable by convention (ops return new tables).
 
-    `dmax` bounds the total degree |curve class| of trusted strata; entries
-    beyond it are never stored, absent entries within it are exactly zero.
+    The value at a key is nums[key] / den: the numerators are nonzero ints
+    and den > 0 is their least common denominator, gcd(den, *nums) == 1, so
+    equal tables have equal representations.  `dmax` bounds the total
+    degree |curve class| of trusted strata; entries beyond it are never
+    stored, absent entries within it are exactly zero.
     """
 
-    __slots__ = ("space", "dmax", "entries")
+    __slots__ = ("space", "dmax", "nums", "den")
 
     def __init__(self, space: VarSpace, dmax: int, entries: Mapping[Key, Rat] | None = None):
         self.space = space
@@ -101,42 +105,58 @@ class SeriesTable:
                     raise ValueError(f"negative key component in {(deg, mono)}")
                 if sum(deg) <= dmax:
                     table[(tuple(deg), tuple(mono))] = v
-        self.entries = table
+        self.den = lcm(*(v.denominator for v in table.values()))
+        self.nums = {key: v.numerator * (self.den // v.denominator) for key, v in table.items()}
 
     @classmethod
     def _trusted(cls, space: VarSpace, dmax: int, entries: dict[Key, Rat]) -> "SeriesTable":
-        """Wrap a dict as it is, without the checks of `__init__`.
+        """The table of a dict of rationals, without the checks of `__init__`.
 
-        For results of the table operations only: every value is a nonzero
-        `Fraction` and every key fits `space` with total degree <= dmax.
+        For the level dicts of the solvers only: every key fits `space`
+        with total degree <= dmax.
         """
+        den = lcm(*(v.denominator for v in entries.values()))
+        return cls._of(space, dmax, {key: v.numerator * (den // v.denominator) for key, v in entries.items()}, den)
+
+    @classmethod
+    def _of(cls, space: VarSpace, dmax: int, nums: dict[Key, int], den: int) -> "SeriesTable":
+        """The table of the integer numerators `nums` over `den` > 0, in
+        lowest terms and without zeros."""
+        nums = {key: num for key, num in nums.items() if num}
+        common = gcd(den, *nums.values())
+        if common != 1:
+            den, nums = den // common, {key: num // common for key, num in nums.items()}
         out = cls.__new__(cls)
-        out.space = space
-        out.dmax = dmax
-        out.entries = entries
+        out.space, out.dmax, out.nums, out.den = space, dmax, nums, den
         return out
+
+    @property
+    def entries(self) -> dict[Key, Rat]:
+        """The values as Fractions, in a new dict: for output, oracles and tests."""
+        den = self.den
+        return {key: Fraction(num, den) for key, num in self.nums.items()}
 
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesTable):
             return NotImplemented
-        return self.space == other.space and self.entries == other.entries
+        return self.space == other.space and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         raise TypeError("SeriesTable is not hashable")
 
     def __repr__(self) -> str:
-        return f"SeriesTable({self.space}, dmax={self.dmax}, {len(self.entries)} entries)"
+        return f"SeriesTable({self.space}, dmax={self.dmax}, {len(self.nums)} entries)"
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nums
 
     def coeff(self, degrees: Iterable[int], exponents: Iterable[int]) -> Rat:
-        return self.entries.get((tuple(degrees), tuple(exponents)), _ZERO)
+        return Fraction(self.nums.get((tuple(degrees), tuple(exponents)), 0), self.den)
 
     def _check_same_space(self, other: "SeriesTable") -> None:
         if self.space != other.space:
@@ -147,27 +167,23 @@ class SeriesTable:
     def __add__(self, other: "SeriesTable") -> "SeriesTable":
         self._check_same_space(other)
         dmax = min(self.dmax, other.dmax)
-        out = dict(self.entries)
-        for key, val in other.entries.items():
-            old = out.get(key)
-            if old is not None:
-                val += old
-                if not val:
-                    del out[key]
-                    continue
-            out[key] = val
+        den = lcm(self.den, other.den)
+        grow, grow_other = den // self.den, den // other.den
+        out = {key: num * grow for key, num in self.nums.items()}
+        for key, num in other.nums.items():
+            out[key] = out.get(key, 0) + num * grow_other
         if self.dmax != other.dmax:
             out = {k: v for k, v in out.items() if sum(k[0]) <= dmax}
-        return SeriesTable._trusted(self.space, dmax, out)
+        return SeriesTable._of(self.space, dmax, out, den)
 
     def __sub__(self, other: "SeriesTable") -> "SeriesTable":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "SeriesTable":
         c = _as_rat(c)
-        if c == 0:
-            return SeriesTable._trusted(self.space, self.dmax, {})
-        return SeriesTable._trusted(self.space, self.dmax, {k: v * c for k, v in self.entries.items()})
+        return SeriesTable._of(
+            self.space, self.dmax, {k: v * c.numerator for k, v in self.nums.items()}, self.den * c.denominator
+        )
 
     def __mul__(self, other: "SeriesTable") -> "SeriesTable":
         return series_product(self, other)
@@ -182,24 +198,22 @@ class SeriesTable:
         is unchanged (d/dv of v^b/b! is v^{b-1}/(b-1)!).
         """
         sp = self.space
-        out: dict[Key, Rat] = {}
+        out: dict[Key, int] = {}
         if var in sp.degree_vars:
             i = sp.degree_index(var)
-            for (deg, mono), val in self.entries.items():
+            for (deg, mono), num in self.nums.items():
                 if deg[i]:
-                    # built from the numerator: cheaper than Fraction * int
-                    num, den = val.numerator * deg[i], val.denominator
-                    out[(deg, mono)] = Fraction(num) if den == 1 else Fraction(num, den)
+                    out[(deg, mono)] = num * deg[i]
         elif var in sp.exp_vars:
             i = sp.exp_index(var)
-            for (deg, mono), val in self.entries.items():
+            for (deg, mono), num in self.nums.items():
                 if mono[i]:
                     m = list(mono)
                     m[i] -= 1
-                    out[(deg, tuple(m))] = val
+                    out[(deg, tuple(m))] = num
         else:
             raise KeyError(f"unknown variable {var!r} in {sp}")
-        return SeriesTable._trusted(sp, self.dmax, out)
+        return SeriesTable._of(sp, self.dmax, out, self.den)
 
     def times_monomial(self, powers: Mapping[str, int], coef=1) -> "SeriesTable":
         """Multiply by coef * prod(var^k); raises exponent slots with the EGF factor.
@@ -212,12 +226,10 @@ class SeriesTable:
         return out.table()
 
     def truncate(self, dmax: int) -> "SeriesTable":
-        return SeriesTable._trusted(
-            self.space, dmax, {k: v for k, v in self.entries.items() if sum(k[0]) <= dmax}
-        )
+        return SeriesTable._of(self.space, dmax, {k: v for k, v in self.nums.items() if sum(k[0]) <= dmax}, self.den)
 
     def filter_keys(self, keep) -> "SeriesTable":
-        return SeriesTable._trusted(self.space, self.dmax, {k: v for k, v in self.entries.items() if keep(*k)})
+        return SeriesTable._of(self.space, self.dmax, {k: v for k, v in self.nums.items() if keep(*k)}, self.den)
 
     def substitute(
         self,
@@ -231,7 +243,7 @@ class SeriesTable:
         i-th one of `new_space`.  An entry at exponents m expands into
         integer multiples of itself (`_expand`); with the coefficients over a
         common denominator cden, its terms are integer numerators over
-        den * cden^|m|, and one Fraction is built per output entry.
+        den * cden^|m|.
         """
         old_sp = self.space
         if len(new_space.degree_vars) != len(old_sp.degree_vars):
@@ -245,19 +257,18 @@ class SeriesTable:
         # a zero coefficient contributes only through its zeroth power
         int_targets = [[(c.numerator * (cden // c.denominator), j) for c, j in tgt if c] for tgt in targets]
 
-        den = _denominator(self)
-        top = max((sum(mono) for _, mono in self.entries), default=0)
+        top = max((sum(mono) for _, mono in self.nums), default=0)
         expansions: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         acc: dict[Key, int] = {}
-        for (deg, mono), val in self.entries.items():
+        for (deg, mono), num in self.nums.items():
             terms = expansions.get(mono)
             if terms is None:
                 terms = expansions[mono] = _expand(mono, int_targets, len(new_space.exp_vars))
-            num = val.numerator * (den // val.denominator) * cden ** (top - sum(mono))
+            num *= cden ** (top - sum(mono))
             for nmono, w in terms:
                 key = (deg, nmono)
                 acc[key] = acc.get(key, 0) + num * w
-        return SeriesTable._trusted(new_space, self.dmax, _from_numerators(acc, den * cden**top))
+        return SeriesTable._of(new_space, self.dmax, acc, self.den * cden**top)
 
     # -- canonical text form -------------------------------------------------
 
@@ -360,26 +371,11 @@ def _raise(mono: tuple[int, ...], shift: tuple[tuple[int, int], ...]) -> tuple[t
     return tuple(new), fac
 
 
-def _denominator(t: SeriesTable) -> int:
-    """The least common denominator of the entries of `t`."""
-    return lcm(*(val.denominator for val in t.entries.values()))
-
-
-def _from_numerators(acc: dict[Key, int], den: int) -> dict[Key, Rat]:
-    """Turn integer numerators over `den` into Fractions in place; zeros go."""
-    for key in [key for key, num in acc.items() if not num]:
-        del acc[key]
-    for key, num in acc.items():
-        acc[key] = Fraction(num) if den == 1 else Fraction(num, den)
-    return acc
-
-
 class NumeratorSum:
-    """A running sum of tables times monomials, as integer numerators over
-    one common denominator; `table` builds one Fraction per entry.
+    """A running sum of tables times monomials and of products, as integer
+    numerators over one common denominator.
 
-    Tables go in through `add` and never meet as Fractions, so a sum of many
-    terms costs integer additions, not a Fraction per term and key.
+    A sum of many terms costs integer additions, not a new table per term.
     """
 
     __slots__ = ("space", "dmax", "acc", "den")
@@ -397,31 +393,30 @@ class NumeratorSum:
             raise VariableMismatch(f"{t.space} vs {self.space}")
         plan = [(_as_rat(c), _exp_shift(self.space, mono.items())) for c, mono in terms]
         plan = [(c, shift) for c, shift in plan if c]
-        if not plan or not t.entries:
+        if not plan or not t.nums:
             return
-        tden = _denominator(t)
         cden = lcm(*(c.denominator for c, _ in plan))
-        rest = self._over(tden * cden)
+        rest = self._over(t.den * cden)
         plan = [(c.numerator * (cden // c.denominator) * rest, shift) for c, shift in plan]
         acc = self.acc
         cut = t.dmax > self.dmax
-        for (deg, mono), val in t.entries.items():
+        for (deg, mono), num in t.nums.items():
             if cut and sum(deg) > self.dmax:
                 continue
-            num = val.numerator * (tden // val.denominator)
             for c, shift in plan:
                 new, fac = _raise(mono, shift) if shift else (mono, 1)
                 key = (deg, new)
                 acc[key] = acc.get(key, 0) + num * c * fac
 
-    def add_product(self, f: Operand, g: Operand, total: int) -> None:
+    def add_product(self, f: Operand, g: Operand, total: int | None = None) -> None:
         """Add the part of total degree `total` of the product of two
-        operands, as `series_product` forms it, straight from the kernel's
-        numerators: no Fraction is built per product entry."""
+        operands, straight from the kernel's numerators; a `total` above
+        `dmax` adds nothing.  Without `total`, the whole product, which needs
+        a sum whose dmax is at least the packing's."""
         pk = f.packing
         if pk.space != self.space:
             raise VariableMismatch(f"{pk.space} vs {self.space}")
-        if total > self.dmax:
+        if total is not None and total > self.dmax:
             return
         den, by_class = _convolve(f, g, total)
         if not by_class:
@@ -448,7 +443,7 @@ class NumeratorSum:
 
     def table(self) -> SeriesTable:
         """The sum as a table; the accumulator is used up."""
-        return SeriesTable._trusted(self.space, self.dmax, _from_numerators(self.acc, self.den))
+        return SeriesTable._of(self.space, self.dmax, self.acc, self.den)
 
 
 class Packing:
@@ -482,7 +477,7 @@ class Packing:
         first, *rest = tables = list(tables)
         for t in rest:
             first._check_same_space(t)
-        monos = [mono for t in tables for _, mono in t.entries]
+        monos = [mono for t in tables for _, mono in t.nums]
         bounds = map(max, zip(*monos)) if monos else [0] * len(first.space.exp_vars)
         return cls(first.space, min(t.dmax for t in tables), bounds, box)
 
@@ -512,10 +507,9 @@ class Operand:
 
     A slice holds the entries of one total degree, grouped by class, each
     as (packed exponents, integer numerator of its EGF coefficient v/m!)
-    over the slice's common denominator: the least common multiple of the
-    denominators of the v/m!.  A product term is then one int addition of
-    keys and one int product of numerators, with no binomial weight.
-    Entries above the packing's dmax are left out.
+    over the slice's least common denominator.  A product term is then one
+    int addition of keys and one int product of numerators, with no
+    binomial weight.  Entries above the packing's dmax are left out.
     """
 
     __slots__ = ("packing", "slices", "size")
@@ -537,20 +531,22 @@ class Operand:
         if t.space != pk.space:
             raise VariableMismatch(f"{t.space} vs {pk.space}")
         by_total: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
-        for (deg, mono), val in t.entries.items():
+        for (deg, mono), num in t.nums.items():
             total = sum(deg)
             if total <= pk.dmax:
                 key, mfact = pk._packed.get(mono) or pk.pack(mono)
-                num, den = val.as_integer_ratio()
-                by_total.setdefault(total, []).append((deg, key, num, den * mfact))
+                by_total.setdefault(total, []).append((deg, key, num, mfact))
         for total, rows in by_total.items():
             if total in self.slices:
                 raise ValueError(f"total degree {total} is already prepared")
-            den = lcm(*(d for _, _, _, d in rows))
+            # num / (t.den m!) over den = t.den * lcm(m!), then in lowest terms
+            top = lcm(*(mfact for *_, mfact in rows))
+            rows = [(deg, key, num * (top // mfact)) for deg, key, num, mfact in rows]
+            common = gcd(t.den * top, *(num for *_, num in rows))
             groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-            for deg, key, num, d in rows:
-                groups.setdefault(deg, []).append((key, num * (den // d)))
-            self.slices[total] = (den, list(groups.items()))
+            for deg, key, num in rows:
+                groups.setdefault(deg, []).append((key, num // common))
+            self.slices[total] = (t.den * top // common, list(groups.items()))
             self.size += len(rows)
 
 
@@ -562,23 +558,16 @@ def series_product(f: SeriesTable | Operand, g: SeriesTable | Operand, *, total:
     total degree `total` is formed: only the slice pairs whose total degrees
     add up to it are visited.  With a box, class pairs whose sum leaves it
     are skipped.  The numerators of each slice pair are convolved over the
-    common denominator of all pairs, and the factorials are restored and
-    one Fraction built per output entry.
+    common denominator of all pairs (`NumeratorSum.add_product`).
     """
     if isinstance(f, SeriesTable) and isinstance(g, SeriesTable):
         pk = Packing.fitting((f, g))
         f, g = Operand(pk, f), Operand(pk, g)
     elif not (isinstance(f, Operand) and isinstance(g, Operand)):
         raise TypeError("series_product needs two tables or two operands")
-    pk = f.packing
-    den, by_class = _convolve(f, g, total)
-    out: dict[Key, Rat] = {}
-    for deg, acc in by_class.items():
-        for key, num in acc.items():
-            if num:
-                mono, mfact = pk.unpack(key)
-                out[(deg, mono)] = Fraction(num * mfact, den)
-    return SeriesTable._trusted(pk.space, pk.dmax, out)
+    out = NumeratorSum(f.packing.space, f.packing.dmax)
+    out.add_product(f, g, total)
+    return out.table()
 
 
 def _convolve(f: Operand, g: Operand, total: int | None) -> tuple[int, dict[tuple[int, ...], dict[int, int]]]:
@@ -634,39 +623,9 @@ class DiffOperator:
         return cls(tuple(packed))
 
     def __call__(self, f: SeriesTable) -> SeriesTable:
-        """One pass over `f`: each entry meets each term once, with the
-        term's factor (coefficient numerator, degree weight and EGF rising
-        factorial) an int, over the common denominator of `f` and the
-        coefficients."""
-        sp = f.space
-        cden = lcm(*(coef.denominator for coef, _, _ in self.terms))
-        plan = []
-        for coef, mono, var in self.terms:
-            if var in sp.degree_vars:
-                by_degree, slot = True, sp.degree_index(var)
-            elif var in sp.exp_vars:
-                by_degree, slot = False, sp.exp_index(var)
-            else:
-                raise KeyError(f"unknown variable {var!r} in {sp}")
-            if coef:
-                plan.append((by_degree, slot, _exp_shift(sp, mono), coef.numerator * (cden // coef.denominator)))
-        den = _denominator(f)
-        acc: dict[Key, int] = {}
-        for (deg, mono), val in f.entries.items():
-            num = val.numerator * (den // val.denominator)
-            for by_degree, slot, shift, c in plan:
-                if by_degree:
-                    weight = deg[slot]
-                    if not weight:
-                        continue
-                    new, fac = _raise(mono, shift)
-                else:
-                    if not mono[slot]:
-                        continue
-                    lowered = list(mono)
-                    lowered[slot] -= 1
-                    new, fac = _raise(lowered, shift)
-                    weight = 1
-                key = (deg, new)
-                acc[key] = acc.get(key, 0) + num * c * weight * fac
-        return SeriesTable._trusted(sp, f.dmax, _from_numerators(acc, den * cden))
+        """One partial of `f` per variable, added with its (coefficient,
+        monomial) terms to one `NumeratorSum`."""
+        out = NumeratorSum(f.space, f.dmax)
+        for var in dict.fromkeys(var for _, _, var in self.terms):
+            out.add(f.partial(var), [(coef, dict(mono)) for coef, mono, v in self.terms if v == var])
+        return out.table()

@@ -568,3 +568,27 @@ def test_bad_seed_record_is_one_short_line(tmp_path, capsys, record):
     assert capture(["gw", "--target", "p2", "--dmax", "2", "--seeds", str(path)]) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: line 2:") and err.count("\n") == 1 and len(err.encode()) < 200, err
+
+
+def test_hurwitz_dmax_that_is_no_number_is_one_line(capsys):
+    capsys.readouterr()
+    assert capture(["hurwitz", "--dmax", "abc"]) == (2, "")
+    assert capsys.readouterr().err == "error: hurwitz needs a degree D >= 1, got --dmax 'abc'\n"
+
+
+def test_one_process_serves_requests_as_separate_processes_do():
+    """The parser is built once per process; a request leaves nothing in it
+    that changes the next one."""
+    requests = [
+        ["hurwitz", "--dmax", "3", "--format", "csv"],
+        ["gw", "--target", "p2", "--dmax", "3"],
+        ["hurwitz", "--dmax", "3"],
+        ["compute", "--target", "p2", "--genus", "0", "--dmax", "2", "--format", "md"],
+    ]
+    in_process = [capture(argv) for argv in requests]
+    separate = [
+        subprocess.run([sys.executable, "-m", "charnum.cli", *argv], capture_output=True, check=True).stdout
+        for argv in requests
+    ]
+    assert [(code, text.encode()) for code, text in in_process] == [(0, out) for out in separate]
+    assert cli.build_parser() is cli.build_parser()

@@ -7,6 +7,7 @@ import pytest
 from charnum.planecurves import P2_SPACE
 from charnum.seeds import (
     load_genus1_seeds,
+    load_gw_seeds,
     load_virtual2,
     packaged_seed_text,
 )
@@ -51,3 +52,30 @@ def test_virtual2_records():
 def test_virtual2_malformed_record_names_the_line():
     with pytest.raises(ValueError, match=r"line 3: expected a record d;a,b,c;p/q, got '1;0,0'"):
         load_virtual2("# header\n4;13,0,0;7/3\n1;0,0\n", 5)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("4;0,0,0;5", "line 2: a genus-2 record of degree 4 needs a+b+2c = 13, got 0"),
+        ("4;12,0,1;5", "line 2: a genus-2 record of degree 4 needs a+b+2c = 13, got 14"),
+        ("4;-1,0,0;5", "line 2: the degree and the counts must not be negative"),
+        ("-1;0,0,-1;5", "line 2: the degree and the counts must not be negative"),
+    ],
+    ids=["all-zero", "off-by-one", "negative-count", "negative-degree"],
+)
+def test_virtual2_record_off_the_genus2_stratum_names_the_line(record, message):
+    with pytest.raises(ValueError) as err:
+        load_virtual2("# header\n" + record + "\n", 5)
+    assert str(err.value) == message
+
+
+def test_repeated_seed_key_names_both_lines(p2):
+    with pytest.raises(ValueError) as err:
+        load_virtual2("4;13,0,0;1\n# note\n4;13,0,0;2\n", 5)
+    assert str(err.value) == "line 3: repeats the record of line 1"
+    with pytest.raises(ValueError) as err:
+        load_gw_seeds("1;0,0,2;1\n1;0,0,2;5\n", p2)
+    assert str(err.value) == "line 2: repeats the class and insertions of line 1"
+    # the same count in another class is another key
+    assert len(load_gw_seeds("1;0,0,2;1\n2;0,0,5;1\n", p2)) == 2

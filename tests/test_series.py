@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from charnum.descend import TangencySpace
 from charnum.geometry import builtin_geometry, in_box
-from charnum.planecurves import PLANE
+from charnum.planecurves import PLANE, charnum_genus1
 from charnum.quadric import QUADRIC
 from charnum.series import (
     DiffOperator,
@@ -206,8 +206,12 @@ def bounded_tables():
 
 
 def assert_clean(t):
-    """The invariant every table operation keeps: nonzero Fraction values only,
-    and no key above dmax or outside the variable space."""
+    """The invariant every table operation keeps: nonzero int numerators over
+    their least common denominator, nonzero Fraction values only, and no key
+    above dmax or outside the variable space."""
+    assert type(t.den) is int and t.den > 0
+    assert all(type(num) is int and num != 0 for num in t.nums.values())
+    assert gcd(t.den, *t.nums.values()) == 1
     for (deg, mono), val in t.entries.items():
         assert type(val) is Fraction and val != 0
         assert sum(deg) <= t.dmax
@@ -567,4 +571,25 @@ def test_sum_keeps_the_other_tables_new_keys_as_they_are():
     g = table({((1,), (1, 0, 0)): Fraction(-1, 3), ((2,), (0, 0, 1)): Fraction(5, 7)})
     out = f + g
     assert out.entries == {((1,), (0, 1, 0)): 2, ((2,), (0, 0, 1)): Fraction(5, 7)}
-    assert out.entries[((2,), (0, 0, 1))] is g.entries[((2,), (0, 0, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_tables(), bounded_tables(), st.fractions(min_value=-2, max_value=2))
+def test_entries_view_round_trips(f, g, c):
+    for t in (f, f.scale(c), f + g, f - f, f * g, PLANE.point(f), f.partial("s")):
+        assert SeriesTable(t.space, t.dmax, t.entries) == t
+
+
+def test_level_solvers_never_read_the_entries_view(monkeypatch, gw_p2, g0_p2, p2_genus1_seeds,
+                                                   gw_quadric, g0_quadric, quadric_genus1_seeds):
+    """The solvers work on numerators: no Fraction table is built inside them."""
+    reads = []
+    view = SeriesTable.entries
+    monkeypatch.setattr(SeriesTable, "entries", property(lambda t: reads.append(t) or view.fget(t)))
+    PLANE.genus0(gw_p2, 4)
+    charnum_genus1(g0_p2, p2_genus1_seeds, 4)
+    PLANE.genus1_virtual(gw_p2, g0_p2, p2_genus1_seeds, 4)
+    QUADRIC.genus0(gw_quadric, 4, (2, 2))
+    QUADRIC.genus1_virtual(gw_quadric, g0_quadric, quadric_genus1_seeds, 4, (2, 2))
+    assert reads == []
+    assert g0_p2.entries and reads == [g0_p2]  # the spy sees a read
