@@ -111,13 +111,19 @@ def _gw_records(gw: GWTable) -> list[dict]:
     return records
 
 
-def _genus1_seed_table(geom, args):
-    if args.seeds:
-        return load_genus1_seeds(read_seed_file(args.seeds), geom)
+def _genus1_seed_table(geom, args, box):
+    """The genus-1 seeds of --seeds or of the packaged file; None, after one
+    line to stderr, if a class of the box has no seed."""
     name = default_genus1_seed_name(geom)
-    if name is None:
+    if not args.seeds and name is None:
         raise FileNotFoundError(f"genus-1 seeds for {geom.name} (pass --seeds <path>)")
-    return load_genus1_seeds(packaged_seed_text(name), geom)
+    seeds = load_genus1_seeds(read_seed_file(args.seeds) if args.seeds else packaged_seed_text(name), geom)
+    for beta in (b for t in range(1, sum(box) + 1) for b in geom.curve_classes(t, box)):
+        if beta not in seeds:
+            what = f"degree {beta[0]}" if len(beta) == 1 else f"bidegree {beta}"
+            sys.stderr.write(f"missing seed file entry: genus-1 {what}\n")
+            return None
+    return seeds
 
 
 def _class_shape(geom: TargetGeometry) -> str:
@@ -159,12 +165,9 @@ def cmd_compute(args, out) -> int:
     # a class reads only the classes below it, so nothing outside the box is computed
     g0 = table = quadric_genus0(gw, dmax, box) if quadric else charnum_genus0(gw, dmax)
     if args.genus > 0:
-        seeds = _genus1_seed_table(geom, args)
-        for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
-            if beta not in seeds:
-                what = f"degree {beta[0]}" if len(beta) == 1 else f"bidegree {beta}"
-                sys.stderr.write(f"missing seed file entry: genus-1 {what}\n")
-                return EXIT_MISSING_SEEDS
+        seeds = _genus1_seed_table(geom, args, box)
+        if seeds is None:
+            return EXIT_MISSING_SEEDS
         if quadric:
             table = quadric_genus1(gw, g0, seeds, dmax, box=box)
         else:
@@ -247,6 +250,8 @@ def cmd_descendant(args, out) -> int:
         raise ValueError(f"{geom.name} has the basis classes T0..T{geom.rank - 1} only")
     dmax = sum(degrees)
     if genus == 0:
+        if args.seeds:
+            raise ValueError("--seeds applies to genus-1 descendants only")
         cache = None
         if not args.no_cache:
             cache_path = Path(args.cache) if args.cache else default_cache_dir() / f"{geom.name}.cache"
@@ -271,7 +276,9 @@ def cmd_descendant(args, out) -> int:
                 "(no higher-power genus-1 recursion is implemented)\n"
             )
             return EXIT_USAGE
-        seeds = _genus1_seed_table(geom, args)
+        seeds = _genus1_seed_table(geom, args, degrees)
+        if seeds is None:
+            return EXIT_MISSING_SEEDS
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
         # a class reads only the classes below it, so only those of the box are solved
         ts = TangencySpace(geom)

@@ -50,15 +50,13 @@ dependence is a pure exponential factor that every downstream use sets to 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .geometry import CurveClass, TargetGeometry, in_box
 from .gw import GWTable, SeedConflict, class_splits, multiset_splits
 from .metric import deformed_metric
-from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace
+from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions
 
 __all__ = [
     "DescendantSpec",
@@ -297,25 +295,14 @@ class DescendantEngine:
 
 def _ab_partitions(marks: tuple[Insertion, ...], forced: tuple[Insertion, ...]):
     """Partitions A | B of marks (plus forced members of A-or-B pool) where
-    every B-mark needs positive psi power.  Yields ((A, B), weight-folded) -
-    weights come from the multiset multiplicities."""
-    pool = sorted(Counter(marks + forced).items())
-    out = []
-
-    def rec(i, a, b, w):
-        if i == len(pool):
-            out.append(((tuple(a), tuple(b)), w))
-            return
-        (m, c), mult = pool[i]
-        if m == 0:
-            rec(i + 1, a + [(m, c)] * mult, b, w)
-            return
-        for k in range(mult + 1):
-            rec(i + 1, a + [(m, c)] * (mult - k), b + [(m, c)] * k, w * comb(mult, k))
-
-    rec(0, [], [], 1)
-    for (a, b), w in out:
-        yield (a, b), w
+    every B-mark needs positive psi power.  Yields ((A, B), weight), the
+    weight from the multiset multiplicities, in the order of
+    `multiset_splits` over the psi-positive marks with B as its first part;
+    A holds the psi-0 marks first, and each part is sorted."""
+    pool = sorted(marks + forced)
+    zeros = tuple(x for x in pool if x[0] == 0)
+    for b, a, w in multiset_splits(tuple(x for x in pool if x[0])):
+        yield (zeros + a, b), w
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +331,8 @@ class TangencySpace:
         self._keys: dict[tuple[int, CurveClass], tuple[tuple, tuple]] = {}
 
     def gated_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
-        """All exponent vectors satisfying the dimension constraint."""
+        """All exponent vectors satisfying the dimension constraint, in
+        lexicographic order (the x-slots outermost)."""
         return self._gated_and_descendant(genus, beta)[0]
 
     def descendant_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
@@ -356,24 +344,9 @@ class TangencySpace:
         hit = self._keys.get((genus, tuple(beta)))
         if hit is not None:
             return hit
-        weights = self.weights  # each >= 1
-        last = len(weights) - 1
-        budget = self.geom.vdim(genus, beta, 0)
-        gated = []
-
-        def rec(pos, rem, acc):
-            w = weights[pos]
-            if pos == last:
-                if rem % w == 0:
-                    gated.append((*acc, rem // w))
-                return
-            for k in range(rem // w + 1):
-                rec(pos + 1, rem - k * w, (*acc, k))
-
-        if budget >= 0:
-            rec(0, budget, ())
+        gated = tuple(compositions(self.geom.vdim(genus, beta, 0), self.weights))
         descendant = sorted((k for k in gated if any(k[self.nx:])), key=lambda k: sum(k[self.nx:]))
-        hit = self._keys[(genus, tuple(beta))] = (tuple(gated), tuple(descendant))
+        hit = self._keys[(genus, tuple(beta))] = (gated, tuple(descendant))
         return hit
 
     def packing(self, genus: int, dmax: int, box: CurveClass | None = None) -> Packing:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .series import Rat, format_rat, parse_rat
+from .series import Rat, compositions, format_rat, parse_rat
 
 __all__ = ["TargetGeometry", "GeometryError", "builtin_geometry", "load_geometry", "in_box", "BUILTIN_NAMES"]
 
@@ -117,21 +117,10 @@ class TargetGeometry:
         return all(d >= 0 for d in beta) and any(beta)
 
     def curve_classes(self, total: int, box: CurveClass | None = None):
-        """All effective classes with total degree == total (lexicographic),
-        only those componentwise <= `box` if given."""
-        n = len(self.divisors)
-        cap = box or (total,) * n
-
-        def rec(prefix, rem, slot):
-            if slot == n - 1:
-                if rem <= cap[slot]:
-                    yield prefix + (rem,)
-                return
-            for x in range(min(rem, cap[slot]) + 1):
-                yield from rec(prefix + (x,), rem - x, slot + 1)
-
+        """All effective classes with total degree == total, in lexicographic
+        order, only those componentwise <= `box` if given."""
         if total > 0:
-            yield from rec((), total, 0)
+            yield from compositions(total, (1,) * len(self.divisors), box)
 
     # -- serialization ---------------------------------------------------------
 

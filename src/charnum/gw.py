@@ -29,7 +29,7 @@ from itertools import product
 from math import comb
 
 from .geometry import CurveClass, TargetGeometry
-from .series import Rat, SeriesTable, VarSpace, parse_rat
+from .series import Rat, SeriesTable, VarSpace, compositions, parse_rat
 
 __all__ = [
     "GWTable",
@@ -148,27 +148,13 @@ class GWTable:
 
 
 def canonical_keys(geom: TargetGeometry, beta: CurveClass) -> list[tuple[int, ...]]:
-    """All dimension-valid canonical insertion multisets at this class."""
-    weight = geom.vdim(0, beta, 0)  # each insertion of codim c adds c-1 to this budget
+    """All dimension-valid canonical insertion multisets at this class,
+    fewest insertions first, then lexicographic."""
     classes = [i for i in range(geom.rank) if geom.codim(i) >= 2]
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, rem: int, acc: tuple[int, ...]):
-        if rem == 0:
-            out.append(acc)
-            return
-        if pos == len(classes):
-            return
-        c = classes[pos]
-        step = geom.codim(c) - 1
-        k = 0
-        while k * step <= rem:
-            rec(pos + 1, rem - k * step, acc + (c,) * k)
-            k += 1
-
-    if weight >= 0:
-        rec(0, weight, ())
-    return sorted(out, key=lambda t: (len(t), t))
+    # each insertion of codim c adds c-1 to the budget vdim(0, beta, 0)
+    counts = compositions(geom.vdim(0, beta, 0), tuple(geom.codim(c) - 1 for c in classes))
+    keys = [sum(((c,) * k for c, k in zip(classes, m)), ()) for m in counts]
+    return sorted(keys, key=lambda t: (len(t), t))
 
 
 @dataclass(frozen=True)
@@ -210,10 +196,11 @@ def multiset_splits(marks: tuple):
     yield from rec(0, [], [], 1)
 
 
-def _assoc_sum(table: GWTable, beta: CurveClass, splits, marks, sign: int, out: dict) -> None:
+def _assoc_sum(table: GWTable, class_pairs, splits, marks, sign: int, out: dict) -> None:
     """Add sign * F(a,b|c,d) at beta, summed over splittings with the
     inverse-pairing insertion, into out: {unknown: coef}, the constant term
-    under None.  splits holds the mark splits (M1, M2, weight, sum step(M1)).
+    under None.  class_pairs holds the `class_splits` (beta1, beta2) of beta
+    and splits the mark splits (M1, M2, weight, sum step(M1)).
 
     Only pairs (e, f) with step(a) + step(b) + step(e) + sum step(M1) =
     vdim(0, beta1, 0) are visited.  Every other left factor is zero: for
@@ -225,7 +212,7 @@ def _assoc_sum(table: GWTable, beta: CurveClass, splits, marks, sign: int, out: 
     or a g^{ef} that is not makes its term, and the sum, a Fraction.
     """
     a, b, c, d = marks
-    for beta1, beta2 in class_splits(beta):
+    for beta1, beta2 in class_pairs:
         budget = table.vdim(beta1) - table.step[a] - table.step[b]
         for m1, m2, w, s in splits:
             for e, f, g in table.pairs_by_step.get(budget - s, ()):
@@ -246,9 +233,10 @@ def wdvv_instance_residual(geom, table: GWTable, inst: Instance) -> dict[GWKey |
     zero terms are dropped, so {} means 0 = 0."""
     i, j, k, l = inst.marks
     splits = [(m1, m2, w, sum(table.step[x] for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
+    class_pairs = list(class_splits(inst.beta))
     out: dict[GWKey | None, int | Rat] = {}
-    _assoc_sum(table, inst.beta, splits, (i, j, k, l), 1, out)
-    _assoc_sum(table, inst.beta, splits, (i, k, j, l), -1, out)
+    _assoc_sum(table, class_pairs, splits, (i, j, k, l), 1, out)
+    _assoc_sum(table, class_pairs, splits, (i, k, j, l), -1, out)
     # the elimination divides by these, so it gets Fractions, never ints
     return {k: Fraction(v) for k, v in out.items() if v}
 

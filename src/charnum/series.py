@@ -48,6 +48,7 @@ __all__ = [
     "Packing",
     "Operand",
     "NumeratorSum",
+    "compositions",
 ]
 
 
@@ -310,14 +311,26 @@ def parse_rat(s: str) -> Rat:
     return Fraction(s)
 
 
-def _compositions(m: int, parts: int):
-    """All ways to write m as an ordered sum of `parts` non-negative integers."""
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, parts - 1):
-            yield (first,) + rest
+def compositions(total: int, weights: tuple[int, ...], caps: tuple[int, ...] | None = None):
+    """Every m >= 0 with sum(weights[i] * m[i]) == total and, given `caps`,
+    m[i] <= caps[i], in lexicographic order.  The weights are positive."""
+    last = len(weights) - 1
+
+    def rec(i, rem):
+        w = weights[i]
+        top = rem // w if caps is None else min(rem // w, caps[i])
+        if i == last:
+            if rem == top * w:
+                yield (top,)
+            return
+        for k in range(top + 1):
+            for rest in rec(i + 1, rem - k * w):
+                yield (k, *rest)
+
+    if weights and total >= 0:
+        yield from rec(0, total)
+    elif total == 0:
+        yield ()
 
 
 def _expand(
@@ -326,9 +339,11 @@ def _expand(
     """The EGF image of the monomial x^mono under x_i -> sum_j c_ij z_j.
 
     prod_i x_i^{m_i}/m_i! becomes sum prod c_ij^{k_ij} z^n / prod k_ij! over
-    the splits m_i = sum_j k_ij, with n_l the sum of the k_ij sent to z_l.
-    Restoring n! turns prod_l n_l!/prod k_ij! into a product of binomials,
-    so with integer c_ij every stored multiple (n, w) has an integer w.
+    the splits m_i = sum_j k_ij, taken in lexicographic order, with n_l the
+    sum of the k_ij sent to z_l.  Restoring n! turns prod_l n_l!/prod k_ij!
+    into a product of binomials, so with integer c_ij every stored multiple
+    (n, w) has an integer w; the multiples come in the order the splits
+    first reach them.
     """
     acc: dict[tuple[int, ...], int] = {(0,) * nexp: 1}
     for m, tgt in zip(mono, targets):
@@ -337,7 +352,7 @@ def _expand(
         if not tgt:
             return []
         nxt: dict[tuple[int, ...], int] = {}
-        for split in _compositions(m, len(tgt)):
+        for split in compositions(m, (1,) * len(tgt)):
             for base, w in acc.items():
                 new = list(base)
                 for (c, j), k in zip(tgt, split):

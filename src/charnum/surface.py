@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import descend
 from .geometry import CurveClass, TargetGeometry
 from .gw import GWTable
-from .series import DiffOperator, Operand, Packing, Rat, SeriesTable, VarSpace, series_product
+from .series import DiffOperator, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
 
 __all__ = ["Surface"]
 
@@ -49,11 +49,10 @@ class Surface:
     d_sq: int
 
     def strata(self, genus: int, total: int):
-        """(a, b, c) with a + b + 2c = c1 * total - 1 + genus, flags outermost."""
-        top = self.c1 * total - 1 + genus
-        for c in range(top // 2 + 1):
-            for b in range(top - 2 * c + 1):
-                yield top - b - 2 * c, b, c
+        """(a, b, c) with a + b + 2c = c1 * total - 1 + genus, flags outermost:
+        (c, b, a) in lexicographic order."""
+        for c, b, a in compositions(self.c1 * total - 1 + genus, (2, 1, 1)):
+            yield a, b, c
 
     def ds(self, f: SeriesTable) -> SeriesTable:
         """The total-degree derivative: the sum of the degree-variable partials."""

@@ -106,6 +106,41 @@ def test_seed_file_needs_only_the_classes_in_the_box(tmp_path):
     assert (code, text) == capture(argv)
 
 
+@pytest.mark.parametrize(
+    "spec, line",
+    [
+        ("tau0(T2)^18 @ g=1 d=6", "degree 6"),
+        ("tau0(T2)^17 tau1(T1)^1 @ g=1 d=6", "degree 6"),
+        ("tau0(T3)^12 @ g=1 d=3,3 target=p1xp1", "bidegree (3, 3)"),
+    ],
+)
+def test_genus1_descendant_without_its_seed_exits_3(spec, line, capsys):
+    # the packaged seeds stop at degree 5 on the plane and total degree 5 on the quadric
+    assert capture(["descendant", spec, "--no-cache"]) == (3, "")
+    assert capsys.readouterr().err == f"missing seed file entry: genus-1 {line}\n"
+
+
+def test_genus1_descendant_and_compute_agree_on_a_short_seed_file(tmp_path, capsys):
+    records = packaged_seed_text("p2-genus1").splitlines()
+    path = tmp_path / "d3.seeds"
+    path.write_text("\n".join(ln for ln in records if ln.startswith(("#", "1;", "2;", "3;"))) + "\n")
+    for argv in (["descendant", "tau0(T2)^12 @ g=1 d=4", "--no-cache"],
+                 ["compute", "--target", "p2", "--genus", "1", "--dmax", "4"]):
+        assert capture([*argv, "--seeds", str(path)]) == (3, "")
+        assert capsys.readouterr().err == "missing seed file entry: genus-1 degree 4\n"
+
+
+def test_genus0_descendant_rejects_a_seed_file(tmp_path, capsys):
+    path = tmp_path / "one.seeds"
+    path.write_text("1;0,0,2;5\n")
+    assert capture(["gw", "--target", "p2", "--dmax", "2", "--seeds", str(path), "--format", "csv"])[1].endswith(
+        "2,T2^5,25\n"
+    )
+    for seeds in (str(path), str(tmp_path / "absent.seeds")):
+        assert capture(["descendant", "tau0(T2)^5 @ d=2", "--no-cache", "--seeds", seeds]) == (2, "")
+        assert capsys.readouterr().err == "error: --seeds applies to genus-1 descendants only\n"
+
+
 def test_usage_error_exit2(capsys):
     code, _ = capture(["compute", "--target", "p2", "--genus", "5", "--dmax", "2"])
     assert code == 2

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from charnum.descend import TangencySpace
+from charnum.descend import TangencySpace, genus0_tangency_potential
+from charnum.geometry import builtin_geometry
 from charnum.gw import wdvv_solve
 from charnum.planecurves import PLANE, charnum_genus0
 from charnum.quadric import QUADRIC, quadric_genus0
@@ -48,6 +49,24 @@ def test_tangency_map_is_the_change_of_variables(surface, geom_fixture, expected
     mapping = surface.tangency_map(geom)
     assert mapping == expected
     assert set(mapping) == set(TangencySpace(geom).space.exp_vars)
+
+
+@pytest.mark.parametrize(
+    "surface, name, dmax, box",
+    [(PLANE, "p2", 6, None), (QUADRIC, "p1xp1", 5, None), (QUADRIC, "p1xp1", 6, (3, 3)),
+     (QUADRIC, "p1xp1", 6, (4, 2))],
+    ids=["p2-d6", "p1xp1-d5", "p1xp1-3,3", "p1xp1-4,2"],
+)
+def test_genus0_equals_the_substituted_tangency_potential(surface, name, dmax, box):
+    """The genus-0 characteristic numbers by the level loop in (u, v, w) and
+    by the first-descendant potential, a recursion over the x/y slots of the
+    target, after the change of variables `tangency_map`."""
+    geom = builtin_geometry(name)
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
+    direct = surface.genus0(gw, dmax, box)
+    potential = genus0_tangency_potential(geom, gw, dmax, box)
+    assert direct.entries
+    assert direct.entries == potential.substitute(surface.space, surface.tangency_map(geom)).entries
 
 
 def test_operators_see_each_level_once(p2, monkeypatch):
