@@ -92,7 +92,7 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _char_records(table: SeriesTable, geom: TargetGeometry) -> list[dict]:
+def _char_records(table: SeriesTable) -> list[dict]:
     records = []
     for (deg, mono), val in sorted(table.entries.items()):
         d = deg[0] if len(deg) == 1 else list(deg)
@@ -177,7 +177,7 @@ def cmd_compute(args, out) -> int:
             raise FileNotFoundError("genus-2 virtual numbers (pass --virtual2 <path>; records d;a,b,c;p/q)")
         virtual2 = load_virtual2(read_seed_file(args.virtual2), dmax)
         table = charnum_genus2(g0, table, virtual2, dmax)
-    _emit(_char_records(table, geom), ["d", "a", "b", "c", "value"], args.format, out)
+    _emit(_char_records(table), ["d", "a", "b", "c", "value"], args.format, out)
     return EXIT_OK
 
 

@@ -112,24 +112,12 @@ def reduce_special(geom: TargetGeometry, spec: DescendantSpec):
     """
     beta, g = spec.beta, spec.genus
     if g == 1 and not any(beta):
-        if not dimension_valid(geom, spec):
-            return ("value", Fraction(0))
+        # in degree 0 only tau_1(T0) and tau_0 of a divisor are nonzero
         if spec.insertions == ((1, 0),):
             return ("value", Fraction(geom.euler, 24))
-        if len(spec.insertions) == 1:
-            (m, c), = spec.insertions
-            if m == 0 and c in geom.divisors:
-                chern = geom.chern_divisor[geom.divisors.index(c)]
-                return ("value", Fraction(-1, 24) * chern)
-            return ("value", Fraction(0))
-        # with >= 2 marks the one-mark forgetful map exists, so the ordinary
-        # reductions apply; each produces a factor of 0 in degree 0
-        for m, c in spec.insertions:
-            if (m, c) == (0, 0) or (m == 0 and c in geom.divisors):
-                return ("value", Fraction(0))
-            if (m, c) == (1, 0):
-                return ("value", Fraction(0))  # dilaton factor 2g-2 = 0
-        return ("value", Fraction(0))  # no reduction applies => gate kills it
+        if len(spec.insertions) == 1 and spec.insertions[0][0] == 0:
+            return ("value", genus1_degree0_constants(geom).get(spec.insertions[0][1], Fraction(0)))
+        return ("value", Fraction(0))
     factor = Fraction(1)
     kept = []
     for m, c in spec.insertions:

@@ -15,8 +15,9 @@ is computed per genus:
     G_wss = G_uu + (G_us . L G_ss + G_uu . P G_ss)
 
   with the line and point operators L = d/ds + 2v d/du and
-  P = 2v d/ds + (2v^2 + 2w) d/du, seeded by the point-only Gromov-Witten
-  numbers.  Virtual equals enumerative in genus 0.
+  P = 2v d/ds + (2v^2 + 2w) d/du, the rows of the deformed metric of P^2
+  that `Surface` derives, seeded by the point-only Gromov-Witten numbers.
+  Virtual equals enumerative in genus 0.
 
 * genus 1: the same shape of equations holds for the double-cover-inclusive
   potential (G^1 + E), with 1/24-correction blocks; E, the generating
@@ -40,15 +41,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .descend import DescendantSpec
+from .geometry import builtin_geometry
 from .gw import GWTable, SeedConflict
-from .series import DiffOperator, NumeratorSum, Operand, Rat, SeriesTable, VarSpace
+from .series import NumeratorSum, Operand, Rat, SeriesTable, VarSpace
 from .surface import Surface
 
 __all__ = [
     "P2_SPACE",
     "PLANE",
-    "line_operator",
-    "point_operator",
     "cover_polynomials",
     "tangency_expand",
     "charnum_genus0",
@@ -61,15 +61,7 @@ __all__ = [
 P2_SPACE = VarSpace(("s",), ("u", "v", "w"))
 
 
-def line_operator() -> DiffOperator:
-    return DiffOperator.build([(1, {}, "s"), (2, {"v": 1}, "u")])
-
-
-def point_operator() -> DiffOperator:
-    return DiffOperator.build([(2, {"v": 1}, "s"), (2, {"v": 2}, "u"), (2, {"w": 1}, "u")])
-
-
-PLANE = Surface("p2", P2_SPACE, (line_operator(),), point_operator(), c1=3, d_sq=1)
+PLANE = Surface(builtin_geometry("p2"), P2_SPACE)
 
 
 def cover_polynomials() -> tuple[SeriesTable, SeriesTable]:
@@ -224,7 +216,7 @@ def charnum_genus1_virtual_route(
 def genus2_corrections(g0: SeriesTable, g1: SeriesTable) -> SeriesTable:
     """The terms added to G^2 to produce the virtual potential (degree >= 4
     part; the degree-2/3 degenerate-cover terms are never evaluated)."""
-    P = point_operator()
+    P = PLANE.point
     _, h_table = cover_polynomials()
     h = h_table.truncate(g0.dmax)
     two_tail = P(P(g0)).scale(Fraction(1, 2 * 24 * 24))

@@ -11,14 +11,16 @@ points.  They are the first-descendant potentials of `descend` on P^1, with
 t the degree and v the tau_1(pt) variable, seeded only by the identity cover
 N^0_1(0) = 1; `oracles.hurwitz_bruteforce` counts the same numbers by
 factorizations in the symmetric group.  Genus-1 covers of a ruling,
-packaged as I = u H1_{u1} + (v^2 + w) H1_v (and J with the rulings swapped),
-are the excess components behind the genus-1 correction formula
+packaged by `RULE_COVER` as I = u H1_{u1} + (v^2 + w) H1_v (and J with the
+rulings swapped), are the excess components behind the genus-1 correction
+formula
 
     virtual = G1 - (1/24) P G0 + I_{u1}.L1 G0 + I_u.P G0
                                 + J_{u2}.L2 G0 + J_u.P G0,
 
 with the ruling operators L1 = d/du2 + 2v d/du, L2 = d/du1 + 2v d/du and
-P = 2v d/du1 + 2v d/du2 + (4v^2 + 2w) d/du.
+P = 2v d/du1 + 2v d/du2 + (4v^2 + 2w) d/du, the rows of the deformed metric
+of P^1 x P^1 that `Surface` derives.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .surface import Surface
 __all__ = [
     "Q_SPACE",
     "QUADRIC",
+    "RULE_COVER",
     "hurwitz",
-    "hurwitz_in_ruling",
     "rule_cover_potentials",
     "quadric_genus0",
     "quadric_genus1",
@@ -55,46 +57,22 @@ def hurwitz(gmax: int, dmax: int) -> dict[tuple[int, int, int], Rat]:
     return {(g, deg[0], mono[0]): v for g, h in enumerate(potentials) for (deg, mono), v in h.entries.items()}
 
 
-def hurwitz_in_ruling(table: dict[tuple[int, int, int], Rat], genus: int, ruling: int, dmax: int) -> SeriesTable:
-    """The genus-g Hurwitz potential placed on one ruling of the quadric."""
-    entries = {}
-    for (g, d, b), val in table.items():
-        if g != genus or d > dmax:
-            continue
-        beta = (d, 0) if ruling == 1 else (0, d)
-        entries[(beta, (0, b, 0))] = val
-    return SeriesTable(Q_SPACE, dmax, entries)
+# The ruling under a genus-1 cover is pinned by one point (d choices of mark
+# on a degree-d cover), by two tangencies (through a point where two
+# tangency curves meet) or by one flag: u (d/du1 + d/du2) + (v^2 + w) d/dv.
+RULE_COVER = DiffOperator.build([(1, {"u": 1}, "u1"), (1, {"u": 1}, "u2"), (1, {"v": 2}, "v"), (1, {"w": 1}, "v")])
 
 
 def rule_cover_potentials(h1_table: dict[tuple[int, int, int], Rat], dmax: int) -> tuple[SeriesTable, SeriesTable]:
-    """I and J: genus-1 multiple covers of a horizontal resp. vertical rule.
-
-    The supporting rule is pinned by one incidence condition (i mark choices),
-    by two tangency conditions (through an intersection point), or by one
-    flag condition; hence u H1_{u1} + (v^2 + w) H1_v per ruling.
-    """
-    out = []
-    for ruling, dvar in ((1, "u1"), (2, "u2")):
-        h1 = hurwitz_in_ruling(h1_table, 1, ruling, dmax)
-        pot = h1.partial(dvar).times_monomial({"u": 1}) + h1.partial("v").times_monomial(
-            {"v": 2}
-        ) + h1.partial("v").times_monomial({"w": 1})
-        out.append(pot)
-    return out[0], out[1]
+    """I and J: genus-1 multiple covers of a horizontal resp. vertical rule,
+    `RULE_COVER` applied to the genus-1 Hurwitz potential placed on that ruling."""
+    h1 = [(d, b, val) for (g, d, b), val in h1_table.items() if g == 1 and d <= dmax]
+    i_pot = RULE_COVER(SeriesTable(Q_SPACE, dmax, {((d, 0), (0, b, 0)): val for d, b, val in h1}))
+    j_pot = RULE_COVER(SeriesTable(Q_SPACE, dmax, {((0, d), (0, b, 0)): val for d, b, val in h1}))
+    return i_pot, j_pot
 
 
-# the ruling operators L1 (paired with u1), L2 (with u2) and the point operator
-QUADRIC = Surface(
-    "p1xp1",
-    Q_SPACE,
-    (
-        DiffOperator.build([(1, {}, "u2"), (2, {"v": 1}, "u")]),
-        DiffOperator.build([(1, {}, "u1"), (2, {"v": 1}, "u")]),
-    ),
-    DiffOperator.build([(2, {"v": 1}, "u1"), (2, {"v": 1}, "u2"), (4, {"v": 2}, "u"), (2, {"w": 1}, "u")]),
-    c1=2,
-    d_sq=2,
-)
+QUADRIC = Surface(builtin_geometry("p1xp1"), Q_SPACE)
 
 
 def quadric_genus0(gw: GWTable, dmax: int, box: tuple[int, int] | None = None) -> SeriesTable:

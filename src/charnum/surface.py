@@ -16,19 +16,22 @@ Read off at a class of total degree n, the first removes one tangency and
 the second one flag, dividing by n resp. n^2; the point-only invariants seed
 each level.
 
-The genus-1 virtual potential comes from the first-descendant (tangency)
-potentials of `descend` by one change of variables, which `tangency_map`
-derives from the geometry and D.D.
+The pairing is gamma^{ef}, the inverse deformed metric of `metric`, under
+the y-part of the tangency change of variables `tangency_map`: L_i is the
+row of the divisor T_i and P that of the point class, column f acting as the
+partial by f's variable.  The whole map takes the first-descendant
+(tangency) potentials of `descend` to the genus-1 virtual potential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import descend
 from .geometry import CurveClass, TargetGeometry
 from .gw import GWTable
+from .metric import deformed_metric, substitute_metric
 from .series import DiffOperator, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
 
 __all__ = ["Surface"]
@@ -36,17 +39,37 @@ __all__ = ["Surface"]
 
 @dataclass(frozen=True)
 class Surface:
-    """`name` is the geometry whose GW tables the solver accepts.  Exponent
-    variables are (u, v, w); `lines[i]` pairs with the degree variable
-    `space.degree_vars[i]`.  `c1` is c_1 per unit of total degree and `d_sq`
-    the self-intersection D.D of the tangency divisor."""
+    """The surface `geom` in the variables (degree vars; u, v, w) of `space`.
+    Derived from `geom`: `c1` (c_1 per unit of total degree), `d_sq` (D.D),
+    `lines[i]` (L of `space.degree_vars[i]`) and `point` (P)."""
 
-    name: str
+    geom: TargetGeometry
     space: VarSpace
-    lines: tuple[DiffOperator, ...]
-    point: DiffOperator
-    c1: int
-    d_sq: int
+    c1: int = field(init=False)
+    d_sq: int = field(init=False)
+    lines: tuple[DiffOperator, ...] = field(init=False)
+    point: DiffOperator = field(init=False)
+
+    def __post_init__(self):
+        geom, point = self.geom, self.geom.rank - 1
+        (c1,) = set(geom.c1)
+        object.__setattr__(self, "c1", int(c1))
+        object.__setattr__(self, "d_sq", int(sum(geom.pairing[i][j] for i in geom.divisors for j in geom.divisors)))
+        ys = {y: terms for y, terms in self.tangency_map().items() if y[0] == "y"}
+        gamma = substitute_metric(deformed_metric(geom)[1], ys, ("v", "w"))
+        # the variable of each column; the potentials have none for T_0
+        var = {**dict(zip(geom.divisors, self.space.degree_vars)), point: "u"}
+        *lines, point_op = (
+            DiffOperator.build(
+                (coef, {n: k for n, k in zip(gamma.varnames, mono) if k}, var[f])
+                for f, poly in enumerate(gamma.rows[e])
+                if f in var
+                for mono, coef in sorted(poly.items(), reverse=True)
+            )
+            for e in (*geom.divisors, point)
+        )
+        object.__setattr__(self, "lines", tuple(lines))
+        object.__setattr__(self, "point", point_op)
 
     def strata(self, genus: int, total: int):
         """(a, b, c) with a + b + 2c = c1 * total - 1 + genus, flags outermost:
@@ -95,11 +118,11 @@ class Surface:
 
     def _geometry(self, gw: GWTable) -> TargetGeometry:
         """The geometry of `gw`, which must be this surface's."""
-        if gw.geom.name != self.name:
-            raise ValueError(f"the {self.name} solver needs the {self.name} geometry, got {gw.geom.name}")
+        if gw.geom.name != self.geom.name:
+            raise ValueError(f"the {self.geom.name} solver needs the {self.geom.name} geometry, got {gw.geom.name}")
         return gw.geom
 
-    def tangency_map(self, geom: TargetGeometry) -> dict[str, list[tuple[int, str]]]:
+    def tangency_map(self) -> dict[str, list[tuple[int, str]]]:
         """Each exponent variable of the tangency potentials as a sum of (u, v, w).
 
         With D the sum of the divisor classes, tangency to D is
@@ -107,7 +130,7 @@ class Surface:
         every divisor becomes v, the x of the point u + (D.D) v and the y of
         the point w.
         """
-        point = geom.rank - 1
+        geom, point = self.geom, self.geom.rank - 1
         out = {f"y{i}": [(1, "v")] for i in geom.divisors}
         out[f"x{point}"] = [(1, "u"), (self.d_sq, "v")]
         out[f"y{point}"] = [(1, "w")]
@@ -197,5 +220,5 @@ class Surface:
         ts = descend.TangencySpace(geom)
         gamma0 = descend.genus0_tangency_potential(geom, gw, dmax, box, ts=ts)
         gamma1 = descend.genus1_tangency_potential(geom, gamma0, seeds, dmax, box, ts=ts)
-        virtual = gamma1.substitute(self.space, self.tangency_map(geom))
+        virtual = gamma1.substitute(self.space, self.tangency_map())
         return virtual + self.point(g0).scale(Fraction(1, 24))

@@ -31,8 +31,8 @@ from charnum.planecurves import (
     charnum_genus0,
     charnum_genus1,
     charnum_genus1_virtual_route,
+    PLANE,
     cover_polynomials,
-    point_operator,
     tangency_expand,
 )
 from charnum.quadric import hurwitz, quadric_genus0, quadric_genus1
@@ -217,7 +217,7 @@ def test_criterion_10_two_tail_identity(p2):
     with Budget(10, "genus-2 two-tail identity", 60.0):
         gw = wdvv_solve(p2, default_gw_seeds(p2), 4)
         g0 = charnum_genus0(gw, 4)
-        P = point_operator()
+        P = PLANE.point
         operator_form = P(P(g0)).scale(Fraction(1, 2 * 24 * 24))
 
         def hand_expansion(d, a, b, c):

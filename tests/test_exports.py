@@ -1,4 +1,5 @@
-"""Every exported name resolves and has a caller.
+"""Every exported name resolves and has a caller, and the package imports
+nothing outside the standard library.
 
 A name in a module's `__all__` must be an attribute of that module, and it
 must be used somewhere in `src/` or `tests/` as an identifier: its own
@@ -11,7 +12,10 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
+
+import pytest
 
 import charnum
 
@@ -43,3 +47,21 @@ def test_exports_resolve_and_have_callers():
                 unused.append(f"{modname}.{name}")
     assert not missing, f"__all__ names that do not resolve: {missing}"
     assert not unused, f"exported names without a caller: {unused}"
+
+
+def test_sources_import_only_the_standard_library():
+    """charnum has no dependencies: every import in src/charnum is relative
+    or names a standard-library module, and pyproject.toml lists none."""
+    foreign = []
+    for path in sorted(ROOT.glob("src/charnum/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, f"imports from outside the standard library: {foreign}"
+    tomllib = pytest.importorskip("tomllib")
+    assert tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"] == []

@@ -15,8 +15,6 @@ from charnum.planecurves import (
     charnum_genus2,
     cover_polynomials,
     genus2_corrections,
-    line_operator,
-    point_operator,
     tangency_expand,
 )
 from charnum.series import SeriesTable
@@ -206,7 +204,7 @@ def test_genus1_degree_one_empty(g1_p2):
 
 
 def test_two_tail_equals_six_terms(g0_p2):
-    P = point_operator()
+    P = PLANE.point
     two_tail = P(P(g0_p2)).scale(Fraction(1, 2 * 24 * 24))
 
     def six(d, a, b, c):
@@ -233,7 +231,7 @@ def test_two_tail_equals_six_terms(g0_p2):
 
 
 def test_one_tail_display(g1_p2):
-    P = point_operator()
+    P = PLANE.point
     one_tail = P(g1_p2).scale(Fraction(-1, 24))
     for d in (3, 4):
         top = 3 * d + 1
@@ -255,7 +253,7 @@ def test_one_tail_display(g1_p2):
 
 
 def test_cover_terms_operator_vs_expansion(g0_p2):
-    L, P = line_operator(), point_operator()
+    L, P = PLANE.lines[0], PLANE.point
     _, h = cover_polynomials()
     h = h.truncate(4)
     op_form = h.partial("s") * L(g0_p2) + h.partial("u") * P(g0_p2)

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from charnum.descend import TangencySpace, genus0_tangency_potential
 from charnum.geometry import builtin_geometry
 from charnum.gw import wdvv_solve
 from charnum.planecurves import PLANE, charnum_genus0
-from charnum.quadric import QUADRIC, quadric_genus0
+from charnum.quadric import QUADRIC, Q_SPACE, RULE_COVER, quadric_genus0, rule_cover_potentials
 from charnum.seeds import default_gw_seeds
 from charnum.series import DiffOperator, SeriesTable
+from charnum.surface import Surface
+
+V, V2, W = (("v", 1),), (("v", 2),), (("w", 1),)
 
 
 def _genus1_virtual(surface):
@@ -46,7 +51,7 @@ def test_tangency_map_is_the_change_of_variables(surface, geom_fixture, expected
     x3 = u + 2v, y1 = y2 = v, y3 = w on the quadric, and it covers every
     exponent variable of the tangency potentials."""
     geom = request.getfixturevalue(geom_fixture)
-    mapping = surface.tangency_map(geom)
+    mapping = surface.tangency_map()
     assert mapping == expected
     assert set(mapping) == set(TangencySpace(geom).space.exp_vars)
 
@@ -66,7 +71,7 @@ def test_genus0_equals_the_substituted_tangency_potential(surface, name, dmax, b
     direct = surface.genus0(gw, dmax, box)
     potential = genus0_tangency_potential(geom, gw, dmax, box)
     assert direct.entries
-    assert direct.entries == potential.substitute(surface.space, surface.tangency_map(geom)).entries
+    assert direct.entries == potential.substitute(surface.space, surface.tangency_map()).entries
 
 
 def test_operators_see_each_level_once(p2, monkeypatch):
@@ -83,3 +88,54 @@ def test_operators_see_each_level_once(p2, monkeypatch):
     monkeypatch.setattr(DiffOperator, "__call__", counted)
     result = PLANE.genus0(gw, 7)
     assert sum(seen) <= 4 * len(result)
+
+
+def test_surface_is_its_geometry_and_variables():
+    """Everything else a surface holds is derived from these two."""
+    assert [f.name for f in fields(Surface) if f.init] == ["geom", "space"]
+
+
+@pytest.mark.parametrize(
+    "surface, c1, d_sq, lines, point",
+    [
+        (
+            PLANE,
+            3,
+            1,
+            [{(1, (), "s"), (2, V, "u")}],
+            {(2, V, "s"), (2, V2, "u"), (2, W, "u")},
+        ),
+        (
+            QUADRIC,
+            2,
+            2,
+            [{(1, (), "u2"), (2, V, "u")}, {(1, (), "u1"), (2, V, "u")}],
+            {(2, V, "u1"), (2, V, "u2"), (4, V2, "u"), (2, W, "u")},
+        ),
+    ],
+    ids=["PLANE", "QUADRIC"],
+)
+def test_derived_data_equal_the_hand_tables(surface, c1, d_sq, lines, point):
+    """c1, D.D and the (coefficient, monomial, variable) terms of the line and
+    point operators, derived from the ring, against the hand-entered tables:
+    L = d/ds + 2v d/du and P = 2v d/ds + (2v^2 + 2w) d/du on the plane;
+    L1 = d/du2 + 2v d/du, L2 = d/du1 + 2v d/du and
+    P = 2v d/du1 + 2v d/du2 + (4v^2 + 2w) d/du on the quadric."""
+    assert (surface.c1, surface.d_sq) == (c1, d_sq)
+    assert [set(line.terms) for line in surface.lines] == lines
+    assert set(surface.point.terms) == point
+
+
+def test_rule_cover_of_both_rulings_is_i_plus_j(hurwitz_table):
+    """RULE_COVER is linear and each ruling's u-partial vanishes on the other
+    ruling, so one application to H1 on both rulings gives I + J."""
+    dmax = 5
+    on_both = {
+        (beta, (0, b, 0)): val
+        for (g, d, b), val in hurwitz_table.items()
+        if g == 1
+        for beta in ((d, 0), (0, d))
+    }
+    i_pot, j_pot = rule_cover_potentials(hurwitz_table, dmax)
+    assert i_pot.entries and j_pot.entries
+    assert RULE_COVER(SeriesTable(Q_SPACE, dmax, on_both)) == i_pot + j_pot
