@@ -8,13 +8,16 @@ fixed inputs, across cold and warm caches.
 
 Exit codes: 2 usage, 1 verification mismatch (seed data that two equations
 of a solve contradict), 3 missing seed data or an out-of-scope request
-(genus 2 below degree 4).
+(genus 2 below degree 4), 141 stdout closed before the output was written
+(as in `| head`; the status a shell reports for a writer killed by SIGPIPE),
+with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -32,7 +35,7 @@ from .descend import (
     genus1_tangency_potential,
     reduce_special,
 )
-from .geometry import GeometryError, TargetGeometry, builtin_geometry, load_geometry
+from .geometry import GeometryError, TargetGeometry, builtin_geometry, builtin_name, load_geometry
 from .gw import GWTable, InsufficientSeeds, SeedConflict, parse_seed_records, wdvv_solve
 from .metric import deformed_metric
 from .oracles import run_verify_suite
@@ -53,6 +56,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_MISSING_SEEDS = 3
+EXIT_CLOSED_PIPE = 141
 
 
 def _geometry(name_or_path: str) -> TargetGeometry:
@@ -146,10 +150,11 @@ def _degree_box(text: str, geom: TargetGeometry) -> tuple[int, ...]:
 
 def cmd_compute(args, out) -> int:
     geom = _geometry(args.target)
-    if geom.name not in ("p2", "p1xp1"):
-        sys.stderr.write("compute supports --target p2 or p1xp1\n")
+    name = builtin_name(geom)
+    if name not in ("p2", "p1xp1"):
+        sys.stderr.write("compute supports --target p2 or p1xp1 (their built-in rings only)\n")
         return EXIT_USAGE
-    quadric = geom.name == "p1xp1"
+    quadric = name == "p1xp1"
     if quadric and args.genus > 1:
         sys.stderr.write("p1xp1 supports genus 0 and 1 only\n")
         return EXIT_USAGE
@@ -282,8 +287,8 @@ def cmd_descendant(args, out) -> int:
         gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
         # a class reads only the classes below it, so only those of the box are solved
         ts = TangencySpace(geom)
-        g0 = genus0_tangency_potential(geom, gw, dmax, degrees, ts=ts)
-        g1 = genus1_tangency_potential(geom, g0, seeds, dmax, box=degrees, ts=ts)
+        g0 = genus0_tangency_potential(ts, gw, dmax, degrees)
+        g1 = genus1_tangency_potential(ts, g0, seeds, dmax, box=degrees)
         value = _extract_first_descendant(ts, g1, degrees, insertions)
     else:
         sys.stderr.write("descendant supports genus 0 and 1\n")
@@ -425,7 +430,14 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -33,10 +33,12 @@ live here:
   constant correction; for the projective line this bookkeeping is what turns
   the equation into the classical simple-Hurwitz recursions.
 
-Both potentials are solved one total degree at a time, and a level reads the
-levels below it only through the products of its quadratic term.  Their
-factors live in a `_SliceStore` for the call: it gains each completed level
-as one degree slice, keeps its x-partials, and prepares each slice of each
+Both potentials take the `TangencySpace` of their target, which holds the
+variables, the gated keys and gamma, so a caller that runs both shares one.
+They are solved one total degree at a time, and a level reads the levels
+below it only through the products of its quadratic term.  Their factors
+live in a `_SliceStore` for the call: it gains each completed level as one
+`SeriesTable` slice, keeps its x-partials, and prepares each slice of each
 product operand once.  gamma depends on y only, so it commutes with the
 x-partials and the product, and sum_{e,f} L_{x_e} gamma^{ef} R_{x_f} is formed
 as r - 1 products sum_e L_{x_e} M_e against the contractions
@@ -394,22 +396,15 @@ def _deriv_coeff(ts: TangencySpace, entries, beta, mono, derivs) -> Rat:
     return val * factor if val and factor != 1 else val
 
 
-def genus0_tangency_potential(
-    geom: TargetGeometry,
-    gw: GWTable,
-    dmax: int,
-    box: CurveClass | None = None,
-    ts: TangencySpace | None = None,
-) -> SeriesTable:
-    """Full genus-0 first-descendant potential up to total degree dmax, on
-    the classes componentwise <= `box` if given: the equations for a class
-    read only classes below it.  `ts`, the `TangencySpace` of `geom`, is
-    built here unless the caller shares one between potentials.
+def genus0_tangency_potential(ts: TangencySpace, gw: GWTable, dmax: int, box: CurveClass | None = None) -> SeriesTable:
+    """Full genus-0 first-descendant potential of `ts.geom` up to total
+    degree dmax, on the classes componentwise <= `box` if given: the
+    equations for a class read only classes below it.
 
     Level t reads the levels below it only through the products of its
     quadratic term, so each level, once solved, joins a `_SliceStore` as
     one degree slice."""
-    ts = TangencySpace(geom) if ts is None else ts
+    geom = ts.geom
     levels: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
     # y = 0 slice from the Gromov-Witten table
     for (beta, key), val in gw.entries.items():
@@ -420,7 +415,7 @@ def genus0_tangency_potential(
     store = _SliceStore(ts, ts.packing(0, dmax, box))
     for t, level in levels.items():
         if t > 1:
-            store.add("G", t - 1, levels[t - 1])
+            store.add("G", t - 1, SeriesTable._trusted(ts.space, dmax, levels[t - 1]))
         quad_by_dv_k: dict[tuple[int, int], SeriesTable] = {}
         for beta in geom.curve_classes(t, box):
             dv = next((i for i in geom.divisors if geom.degree_of(i, beta)), None)
@@ -463,17 +458,12 @@ class _SliceStore:
         # operand key -> [operand, number of slices held]
         self.operands: dict[tuple, list] = {}
 
-    def add(self, name: str, total: int, entries: dict, den: int | None = None) -> None:
-        """Add the slice of `name` at `total`, which nothing has read yet:
-        `entries` maps keys to rationals, or with `den` to integer
-        numerators over den."""
+    def add(self, name: str, total: int, part: SeriesTable) -> None:
+        """Add `part`, the slice of `name` at `total`, which nothing has read yet."""
         by_total = self.slices.setdefault((name, ()), {})
         if total in by_total:
             raise ValueError(f"slice {total} of {name} is already in use")
-        if den is None:
-            by_total[total] = SeriesTable._trusted(self.ts.space, self.packing.dmax, entries)
-        else:
-            by_total[total] = SeriesTable._of(self.ts.space, self.packing.dmax, entries, den)
+        by_total[total] = part
 
     def partial(self, name: str, idx: tuple[int, ...], total: int) -> SeriesTable:
         """The slice of `name` at `total`, differentiated once by each x_i,
@@ -594,26 +584,25 @@ def genus1_degree0_constants(geom: TargetGeometry) -> dict[int, Rat]:
 
 
 def genus1_tangency_potential(
-    geom: TargetGeometry,
+    ts: TangencySpace,
     g0: SeriesTable,
     seeds: dict[CurveClass, Rat] | dict[tuple, Rat],
     dmax: int,
     box: CurveClass | None = None,
-    ts: TangencySpace | None = None,
 ) -> SeriesTable:
-    """Genus-1 first-descendant potential from its psi-free slice.
+    """Genus-1 first-descendant potential of `ts.geom` from its psi-free slice.
 
     `seeds` maps curve classes to the genus-1 invariant with the gated number
     of point-type insertions (the only psi-free stratum for the built-in
     surfaces).  A stratum is solved by the y_k equation of every y_k it holds,
     and unequal values raise SeedConflict.  With `box`, only the classes
-    componentwise <= box are solved, and only their seeds are read.  `ts` as
-    for `genus0_tangency_potential`.
+    componentwise <= box are solved, and only their seeds are read.  `g0` is
+    the genus-0 potential of the same `ts`.
 
     G0 is complete, so all its slices join the `_SliceStore` at once; each
     level of G1 joins it once solved.
     """
-    ts = TangencySpace(geom) if ts is None else ts
+    geom = ts.geom
     consts = genus1_degree0_constants(geom)
     levels: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
     for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
@@ -632,10 +621,10 @@ def genus1_tangency_potential(
         if in_box(key[0], box):
             g0_levels.setdefault(sum(key[0]), {})[key] = num
     for total, part in g0_levels.items():
-        store.add("G0", total, part, g0.den)
+        store.add("G0", total, SeriesTable._of(ts.space, dmax, part, g0.den))
     for t, level in levels.items():
         if t > 1:
-            store.add("G1", t - 1, levels[t - 1])
+            store.add("G1", t - 1, SeriesTable._trusted(ts.space, dmax, levels[t - 1]))
         rhs_by_k: dict[int, SeriesTable] = {}
         top = None
         for beta in geom.curve_classes(t, box):

@@ -21,11 +21,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .series import Rat, compositions, format_rat, parse_rat
 
-__all__ = ["TargetGeometry", "GeometryError", "builtin_geometry", "load_geometry", "in_box", "BUILTIN_NAMES"]
+__all__ = ["TargetGeometry", "GeometryError", "builtin_geometry", "builtin_name", "load_geometry", "in_box", "BUILTIN_NAMES"]
 
 
 class GeometryError(ValueError):
@@ -338,6 +339,7 @@ def _grassmannian_24() -> TargetGeometry:
     )
 
 
+@cache
 def _builtins() -> dict[str, TargetGeometry]:
     geoms = {f"p{r}": _projective_space(r) for r in range(1, 7)}
     geoms["p1xp1"] = _quadric_surface()
@@ -345,17 +347,20 @@ def _builtins() -> dict[str, TargetGeometry]:
     return geoms
 
 
-_BUILTINS: dict[str, TargetGeometry] = {}
 BUILTIN_NAMES = ("p1", "p2", "p3", "p4", "p5", "p6", "p1xp1", "gr24")
 
 
 def builtin_geometry(name: str) -> TargetGeometry:
-    if not _BUILTINS:
-        _BUILTINS.update(_builtins())
     try:
-        return _BUILTINS[name]
+        return _builtins()[name]
     except KeyError:
         raise GeometryError(f"unknown target {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}") from None
+
+
+def builtin_name(geom: TargetGeometry) -> str | None:
+    """The name of the built-in target that `geom` is, or None: a config
+    that takes a built-in's name but holds another ring is a custom target."""
+    return geom.name if _builtins().get(geom.name) == geom else None
 
 
 def load_geometry(text: str) -> TargetGeometry:

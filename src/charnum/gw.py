@@ -228,7 +228,7 @@ def _assoc_sum(table: GWTable, class_pairs, splits, marks, sign: int, out: dict)
                 out[key] = out.get(key, 0) + left * right * (sign * w * g)
 
 
-def wdvv_instance_residual(geom, table: GWTable, inst: Instance) -> dict[GWKey | None, Rat]:
+def wdvv_instance_residual(table: GWTable, inst: Instance) -> dict[GWKey | None, Rat]:
     """F(i,j|k,l) - F(i,k|j,l) as {unknown: coef}, the constant under None;
     zero terms are dropped, so {} means 0 = 0."""
     i, j, k, l = inst.marks
@@ -295,7 +295,7 @@ def wdvv_solve(geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int) -> GWTa
                 for n, inst in enumerate(_candidate_instances(geom, beta, key)):
                     if n >= 3:
                         break
-                    resid = wdvv_instance_residual(geom, table, inst)
+                    resid = wdvv_instance_residual(table, inst)
                     if list(resid) == [None]:
                         raise SeedConflict(
                             f"seed at beta={beta}, insertions={key} contradicts the "
@@ -331,7 +331,7 @@ def _solve_level(geom, table: GWTable, beta: CurveClass) -> None:
             if inst in seen:
                 continue
             seen.add(inst)
-            row = wdvv_instance_residual(geom, table, inst)
+            row = wdvv_instance_residual(table, inst)
             for p in [k for k in row if k in rows]:
                 _add_scaled(row, rows[p], -row[p])
             unknowns = [k for k in row if k is not None]
@@ -373,14 +373,14 @@ def sample_wdvv_residuals(
         if not insts:
             continue
         inst = rng.choice(insts)
-        resid = wdvv_instance_residual(geom, table, inst)
+        resid = wdvv_instance_residual(table, inst)
         if any(k is not None for k in resid):
             raise KeyError(f"table incomplete for instance {inst.describe()}")
         out.append((inst, resid.get(None, Fraction(0))))
     return out
 
 
-def gw_potential(table: GWTable, space: VarSpace | None = None) -> SeriesTable:
+def gw_potential(table: GWTable) -> SeriesTable:
     """The y = 0 slice of the genus-0 tangency potential as a series table.
 
     Degree variables are the divisor slots; exponent slots are the
@@ -388,11 +388,7 @@ def gw_potential(table: GWTable, space: VarSpace | None = None) -> SeriesTable:
     """
     geom = table.geom
     nondiv = [i for i in range(geom.rank) if geom.codim(i) >= 2]
-    if space is None:
-        space = VarSpace(
-            tuple(f"x{i}" for i in geom.divisors),
-            tuple(f"x{i}" for i in nondiv),
-        )
+    space = VarSpace(tuple(f"x{i}" for i in geom.divisors), tuple(f"x{i}" for i in nondiv))
     entries = {}
     for (beta, key), val in table.entries.items():
         if val == 0:

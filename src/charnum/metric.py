@@ -174,15 +174,12 @@ def deformed_metric(geom: TargetGeometry) -> tuple[PolyMatrix, PolyMatrix]:
 
 
 def substitute_metric(
-    matrix: PolyMatrix,
-    assignment: dict[str, list[tuple[Rat | int, str]]],
-    new_vars: tuple[str, ...],
-    keep_exp: bool = False,
+    matrix: PolyMatrix, assignment: dict[str, list[tuple[Rat | int, str]]], new_vars: tuple[str, ...]
 ) -> PolyMatrix:
     """Substitute each y_i by a linear form in condition variables.
 
-    Unless keep_exp is set, y0 is sent to 0 and the exponential prefactor
-    drops (all uses downstream have no T_0 condition variable).
+    y0 is sent to 0 and the exponential prefactor drops: no condition
+    variable stands for T_0.
     """
     images: list[Poly] = []
     nnew = len(new_vars)
@@ -211,4 +208,4 @@ def substitute_metric(
                 acc = _poly_add(acc, term)
             new_row.append(acc)
         rows.append(tuple(new_row))
-    return PolyMatrix(tuple(new_vars), matrix.exp_y0 if keep_exp else 0, tuple(rows))
+    return PolyMatrix(tuple(new_vars), 0, tuple(rows))

@@ -1,6 +1,7 @@
-r"""Independent verifiers: exhaustive Hurwitz counts, table diffing, the
-Pieri/Giambelli oracle behind the shipped Gr(2,4) ring constants, and the
-`charnum verify` suites built from them.
+r"""Independent verifiers: exhaustive Hurwitz counts (one exact rational
+per degree and branch number), table diffing, the Pieri/Giambelli oracle
+behind the shipped Gr(2,4) ring constants, and the `charnum verify` suites
+built from them.
 
 These live in the library (not only in the tests) so `charnum verify` can
 re-run them against the production paths.
@@ -9,7 +10,6 @@ re-run them against the production paths.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -24,7 +24,6 @@ from .seeds import default_gw_seeds, load_genus1_seeds, packaged_seed_text
 from .series import Rat
 
 __all__ = [
-    "FactorizationCount",
     "hurwitz_bruteforce",
     "cross_check",
     "schubert_gr24_product",
@@ -37,22 +36,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationCount:
-    d: int
-    b: int
-    count: Rat  # (# transitive transposition tuples with identity product) / d!
-
-    @property
-    def genus(self) -> int:
-        # Riemann-Hurwitz: b = 2d + 2g - 2
-        g2 = self.b - 2 * self.d + 2
-        return g2 // 2
-
-
-def hurwitz_bruteforce(d: int, b: int) -> FactorizationCount:
-    """Count tuples of b transpositions in S_d with identity product and
-    transitive generated action, weighted by 1/d!.
+def hurwitz_bruteforce(d: int, b: int) -> Rat:
+    """The number of tuples of b transpositions in S_d with identity product
+    and transitive generated action, divided by d!.
 
     The tuples are counted by a transfer over their b positions instead of
     one by one.  A state is the partial product together with the orbits of
@@ -68,7 +54,7 @@ def hurwitz_bruteforce(d: int, b: int) -> FactorizationCount:
     if d > 6 or b > 12:
         raise ValueError(f"size limit exceeded: d={d}, b={b} (desk scale is d <= 6, b <= 12)")
     if d == 1:
-        return FactorizationCount(1, b, Fraction(1 if b == 0 else 0))
+        return Fraction(1 if b == 0 else 0)
     identity = tuple(range(d))
     moves = []
     for i, j in combinations(identity, 2):
@@ -85,7 +71,7 @@ def hurwitz_bruteforce(d: int, b: int) -> FactorizationCount:
                 step[tuple(t[x] for x in sigma), merged] += n
         states = step
     count = states[identity, (0,) * d]
-    return FactorizationCount(d, b, Fraction(count, factorial(d)))
+    return Fraction(count, factorial(d))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +166,7 @@ def run_verify_suite(suite: str, out) -> int:
         for g in (0, 1):
             for d in range(1, 5):
                 b = 2 * d + 2 * g - 2
-                want = hurwitz_bruteforce(d, b).count
+                want = hurwitz_bruteforce(d, b)
                 got = table.get((g, d, b), Fraction(0))
                 if want != got:
                     failures += 1

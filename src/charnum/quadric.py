@@ -52,8 +52,8 @@ def hurwitz(gmax: int, dmax: int) -> dict[tuple[int, int, int], Rat]:
         raise ValueError("only genus 0 and 1 are covered by the two recursions")
     p1 = builtin_geometry("p1")
     ts = TangencySpace(p1)
-    h0 = genus0_tangency_potential(p1, wdvv_solve(p1, default_gw_seeds(p1), dmax), dmax, ts=ts)
-    potentials = [h0] if gmax == 0 else [h0, genus1_tangency_potential(p1, h0, {}, dmax, ts=ts)]
+    h0 = genus0_tangency_potential(ts, wdvv_solve(p1, default_gw_seeds(p1), dmax), dmax)
+    potentials = [h0] if gmax == 0 else [h0, genus1_tangency_potential(ts, h0, {}, dmax)]
     return {(g, deg[0], mono[0]): v for g, h in enumerate(potentials) for (deg, mono), v in h.entries.items()}
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .geometry import TargetGeometry
+from .geometry import TargetGeometry, builtin_name
 from .gw import GWKey, parse_seed_records
 from .planecurves import P2_SPACE
 from .series import Rat, SeriesTable, parse_rat
@@ -42,8 +42,11 @@ def default_gw_seeds(geom: TargetGeometry) -> dict[GWKey, Rat]:
 
     Projective spaces: the single line through two points.  The quadric: one
     rule of each ruling through a point.  Gr(2,4): the packaged degree-1 set.
+    A config that holds another ring than the built-in of its name has none.
     """
-    name = geom.name
+    name = builtin_name(geom)
+    if name is None:
+        raise ValueError(f"no default seeds for target {geom.name!r}")
     if name.startswith("p") and name[1:].isdigit():
         r = int(name[1:])
         if r == 1:
@@ -51,13 +54,11 @@ def default_gw_seeds(geom: TargetGeometry) -> dict[GWKey, Rat]:
         return {((1,), (r, r)): Fraction(1)}
     if name == "p1xp1":
         return {((1, 0), (3,)): Fraction(1), ((0, 1), (3,)): Fraction(1)}
-    if name == "gr24":
-        return load_gw_seeds(packaged_seed_text("gr24-genus0-d1"), geom)
-    raise ValueError(f"no default seeds for target {name!r}")
+    return load_gw_seeds(packaged_seed_text("gr24-genus0-d1"), geom)
 
 
 def default_genus1_seed_name(geom: TargetGeometry) -> str | None:
-    return {"p2": "p2-genus1", "p1xp1": "p1xp1-genus1"}.get(geom.name)
+    return {"p2": "p2-genus1", "p1xp1": "p1xp1-genus1"}.get(builtin_name(geom))
 
 
 def load_genus1_seeds(text: str, geom: TargetGeometry) -> dict[tuple, Rat]:

@@ -20,7 +20,10 @@ The pairing is gamma^{ef}, the inverse deformed metric of `metric`, under
 the y-part of the tangency change of variables `tangency_map`: L_i is the
 row of the divisor T_i and P that of the point class, column f acting as the
 partial by f's variable.  The whole map takes the first-descendant
-(tangency) potentials of `descend` to the genus-1 virtual potential.
+(tangency) potentials of `descend`, both over one `TangencySpace` of the
+ring, to the genus-1 virtual potential.  A surface's solvers take only
+tables over its own built-in ring (`geometry.builtin_name`), not over
+another ring that bears its name.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import descend
-from .geometry import CurveClass, TargetGeometry
+from .geometry import CurveClass, TargetGeometry, builtin_name
 from .gw import GWTable
 from .metric import deformed_metric, substitute_metric
 from .series import DiffOperator, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
@@ -99,14 +102,12 @@ class Surface:
         c1 n - 1 + g <= c1 dmax, and the operators raise v by at most 2."""
         return Packing(self.space, dmax, [self.c1 * dmax + 2] * len(self.space.exp_vars), box)
 
-    def pair(
-        self, f: SeriesTable, g: SeriesTable, total: int | None = None, box: CurveClass | None = None
-    ) -> SeriesTable:
-        """sum_i F_{x_i} . L_i G + F_u . P G, only at total degree `total` and
-        on the classes componentwise <= `box` if given."""
+    def pair(self, f: SeriesTable, g: SeriesTable, box: CurveClass | None = None) -> SeriesTable:
+        """sum_i F_{x_i} . L_i G + F_u . P G, on the classes componentwise
+        <= `box` if given."""
         lefts, rights = self.partials(f), self.images(g)
         pk = Packing.fitting((*lefts, *rights), box)
-        return self.pair_operands([Operand(pk, t) for t in lefts], [Operand(pk, t) for t in rights], total)
+        return self.pair_operands([Operand(pk, t) for t in lefts], [Operand(pk, t) for t in rights])
 
     @staticmethod
     def pair_operands(lefts, rights, total: int | None = None) -> SeriesTable:
@@ -117,9 +118,10 @@ class Surface:
         return first
 
     def _geometry(self, gw: GWTable) -> TargetGeometry:
-        """The geometry of `gw`, which must be this surface's."""
-        if gw.geom.name != self.geom.name:
-            raise ValueError(f"the {self.geom.name} solver needs the {self.geom.name} geometry, got {gw.geom.name}")
+        """The geometry of `gw`, which must be this surface's ring."""
+        if builtin_name(gw.geom) != self.geom.name:
+            name = self.geom.name
+            raise ValueError(f"the {name} solver needs the built-in {name} geometry, got a table over {gw.geom.name!r}")
         return gw.geom
 
     def tangency_map(self) -> dict[str, list[tuple[int, str]]]:
@@ -210,15 +212,15 @@ class Surface:
     ) -> SeriesTable:
         """The genus-1 virtual potential in (u, v, w), plus (1/24) P G^0.
 
-        Runs both tangency potentials up to total degree dmax (on the classes
-        componentwise <= `box` if given) from the GW table and the genus-1
-        point-only `seeds` (by curve class), then substitutes `tangency_map`;
-        the degree slots keep their position.  What is left to subtract is
-        each surface's own cover term.
+        Runs both tangency potentials over one `TangencySpace` up to total
+        degree dmax (on the classes componentwise <= `box` if given) from
+        the GW table and the genus-1 point-only `seeds` (by curve class),
+        then substitutes `tangency_map`; the degree slots keep their
+        position.  What is left to subtract is each surface's own cover
+        term.
         """
-        geom = self._geometry(gw)
-        ts = descend.TangencySpace(geom)
-        gamma0 = descend.genus0_tangency_potential(geom, gw, dmax, box, ts=ts)
-        gamma1 = descend.genus1_tangency_potential(geom, gamma0, seeds, dmax, box, ts=ts)
+        ts = descend.TangencySpace(self._geometry(gw))
+        gamma0 = descend.genus0_tangency_potential(ts, gw, dmax, box)
+        gamma1 = descend.genus1_tangency_potential(ts, gamma0, seeds, dmax, box)
         virtual = gamma1.substitute(self.space, self.tangency_map())
         return virtual + self.point(g0).scale(Fraction(1, 24))

@@ -273,6 +273,40 @@ def test_custom_geometry_config(tmp_path):
     assert code == 0 and "2*y1^2 + 2*y2" in text
 
 
+P2_TEXT = builtin_geometry("p2").to_text()
+# P^2 with the point class doubled: int T2 = 2 and T1 T1 = T2 / 2; it loads
+DOUBLED_POINT = P2_TEXT.replace("0 0 1\n0 1 0\n1 0 0", "0 0 2\n0 1 0\n2 0 0").replace(
+    "cup 1 1 = 0 0 1\n", "cup 1 1 = 0 0 1/2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (DOUBLED_POINT, ["compute", "--genus", "0", "--dmax", "3", "--format", "csv"]),
+        (P2_TEXT.replace("name p2", "name p3"), ["gw", "--dmax", "2"]),
+        (P2_TEXT.replace("name p2", "name p7"), ["gw", "--dmax", "2"]),
+    ],
+    ids=["p2-doubled-point", "p3-holding-p2", "p7-holding-p2"],
+)
+def test_a_builtin_name_on_another_ring_is_a_custom_target(tmp_path, capsys, text, argv):
+    """A config counts as a built-in only if it holds that built-in's ring;
+    otherwise it has no default seeds and no characteristic-number solver."""
+    path = tmp_path / "target.geom"
+    path.write_text(text)
+    capsys.readouterr()
+    assert capture([argv[0], "--target", str(path), *argv[1:]]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+
+
+def test_a_config_holding_a_builtin_ring_is_that_builtin(tmp_path):
+    path = tmp_path / "p2.geom"
+    path.write_text(P2_TEXT)
+    argv = ["compute", "--genus", "1", "--dmax", "3", "--format", "csv"]
+    assert capture([*argv, "--target", str(path)]) == capture([*argv, "--target", "p2"])
+
+
 def test_descendant_on_quadric():
     code, text = capture(
         ["descendant", "tau0(T3)^3 @ g=0 d=1,1 target=p1xp1", "--no-cache"]
@@ -609,6 +643,19 @@ def test_hurwitz_dmax_that_is_no_number_is_one_line(capsys):
     capsys.readouterr()
     assert capture(["hurwitz", "--dmax", "abc"]) == (2, "")
     assert capsys.readouterr().err == "error: hurwitz needs a degree D >= 1, got --dmax 'abc'\n"
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops after one line (`| head -1`) leaves stderr empty
+    and the exit status of a writer killed by SIGPIPE."""
+    # about 190 kB of output, more than a pipe holds: the writer is still at it when the pipe closes
+    argv = ["compute", "--target", "p2", "--genus", "0", "--dmax", "14", "--format", "md"]
+    cmd = [sys.executable, "-m", "charnum.cli", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"| d ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (cli.EXIT_CLOSED_PIPE, b"")
 
 
 def test_one_process_serves_requests_as_separate_processes_do():

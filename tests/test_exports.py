@@ -65,3 +65,25 @@ def test_sources_import_only_the_standard_library():
     assert not foreign, f"imports from outside the standard library: {foreign}"
     tomllib = pytest.importorskip("tomllib")
     assert tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"] == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """`module.function(parameter)` for each parameter of each `def` in the
+    file that its body never reads.  Exempt are a method's receiver (`self`,
+    `cls`), which the class fixes, and lambdas, whose signature
+    `filter_keys` fixes."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unread += [f"{path.stem}.{node.name}({p.arg})" for p in params if p.arg not in read | {"self", "cls"}]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """A parameter that no body reads is an option no caller can vary."""
+    unread = [name for path in sorted(ROOT.glob("src/charnum/*.py")) for name in _unread_parameters(path)]
+    assert not unread, f"parameters never read: {unread}"

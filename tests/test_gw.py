@@ -133,10 +133,10 @@ def test_gr24_degree2_evaluates_each_instance_once(monkeypatch):
     seen = Counter()
     residual = gw.wdvv_instance_residual
 
-    def counting(geom, table, inst):
+    def counting(table, inst):
         if inst.beta == (2,):
             seen[inst] += 1
-        return residual(geom, table, inst)
+        return residual(table, inst)
 
     monkeypatch.setattr(gw, "wdvv_instance_residual", counting)
     g = builtin_geometry("gr24")
@@ -247,7 +247,7 @@ def test_pruned_contraction_equals_all_pairs(name):
                 break
         inst = Instance(beta, marks, extras)
         expect = _all_pairs_residual(table, inst)
-        got = wdvv_instance_residual(g, table, inst)
+        got = wdvv_instance_residual(table, inst)
         assert got == expect, inst.describe()
         assert all(type(v) is Fraction for v in got.values()), inst.describe()
         nonzero += bool(expect)
@@ -265,8 +265,8 @@ def test_no_int_reaches_the_elimination(name, monkeypatch):
     coefs = []
     residual = gw.wdvv_instance_residual
 
-    def recording(geom, table, inst):
-        out = residual(geom, table, inst)
+    def recording(table, inst):
+        out = residual(table, inst)
         coefs.extend(out.values())
         return out
 

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from charnum.descend import DescendantEngine, genus0_tangency_potential, genus1_tangency_potential
+from charnum.descend import DescendantEngine, TangencySpace, genus0_tangency_potential, genus1_tangency_potential
 from charnum.gw import SeedConflict
 from charnum.planecurves import (
     P2_SPACE,
@@ -182,12 +182,13 @@ def test_wrong_genus0_entry_stops_both_genus1_routes(p2, gw_p2, g0_p2, p2_genus1
     for key in low:
         with pytest.raises(SeedConflict, match="tangency and flag equations disagree"):
             charnum_genus1(bumped(g0_p2, key), p2_genus1_seeds, 4)
-    gamma0 = genus0_tangency_potential(p2, gw_p2, 4)
+    ts = TangencySpace(p2)
+    gamma0 = genus0_tangency_potential(ts, gw_p2, 4)
     low = [key for key in gamma0.entries if key[0][0] <= 3]
     assert len(low) == 36
     for key in low:
         with pytest.raises(SeedConflict, match="y_k equations disagree"):
-            genus1_tangency_potential(p2, bumped(gamma0, key), p2_genus1_seeds, 4)
+            genus1_tangency_potential(ts, bumped(gamma0, key), p2_genus1_seeds, 4)
 
 
 def test_genus1_integrality(g1_p2):

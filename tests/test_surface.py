@@ -5,8 +5,8 @@ from dataclasses import fields
 import pytest
 
 from charnum.descend import TangencySpace, genus0_tangency_potential
-from charnum.geometry import builtin_geometry
-from charnum.gw import wdvv_solve
+from charnum.geometry import builtin_geometry, load_geometry
+from charnum.gw import GWTable, wdvv_solve
 from charnum.planecurves import PLANE, charnum_genus0
 from charnum.quadric import QUADRIC, Q_SPACE, RULE_COVER, quadric_genus0, rule_cover_potentials
 from charnum.seeds import default_gw_seeds
@@ -20,13 +20,23 @@ def _genus1_virtual(surface):
     return lambda gw, dmax: surface.genus1_virtual(gw, SeriesTable(surface.space, dmax), {}, dmax)
 
 
+@pytest.fixture(scope="module")
+def gw_doubled_point():
+    """An empty table over a ring named p2 that is P^2 with the point class doubled."""
+    text = builtin_geometry("p2").to_text()
+    text = text.replace("0 0 1\n0 1 0\n1 0 0", "0 0 2\n0 1 0\n2 0 0").replace("cup 1 1 = 0 0 1\n", "cup 1 1 = 0 0 1/2\n")
+    return GWTable(load_geometry(text), 2)
+
+
 @pytest.mark.parametrize(
     "solver, wrong_gw",
     [
         (charnum_genus0, "gw_quadric"),
         (quadric_genus0, "gw_p2"),
+        (charnum_genus0, "gw_doubled_point"),
         pytest.param(_genus1_virtual(PLANE), "gw_quadric", id="PLANE.genus1_virtual-gw_quadric"),
         pytest.param(_genus1_virtual(QUADRIC), "gw_p2", id="QUADRIC.genus1_virtual-gw_p2"),
+        pytest.param(_genus1_virtual(PLANE), "gw_doubled_point", id="PLANE.genus1_virtual-gw_doubled_point"),
     ],
 )
 def test_genus0_rejects_the_other_geometry(solver, wrong_gw, request):
@@ -69,7 +79,7 @@ def test_genus0_equals_the_substituted_tangency_potential(surface, name, dmax, b
     geom = builtin_geometry(name)
     gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
     direct = surface.genus0(gw, dmax, box)
-    potential = genus0_tangency_potential(geom, gw, dmax, box)
+    potential = genus0_tangency_potential(TangencySpace(geom), gw, dmax, box)
     assert direct.entries
     assert direct.entries == potential.substitute(surface.space, surface.tangency_map()).entries
 
