@@ -37,7 +37,7 @@ from .descend import (
 )
 from .geometry import GeometryError, TargetGeometry, builtin_geometry, builtin_name, load_geometry
 from .gw import GWTable, InsufficientSeeds, SeedConflict, parse_seed_records, wdvv_solve
-from .metric import deformed_metric
+from .metric import deformed_metric, inverse_metric
 from .oracles import run_verify_suite
 from .planecurves import charnum_genus0, charnum_genus1, charnum_genus2
 from .quadric import hurwitz as hurwitz_table
@@ -339,8 +339,7 @@ def cmd_hurwitz(args, out) -> int:
 
 def cmd_metric(args, out) -> int:
     geom = _geometry(args.target)
-    lower, upper = deformed_metric(geom)
-    matrix = upper if args.which == "upper" else lower
+    matrix = inverse_metric(geom) if args.which == "upper" else deformed_metric(geom)[0]
     out.write(matrix.to_text() + "\n")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ live here:
   inverse-pairing classes on the gluing marks.  Marks carrying a positive psi
   power may migrate to the gluing mark, accumulating the cup product of their
   classes and psi power sum_B (m_i - 1).  Each step lowers the total psi
-  power by one, so the depth of recursion equals the number of psi classes.
+  power by one.  Only the request is validated; the steps run on plain keys,
+  in ints while exact, with per-engine memos of mark splits and gluing sides.
 
 * `genus0_tangency_potential`: the first-descendant differential equations
   (psi powers <= 1) in terms of the deformed metric:
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import CurveClass, TargetGeometry, in_box
-from .gw import GWTable, SeedConflict, class_splits, multiset_splits
+from .gw import GWTable, SeedConflict, _int_view, class_splits, multiset_splits
 from .metric import deformed_metric
 from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions
 
@@ -138,139 +139,39 @@ def reduce_special(geom: TargetGeometry, spec: DescendantSpec):
 
 
 class DescendantEngine:
-    """Genus-0 evaluator with memoization on the canonical reduced spec."""
+    """Genus-0 evaluator with memoization on the canonical reduced spec.
+
+    `value` checks a spec (genus, effective class, dimension) and returns a
+    Fraction; below it the recursion runs on plain (beta, sorted insertions)
+    keys, whose terms keep those properties by construction.  Values stay
+    ints while integral (`gw._int_view`).  `memo` maps (beta, reduced
+    insertions) to a value and may be a cache file's records; `vdims`,
+    `sides` and `side_values` live and die with the engine.
+    """
 
     def __init__(self, geom: TargetGeometry, gw: GWTable, memo: dict | None = None):
         self.geom = geom
         self.gw = gw
         self.memo: dict[tuple, Rat] = memo if memo is not None else {}
         self.codims = [geom.codim(i) for i in range(geom.rank)]
+        self.slot = tuple(geom.divisors.index(i) if i in geom.divisors else None for i in range(geom.rank))
         # the gluing pairs (e, f) with gamma^{ef} != 0, by (codim e, codim f)
-        self.gluing: dict[tuple[int, int], list[tuple[int, int, Rat]]] = {}
+        self.gluing: dict[tuple[int, int], list[tuple[int, int, int | Rat]]] = {}
         for e, row in enumerate(geom.pairing_inv):
             for f, c in enumerate(row):
                 if c:
-                    self.gluing.setdefault((self.codims[e], self.codims[f]), []).append((e, f, c))
-        # cup expansions by their sorted non-unit indices, for this engine only
-        self.cups: dict[tuple[int, ...], dict[int, Rat]] = {}
+                    self.gluing.setdefault((self.codims[e], self.codims[f]), []).append((e, f, _int_view(c)))
+        self.cups: dict[tuple[int, ...], dict[int, int | Rat]] = {}
+        self.vdims: dict[CurveClass, int] = {}
+        self.sides: dict[tuple[Insertion, ...], dict[int, list]] = {}
+        self.side_values: dict[tuple, int | Rat] = {}
 
     def value(self, spec: DescendantSpec) -> Rat:
         if spec.genus != 0:
             raise ValueError("the general recursion is genus 0 only")
-        geom = self.geom
-        if not geom.is_effective(spec.beta):
+        if not self.geom.is_effective(spec.beta) or not dimension_valid(self.geom, spec):
             return Fraction(0)
-        if not dimension_valid(geom, spec):
-            return Fraction(0)
-        red = reduce_special(geom, spec)
-        if red[0] == "value":
-            return red[1]
-        _, factor, spec = red
-        if spec.psi_total == 0:
-            return factor * self.gw.lookup(spec.beta, [c for _, c in spec.insertions])
-        key = (spec.beta, spec.insertions)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self._recurse(spec)
-            self.memo[key] = hit
-        return factor * hit
-
-    # -- one recursion step -------------------------------------------------
-
-    def _recurse(self, spec: DescendantSpec, choice: tuple[int, int, int] | None = None) -> Rat:
-        geom = self.geom
-        ins = list(spec.insertions)
-        while len(ins) < 3:
-            # pad with a divisor insertion, dividing by its degree
-            dv = next((i for i in geom.divisors if geom.degree_of(i, spec.beta)), None)
-            if dv is None:
-                raise ValueError(f"no divisor meets beta={spec.beta}; cannot pad {spec.describe()}")
-            return self._recurse(
-                DescendantSpec(0, spec.beta, tuple(ins) + ((0, dv),)), choice
-            ) / geom.degree_of(dv, spec.beta)
-        if choice is None:
-            p1 = max(range(len(ins)), key=lambda t: (ins[t][0], -ins[t][1]))
-            rest = sorted(t for t in range(len(ins)) if t != p1)
-            p2, p3 = rest[0], rest[1]
-        else:
-            p1, p2, p3 = choice
-        m1, g1 = ins[p1]
-        m2, g2 = ins[p2]
-        m3, g3 = ins[p3]
-        if m1 == 0:
-            raise ValueError("distinguished mark must carry a psi class")
-        m1 -= 1
-        others = tuple(ins[t] for t in range(len(ins)) if t not in (p1, p2, p3))
-        beta = spec.beta
-        total = Fraction(0)
-        # cup-merge terms
-        for k, c in self._cup((g2, g3)).items():
-            total += c * self.value(DescendantSpec(0, beta, others + ((m1, g1), (m2 + m3, k))))
-        for k, c in self._cup((g1, g2)).items():
-            total -= c * self.value(DescendantSpec(0, beta, others + ((m1 + m2, k), (m3, g3))))
-        for k, c in self._cup((g1, g3)).items():
-            total -= c * self.value(DescendantSpec(0, beta, others + ((m1 + m3, k), (m2, g2))))
-        # splitting sum over curve-class and mark distributions; a side is
-        # dimension-valid for one codimension of its gluing class only, so
-        # only the pairs (e, f) of those codimensions are visited
-        side_cache: dict = {}
-        splits = [
-            (b1, b2, geom.vdim(0, b1, 0), geom.vdim(0, b2, 0)) for b1, b2 in class_splits(beta, nonzero=True)
-        ]
-        for s1, s2, w_split in multiset_splits(others):
-            opts1 = self._sides(s1 + ((m1, g1),), forced=())
-            opts2 = self._sides(s2, forced=((m2, g2), (m3, g3)))
-            for beta1, beta2, v1, v2 in splits:
-                for a1, b1, need1, w1 in opts1:
-                    for a2, b2, need2, w2 in opts2:
-                        glue = self.gluing.get((v1 + need1, v2 + need2))
-                        if glue is None:
-                            continue
-                        w = w_split * w1 * w2
-                        for e, f, c in glue:
-                            lhs = self._eval_side(side_cache, beta1, a1, b1, e)
-                            if lhs == 0:
-                                continue
-                            rhs = self._eval_side(side_cache, beta2, a2, b2, f)
-                            if rhs == 0:
-                                continue
-                            total += w * c * lhs * rhs
-        return total
-
-    def _sides(self, marks, forced):
-        """The A | B options of one side, each with the codimension its gluing
-        class needs for the side to be dimension-valid, less vdim(0, beta, 0):
-        the cup table is graded, so the glued class has codim
-        sum_B codim + codim(e)."""
-        codim = self.codims
-        out = []
-        for (a, b), w in _ab_partitions(marks, forced):
-            need = len(a) + 1 - sum(codim[c] + m for m, c in a) - sum(codim[c] + m - 1 for m, c in b)
-            out.append((a, b, need, w))
-        return out
-
-    def _cup(self, indices) -> dict[int, Rat]:
-        """`geom.cup_classes`, memoized by the sorted non-unit indices: the
-        cup product is commutative and associative with unit T0."""
-        key = tuple(sorted(i for i in indices if i))
-        hit = self.cups.get(key)
-        if hit is None:
-            hit = self.cups[key] = self.geom.cup_classes(key)
-        return hit
-
-    def _eval_side(self, cache, beta, a_marks, b_marks, gluing_class: int) -> Rat:
-        """One side of a split: marks A plus the gluing mark carrying the cup
-        product of the migrated classes and psi power sum_B (m_i - 1)."""
-        key = (beta, a_marks, b_marks, gluing_class)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        mb = sum(m - 1 for m, _ in b_marks)
-        out = Fraction(0)
-        for k, c in self._cup(tuple(c for _, c in b_marks) + (gluing_class,)).items():
-            out += c * self.value(DescendantSpec(0, beta, a_marks + ((mb, k),)))
-        cache[key] = out
-        return out
+        return Fraction(self._value(spec.beta, spec.insertions))
 
     # exposed for the choice-independence property test
     def value_with_choice(self, spec: DescendantSpec, choice: tuple[int, int, int]) -> Rat:
@@ -280,7 +181,122 @@ class DescendantEngine:
         _, factor, reduced = red
         if reduced.psi_total == 0:
             return factor * self.gw.lookup(reduced.beta, [c for _, c in reduced.insertions])
-        return factor * self._recurse(reduced, choice)
+        return Fraction(factor * self._recurse(reduced.beta, reduced.insertions, choice))
+
+    def _value(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> int | Rat:
+        """A checked spec's value: the reductions of `reduce_special`, then
+        the table or the memoized recursion."""
+        factor = 1
+        kept = []
+        for m, c in ins:
+            if c == 0 and m < 2:
+                if m == 0:
+                    return 0  # string
+                factor *= -2  # dilaton
+            elif m == 0 and self.slot[c] is not None:
+                factor *= beta[self.slot[c]]  # divisor
+                if not factor:
+                    return 0
+            else:
+                kept.append((m, c))
+        if all(m == 0 for m, _ in kept):
+            return factor * _int_view(self.gw.lookup(beta, [c for _, c in kept]))
+        key = (beta, tuple(kept))
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self._recurse(*key)
+        return factor * _int_view(hit)
+
+    def _recurse(self, beta: CurveClass, ins: tuple[Insertion, ...], choice: tuple[int, int, int] | None = None) -> int | Rat:
+        geom = self.geom
+        if len(ins) < 3:
+            # pad with a divisor insertion, dividing by its degree; beta > 0
+            # meets some divisor
+            dv = next(i for i in geom.divisors if geom.degree_of(i, beta))
+            padded = self._recurse(beta, tuple(sorted(ins + ((0, dv),))), choice)
+            return _int_view(Fraction(padded, geom.degree_of(dv, beta)))
+        if choice is None:
+            p1 = max(range(len(ins)), key=lambda t: (ins[t][0], -ins[t][1]))
+            p2, p3 = [t for t in range(len(ins)) if t != p1][:2]
+        else:
+            p1, p2, p3 = choice
+        (m1, g1), (m2, g2), (m3, g3) = ins[p1], ins[p2], ins[p3]
+        if m1 == 0:
+            raise ValueError("distinguished mark must carry a psi class")
+        m1 -= 1
+        others = tuple(ins[t] for t in range(len(ins)) if t not in (p1, p2, p3))
+        value = self._value
+        total = 0
+        # cup-merge terms
+        for k, c in self._cup((g2, g3)).items():
+            total += c * value(beta, tuple(sorted(others + ((m1, g1), (m2 + m3, k)))))
+        for k, c in self._cup((g1, g2)).items():
+            total -= c * value(beta, tuple(sorted(others + ((m1 + m2, k), (m3, g3)))))
+        for k, c in self._cup((g1, g3)).items():
+            total -= c * value(beta, tuple(sorted(others + ((m1 + m3, k), (m2, g2)))))
+        # splitting sum over curve-class and mark distributions; a side is
+        # dimension-valid for one codimension of its gluing class only, so
+        # only the pairs (e, f) of those codimensions are visited
+        vdim, sides, side, gluing = self._vdim, self._sides, self._side, self.gluing
+        splits = [(b1, b2, vdim(b1), vdim(b2)) for b1, b2 in class_splits(beta, nonzero=True)]
+        for s1, s2, w_split in multiset_splits(others):
+            opts1 = sides(s1 + ((m1, g1),))
+            opts2 = sides(s2 + ((m2, g2), (m3, g3)))
+            for beta1, beta2, v1, v2 in splits:
+                for need1, group1 in opts1.items():
+                    for need2, group2 in opts2.items():
+                        for e, f, c in gluing.get((v1 + need1, v2 + need2), ()):
+                            for a1, b1, w1 in group1:
+                                lhs = side(beta1, a1, b1, e)
+                                if lhs:
+                                    lhs *= w_split * w1 * c
+                                    for a2, b2, w2 in group2:
+                                        rhs = side(beta2, a2, b2, f)
+                                        if rhs:
+                                            total += lhs * w2 * rhs
+        return total
+
+    def _vdim(self, beta: CurveClass) -> int:
+        if beta not in self.vdims:
+            self.vdims[beta] = self.geom.vdim(0, beta, 0)
+        return self.vdims[beta]
+
+    def _sides(self, marks: tuple[Insertion, ...]) -> dict[int, list]:
+        """The A | B options (A, B, weight) of one side, `_ab_partitions` of
+        the sorted marks, by the codimension their gluing class needs for the
+        side to be dimension-valid, less vdim(0, beta, 0): the cup table is
+        graded, so the glued class has codim sum_B codim + codim(e)."""
+        key = tuple(sorted(marks))
+        hit = self.sides.get(key)
+        if hit is None:
+            codim = self.codims
+            hit = self.sides[key] = {}
+            for (a, b), w in _ab_partitions(key, ()):
+                need = len(a) + 1 - sum(codim[c] + m for m, c in a) - sum(codim[c] + m - 1 for m, c in b)
+                hit.setdefault(need, []).append((a, b, w))
+        return hit
+
+    def _cup(self, indices) -> dict[int, int | Rat]:
+        """`geom.cup_classes`, memoized by the sorted non-unit indices: the
+        cup product is commutative and associative with unit T0."""
+        key = tuple(sorted(i for i in indices if i))
+        hit = self.cups.get(key)
+        if hit is None:
+            hit = self.cups[key] = {k: _int_view(c) for k, c in self.geom.cup_classes(key).items()}
+        return hit
+
+    def _side(self, beta: CurveClass, a_marks, b_marks, gluing_class: int) -> int | Rat:
+        """One side of a split: marks A plus the gluing mark carrying the cup
+        product of the migrated classes and psi power sum_B (m_i - 1)."""
+        key = (beta, a_marks, b_marks, gluing_class)
+        hit = self.side_values.get(key)
+        if hit is None:
+            mb = sum(m - 1 for m, _ in b_marks)
+            hit = self.side_values[key] = sum(
+                c * self._value(beta, tuple(sorted(a_marks + ((mb, k),))))
+                for k, c in self._cup(tuple(c for _, c in b_marks) + (gluing_class,)).items()
+            )
+        return hit
 
 
 def _ab_partitions(marks: tuple[Insertion, ...], forced: tuple[Insertion, ...]):

@@ -20,7 +20,7 @@ from math import factorial
 from .geometry import TargetGeometry
 from .series import Rat, format_rat
 
-__all__ = ["PolyMatrix", "deformed_metric", "substitute_metric"]
+__all__ = ["PolyMatrix", "deformed_metric", "inverse_metric", "substitute_metric"]
 
 Poly = dict[tuple[int, ...], Rat]  # monomial exponent vector -> coefficient
 
@@ -148,15 +148,19 @@ def _terminating_sum(geom: TargetGeometry, base: dict[int, Rat], sign: int) -> P
 
 def deformed_metric(geom: TargetGeometry) -> tuple[PolyMatrix, PolyMatrix]:
     """Both matrices; the inverse relation gamma . gamma^{-1} = 1 is exact."""
+    upper = inverse_metric(geom)
+    lower = tuple(tuple(_terminating_sum(geom, dict(enumerate(vec)), sign=-1) for vec in row) for row in geom.cup_table)
+    return PolyMatrix(upper.varnames, -2, lower), upper
+
+
+def inverse_metric(geom: TargetGeometry) -> PolyMatrix:
+    """gamma^ij alone, the second matrix of `deformed_metric`."""
     r = geom.rank
-    names = tuple(f"y{i}" for i in range(1, r))
     ginv = geom.pairing_inv
-    lower_rows, upper_rows = [], []
+    upper_rows = []
     for i in range(r):
-        lo, up = [], []
+        up = []
         for j in range(r):
-            base = {k: c for k, c in enumerate(geom.cup_table[i][j]) if c}
-            lo.append(_terminating_sum(geom, base, sign=-1))
             dual: dict[int, Rat] = {}
             for m in range(r):
                 if ginv[i][m]:
@@ -166,11 +170,8 @@ def deformed_metric(geom: TargetGeometry) -> tuple[PolyMatrix, PolyMatrix]:
                                 if c:
                                     dual[k] = dual.get(k, Fraction(0)) + ginv[i][m] * ginv[j][n] * c
             up.append(_terminating_sum(geom, dual, sign=+1))
-        lower_rows.append(tuple(lo))
         upper_rows.append(tuple(up))
-    lower = PolyMatrix(names, -2, tuple(lower_rows))
-    upper = PolyMatrix(names, +2, tuple(upper_rows))
-    return lower, upper
+    return PolyMatrix(tuple(f"y{i}" for i in range(1, r)), +2, tuple(upper_rows))
 
 
 def substitute_metric(

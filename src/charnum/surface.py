@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import descend
 from .geometry import CurveClass, TargetGeometry, builtin_name
 from .gw import GWTable
-from .metric import deformed_metric, substitute_metric
+from .metric import inverse_metric, substitute_metric
 from .series import DiffOperator, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
 
 __all__ = ["Surface"]
@@ -59,7 +59,7 @@ class Surface:
         object.__setattr__(self, "c1", int(c1))
         object.__setattr__(self, "d_sq", int(sum(geom.pairing[i][j] for i in geom.divisors for j in geom.divisors)))
         ys = {y: terms for y, terms in self.tangency_map().items() if y[0] == "y"}
-        gamma = substitute_metric(deformed_metric(geom)[1], ys, ("v", "w"))
+        gamma = substitute_metric(inverse_metric(geom), ys, ("v", "w"))
         # the variable of each column; the potentials have none for T_0
         var = {**dict(zip(geom.divisors, self.space.degree_vars)), point: "u"}
         *lines, point_op = (

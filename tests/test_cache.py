@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import charnum
+import charnum.cli
 from charnum import cache as cache_module
 from charnum.cache import CacheFile, spec_key
 from charnum.descend import DescendantEngine, DescendantSpec
@@ -65,6 +67,22 @@ def test_warm_cache_reproduces_values(tmp_path, p2):
     warm.load()
     warm_engine = DescendantEngine(p2, gw, warm.records)
     assert warm_engine.value(spec) == cold
+
+
+def test_cached_pool_requests_write_the_pinned_file(tmp_path, monkeypatch):
+    """The cached genus-0 requests of the benchmark's `recursion` pool, in
+    ascending degree, into one fresh cache file: the file's bytes, and so
+    every record the recursion memoizes, are pinned."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    path = tmp_path / "p2.cache"
+    requests = [f"{ins} @ g=0 d={d}" for d, specs in sorted(workloads.G0.items()) for ins in specs]
+    assert len(requests) == 17
+    for spec in requests:
+        assert charnum.cli.run(["descendant", spec, "--cache", str(path)], out=io.StringIO()) == 0
+    digest = "f93c6f732ba71aa305d67bb6840ea08298509d0edc88d05668337ad1736279a8"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_spec_key_is_canonical():

@@ -175,23 +175,40 @@ def test_all_m_zero_equals_gw(engine, gw_p2):
         )
 
 
-class UnprunedEngine(DescendantEngine):
-    """Reference: the splitting sum visiting every pair (e, f) with
-    gamma^{ef} != 0 and expanding every cup product afresh, leaving the
-    dimension check to `value()`."""
+class UnprunedEngine:
+    """Reference: the recursion with no pruning and no engine internals.
+    `value` checks every spec, reduces it with `reduce_special` and
+    memoizes on the reduced spec; the splitting sum visits every pair
+    (e, f) with gamma^{ef} != 0 and expands every cup product afresh,
+    leaving the dimension check to `value`."""
 
-    def _recurse(self, spec, choice=None):
+    def __init__(self, geom, gw):
+        self.geom, self.gw, self.memo = geom, gw, {}
+
+    def value(self, spec):
+        geom = self.geom
+        if not geom.is_effective(spec.beta) or not dimension_valid(geom, spec):
+            return Fraction(0)
+        red = reduce_special(geom, spec)
+        if red[0] == "value":
+            return red[1]
+        _, factor, spec = red
+        if spec.psi_total == 0:
+            return factor * self.gw.lookup(spec.beta, [c for _, c in spec.insertions])
+        key = (spec.beta, spec.insertions)
+        if key not in self.memo:
+            self.memo[key] = self._recurse(spec)
+        return factor * self.memo[key]
+
+    def _recurse(self, spec):
         geom = self.geom
         ins = list(spec.insertions)
         if len(ins) < 3:
             dv = next(i for i in geom.divisors if geom.degree_of(i, spec.beta))
             padded = DescendantSpec(0, spec.beta, tuple(ins) + ((0, dv),))
-            return self._recurse(padded, choice) / geom.degree_of(dv, spec.beta)
-        if choice is None:
-            p1 = max(range(len(ins)), key=lambda t: (ins[t][0], -ins[t][1]))
-            p2, p3 = sorted(t for t in range(len(ins)) if t != p1)[:2]
-        else:
-            p1, p2, p3 = choice
+            return self._recurse(padded) / geom.degree_of(dv, spec.beta)
+        p1 = max(range(len(ins)), key=lambda t: (ins[t][0], -ins[t][1]))
+        p2, p3 = sorted(t for t in range(len(ins)) if t != p1)[:2]
         (m1, g1), (m2, g2), (m3, g3) = ins[p1], ins[p2], ins[p3]
         m1 -= 1
         others = tuple(ins[t] for t in range(len(ins)) if t not in (p1, p2, p3))
@@ -264,18 +281,81 @@ def test_pruned_splitting_sum_matches_unpruned_reference(name, dmax, classes, pa
     assert nonzero >= len(specs) // 3, "the sampled specs should mostly be nonzero"
 
 
-def _spy(engine):
-    """Record every spec the engine's recursion passes to `value()`."""
+def _valid_spec(geom, classes, rng, max_marks=8):
+    """A random dimension-valid genus-0 spec with 1..max_marks insertions
+    and psi powers <= 3, or None when the drawn classes leave no psi power
+    to place; T0 is drawn at a sixth of the rate of the other classes."""
+    beta = rng.choice(classes)
+    marks = [rng.randrange(1, geom.rank) if rng.random() > 1 / (6 * geom.rank) else 0
+             for _ in range(rng.randint(1, max_marks))]
+    psi = geom.vdim(0, beta, len(marks)) - sum(geom.codim(c) for c in marks)
+    if not 0 < psi <= 3 * len(marks):
+        return None
+    powers = [0] * len(marks)
+    for _ in range(psi):
+        powers[rng.choice([t for t, m in enumerate(powers) if m < 3])] += 1
+    return DescendantSpec(0, beta, tuple(zip(powers, marks)))
+
+
+@pytest.mark.parametrize(
+    "name, dmax, classes",
+    [
+        ("p1", 3, [(1,), (2,), (3,)]),
+        ("p2", 2, [(1,), (2,)]),
+        ("p3", 2, [(1,), (2,)]),
+        ("p1xp1", 3, [(1, 0), (1, 1), (2, 1), (1, 2)]),
+        ("gr24", 1, [(1,)]),
+    ],
+)
+def test_engine_matches_the_reference_on_random_specs(name, dmax, classes):
+    """The engine against the reference on random dimension-valid specs,
+    with specs that reduce to one insertion (padded twice) and to two
+    (padded once) among them."""
+    geom = builtin_geometry(name)
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
+    engine, reference = DescendantEngine(geom, gw), UnprunedEngine(geom, gw)
+    rng = random.Random(name)
+    wanted = {1: 4, 2: 4, 3: 12}  # by reduced length, 3 standing for >= 3
+    specs = []
+    for _ in range(20000):
+        spec = _valid_spec(geom, classes, rng)
+        if spec is None or spec in specs:
+            continue
+        red = reduce_special(geom, spec)
+        n = min(len(red[2].insertions), 3) if red[0] == "factor" and red[2].psi_total else 3
+        if wanted[n]:
+            wanted[n] -= 1
+            specs.append(spec)
+            if not any(wanted.values()):
+                break
+    assert not any(wanted.values()), wanted
+    nonzero = 0
+    for spec in specs:
+        value = engine.value(spec)
+        assert value == reference.value(spec), spec.describe()
+        nonzero += value != 0
+    assert nonzero >= len(specs) // 3
+
+
+def _spy(engine, entry):
+    """Record every spec the engine's recursion passes to its entry point
+    `entry`: `value(spec)` of the reference, `_value(beta, insertions)` of
+    the engine."""
     seen = []
-    inner = engine.value
-    engine.value = lambda spec: seen.append(spec) or inner(spec)
+    inner = getattr(engine, entry)
+
+    def spy(*args):
+        seen.append(args[0] if len(args) == 1 else DescendantSpec(0, *args))
+        return inner(*args)
+
+    setattr(engine, entry, spy)
     return seen
 
 
 def test_splitting_sum_skips_dimension_invalid_sides(p2, gw_p2):
-    spec = DescendantSpec(0, (4,), ((0, 2),) * 6 + ((1, 1),) * 3 + ((2, 1),))
+    spec = DescendantSpec(0, (4,), ((0, 2),) * 3 + ((1, 1),) * 6 + ((2, 1),))
     pruned, reference = DescendantEngine(p2, gw_p2), UnprunedEngine(p2, gw_p2)
-    seen, ref_seen = _spy(pruned), _spy(reference)
+    seen, ref_seen = _spy(pruned, "_value"), _spy(reference, "value")
     assert pruned.value(spec) == reference.value(spec) != 0
     assert len(seen) > 100
     assert all(dimension_valid(p2, s) for s in seen)
