@@ -13,7 +13,7 @@ from .descend import (
     reduce_special,
 )
 from .geometry import TargetGeometry, builtin_geometry, load_geometry
-from .gw import GWTable, gw_potential, wdvv_solve
+from .gw import GWTable, wdvv_solve
 from .metric import PolyMatrix, deformed_metric, substitute_metric
 from .planecurves import charnum_genus0, charnum_genus1, charnum_genus2, cover_polynomials
 from .quadric import hurwitz, quadric_genus0, quadric_genus1
@@ -33,7 +33,6 @@ __all__ = [
     "substitute_metric",
     "GWTable",
     "wdvv_solve",
-    "gw_potential",
     "DescendantSpec",
     "DescendantEngine",
     "reduce_special",

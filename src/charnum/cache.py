@@ -20,10 +20,9 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .descend import DescendantSpec
 from .series import Rat, format_rat, parse_rat
 
-__all__ = ["CacheFile", "default_cache_dir", "spec_key"]
+__all__ = ["CacheFile", "default_cache_dir"]
 
 ENV_CACHE_DIR = "CHARNUM_CACHE_DIR"
 
@@ -33,10 +32,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "charnum"
-
-
-def spec_key(spec: DescendantSpec) -> str:
-    return _format_key(spec.genus, spec.beta, spec.insertions)
 
 
 def _format_key(genus: int, beta, insertions) -> str:

@@ -96,10 +96,6 @@ class DescendantSpec:
     def psi_total(self) -> int:
         return sum(m for m, _ in self.insertions)
 
-    def describe(self) -> str:
-        parts = [f"tau{m}(T{c})" for m, c in self.insertions]
-        return " ".join(parts) + f" @ g={self.genus} beta={self.beta}"
-
 
 def dimension_valid(geom: TargetGeometry, spec: DescendantSpec) -> bool:
     total = sum(geom.codim(c) + m for m, c in spec.insertions)
@@ -385,10 +381,10 @@ class TangencySpace:
         out[self.nx + k - 1] -= 1
         return tuple(out)
 
-    def poly_terms(self, poly, coef=1) -> list[tuple[Rat, dict[str, int]]]:
-        """coef times a polynomial in the y-variables, as the (coefficient,
-        monomial) terms of `NumeratorSum.add`."""
-        return [(coef * c, {f"y{k + 1}": e for k, e in enumerate(mono) if e}) for mono, c in poly.items()]
+    def poly_terms(self, poly) -> list[tuple[Rat, dict[str, int]]]:
+        """A polynomial in the y-variables, as the (coefficient, monomial)
+        terms of `NumeratorSum.add`."""
+        return [(c, {f"y{k + 1}": e for k, e in enumerate(mono) if e}) for mono, c in poly.items()]
 
     def poly_times(self, table: SeriesTable, poly) -> SeriesTable:
         """Multiply a table by a polynomial in the y-variables."""
@@ -610,10 +606,12 @@ def genus1_tangency_potential(
 
     `seeds` maps curve classes to the genus-1 invariant with the gated number
     of point-type insertions (the only psi-free stratum for the built-in
-    surfaces).  A stratum is solved by the y_k equation of every y_k it holds,
-    and unequal values raise SeedConflict.  With `box`, only the classes
-    componentwise <= box are solved, and only their seeds are read.  `g0` is
-    the genus-0 potential of the same `ts`.
+    surfaces); a class absent from `seeds` reads as 0, where
+    `planecurves.charnum_genus1` raises KeyError.  A stratum is solved by the
+    y_k equation of every y_k it holds, and unequal values raise
+    SeedConflict.  With `box`, only the classes componentwise <= box are
+    solved, and only their seeds are read.  `g0` is the genus-0 potential of
+    the same `ts`.
 
     G0 is complete, so all its slices join the `_SliceStore` at once; each
     level of G1 joins it once solved.

@@ -69,12 +69,6 @@ class TargetGeometry:
     def codim(self, i: int) -> int:
         return self.degrees[i] // 2
 
-    def cup(self, i: int, j: int) -> tuple[Rat, ...]:
-        """Structure-constant vector of T_i cup T_j."""
-        if not (0 <= i < self.rank and 0 <= j < self.rank):
-            raise IndexError(f"basis index out of range: ({i}, {j})")
-        return self.cup_table[i][j]
-
     def cup_classes(self, indices) -> dict[int, Rat]:
         """Expand a cup product of several basis classes into the basis."""
         acc: dict[int, Rat] = {0: Fraction(1)}
@@ -88,14 +82,6 @@ class TargetGeometry:
             if not acc:
                 break
         return acc
-
-    def triple(self, i: int, j: int, k: int) -> Rat:
-        r"""\int_X T_i cup T_j cup T_k."""
-        out = Fraction(0)
-        for m, c in enumerate(self.cup_table[i][j]):
-            if c:
-                out += c * self.pairing[m][k]
-        return out
 
     def integral(self, vec: dict[int, Rat]) -> Rat:
         r"""\int_X of a class given in basis coordinates."""

@@ -29,7 +29,7 @@ from itertools import product
 from math import comb
 
 from .geometry import CurveClass, TargetGeometry
-from .series import Rat, SeriesTable, VarSpace, compositions, parse_rat
+from .series import Rat, compositions, parse_rat
 
 __all__ = [
     "GWTable",
@@ -38,7 +38,6 @@ __all__ = [
     "wdvv_solve",
     "wdvv_instance_residual",
     "sample_wdvv_residuals",
-    "gw_potential",
     "parse_seed_records",
 ]
 
@@ -48,7 +47,9 @@ class SeedConflict(ValueError):
 
 
 class InsufficientSeeds(ValueError):
-    """The associativity instances of a class do not determine an invariant."""
+    """The seed data do not determine an invariant: the associativity
+    instances of a class leave it open, or a genus-2 virtual record is
+    missing."""
 
 
 GWKey = tuple[CurveClass, tuple[int, ...]]
@@ -142,9 +143,6 @@ class GWTable:
         if unknown is not None:
             raise KeyError(f"table incomplete at beta={unknown[0]}, insertions={unknown[1]}")
         return Fraction(coef)
-
-    def canonical_value(self, beta: CurveClass, key: tuple[int, ...]) -> Rat:
-        return self.entries.get((tuple(beta), tuple(sorted(key))), Fraction(0))
 
 
 def canonical_keys(geom: TargetGeometry, beta: CurveClass) -> list[tuple[int, ...]]:
@@ -378,24 +376,6 @@ def sample_wdvv_residuals(
             raise KeyError(f"table incomplete for instance {inst.describe()}")
         out.append((inst, resid.get(None, Fraction(0))))
     return out
-
-
-def gw_potential(table: GWTable) -> SeriesTable:
-    """The y = 0 slice of the genus-0 tangency potential as a series table.
-
-    Degree variables are the divisor slots; exponent slots are the
-    codimension >= 2 basis classes in index order.
-    """
-    geom = table.geom
-    nondiv = [i for i in range(geom.rank) if geom.codim(i) >= 2]
-    space = VarSpace(tuple(f"x{i}" for i in geom.divisors), tuple(f"x{i}" for i in nondiv))
-    entries = {}
-    for (beta, key), val in table.entries.items():
-        if val == 0:
-            continue
-        mono = tuple(key.count(i) for i in nondiv)
-        entries[(beta, mono)] = val
-    return SeriesTable(space, table.dmax, entries)
 
 
 def parse_seed_records(text: str, geom: TargetGeometry) -> dict[GWKey, Rat]:

@@ -79,10 +79,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
 
-    def at_zero(self) -> tuple[tuple[Rat, ...], ...]:
-        zero = (0,) * len(self.varnames)
-        return tuple(tuple(row[j].get(zero, Fraction(0)) for j in range(self.size)) for row in self.rows)
-
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         n = self.size
         rows = []

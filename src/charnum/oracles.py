@@ -1,10 +1,11 @@
 r"""Independent verifiers: exhaustive Hurwitz counts (one exact rational
 per degree and branch number), table diffing, the Pieri/Giambelli oracle
-behind the shipped Gr(2,4) ring constants, and the `charnum verify` suites
-built from them.
+behind the shipped Gr(2,4) ring constants, and the `charnum verify` suites.
 
-These live in the library (not only in the tests) so `charnum verify` can
-re-run them against the production paths.
+The Hurwitz counts and the table diffing live in the library (not only in
+the tests) so `charnum verify` can re-run them against the production
+paths.  No suite runs the Pieri/Giambelli oracle: it is the tests'
+reference for the gr24 ring.
 """
 
 from __future__ import annotations

@@ -106,13 +106,13 @@ def cover_polynomials() -> tuple[SeriesTable, SeriesTable]:
     return build(e_terms), build(h_terms)
 
 
-def tangency_expand(a: int, b: int, c: int, d: int, genus: int = 0):
+def tangency_expand(a: int, b: int, c: int, d: int):
     """Expand point^a (point + tau_1(line))^b flag^c into pure descendant
     specs with binomial multiplicities (the bridge to the recursion engine)."""
     out = []
     for k in range(b + 1):
         ins = ((0, 2),) * (a + k) + ((1, 1),) * (b - k) + ((1, 2),) * c
-        out.append((DescendantSpec(genus, (d,), ins), comb(b, k)))
+        out.append((DescendantSpec(0, (d,), ins), comb(b, k)))
     return out
 
 

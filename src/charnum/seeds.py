@@ -8,8 +8,8 @@ from importlib import resources
 from pathlib import Path
 
 from .geometry import TargetGeometry, builtin_name
-from .gw import GWKey, parse_seed_records
-from .planecurves import P2_SPACE
+from .gw import GWKey, InsufficientSeeds, parse_seed_records
+from .planecurves import P2_SPACE, PLANE
 from .series import Rat, SeriesTable, parse_rat
 
 __all__ = [
@@ -83,7 +83,10 @@ def load_genus1_seeds(text: str, geom: TargetGeometry) -> dict[tuple, Rat]:
 
 def load_virtual2(text: str, dmax: int) -> SeriesTable:
     """Genus-2 virtual characteristic numbers of the plane: d;a,b,c;p/q,
-    each on the genus-2 stratum a + b + 2c = 3d + 1 of its degree."""
+    each on the genus-2 stratum a + b + 2c = 3d + 1 of its degree.  Every
+    (a, b, c) of that stratum needs a record at each degree 4 <= d <= dmax,
+    zeros written out; the first one missing, in `PLANE.strata` order, raises
+    InsufficientSeeds."""
     entries = {}
     seen: dict[tuple, int] = {}  # key -> its line
     for n, ln in enumerate(text.splitlines(), 1):
@@ -106,6 +109,10 @@ def load_virtual2(text: str, dmax: int) -> SeriesTable:
             raise ValueError(f"line {n}: repeats the record of line {seen[key]}")
         seen[key] = n
         entries[key] = val
+    for d in range(4, dmax + 1):
+        for a, b, c in PLANE.strata(2, d):
+            if ((d,), (a, b, c)) not in seen:
+                raise InsufficientSeeds(f"missing genus-2 virtual record {d};{a},{b},{c} (zeros must be written out)")
     return SeriesTable(P2_SPACE, dmax, entries)
 
 

@@ -26,7 +26,7 @@ A table holds its values as nonzero integer numerators over one least
 common denominator, and every operation reads and returns numerators, so a
 level loop does integer work only.  `fractions.Fraction`s are built only at
 the boundary: `coeff`, the `entries` view for output, oracles and tests,
-`to_text`, and the checked input of the constructor.  No floats anywhere.
+and the checked input of the constructor.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -153,9 +153,6 @@ class SeriesTable:
     def __repr__(self) -> str:
         return f"SeriesTable({self.space}, dmax={self.dmax}, {len(self.nums)} entries)"
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def coeff(self, degrees: Iterable[int], exponents: Iterable[int]) -> Rat:
         return Fraction(self.nums.get((tuple(degrees), tuple(exponents)), 0), self.den)
 
@@ -216,16 +213,6 @@ class SeriesTable:
             raise KeyError(f"unknown variable {var!r} in {sp}")
         return SeriesTable._of(sp, self.dmax, out, self.den)
 
-    def times_monomial(self, powers: Mapping[str, int], coef=1) -> "SeriesTable":
-        """Multiply by coef * prod(var^k); raises exponent slots with the EGF factor.
-
-        Multiplying v^b/b! by v gives (b+1) * v^{b+1}/(b+1)!, so the stored
-        invariant picks up (m+1)...(m+k) per slot.
-        """
-        out = NumeratorSum(self.space, self.dmax)
-        out.add(self, [(coef, powers)])
-        return out.table()
-
     def truncate(self, dmax: int) -> "SeriesTable":
         return SeriesTable._of(self.space, dmax, {k: v for k, v in self.nums.items() if sum(k[0]) <= dmax}, self.den)
 
@@ -270,37 +257,6 @@ class SeriesTable:
                 key = (deg, nmono)
                 acc[key] = acc.get(key, 0) + num * w
         return SeriesTable._of(new_space, self.dmax, acc, self.den * cden**top)
-
-    # -- canonical text form -------------------------------------------------
-
-    def to_text(self) -> str:
-        head = "vars " + ",".join(self.space.degree_vars) + ";" + ",".join(self.space.exp_vars)
-        lines = [head, f"dmax {self.dmax}"]
-        for (deg, mono), val in sorted(self.entries.items()):
-            lines.append(
-                ",".join(map(str, deg)) + ";" + ",".join(map(str, mono)) + ";" + format_rat(val)
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SeriesTable":
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("vars "):
-            raise ValueError("missing 'vars' header")
-        degs, exps = lines[0][5:].split(";")
-        space = VarSpace(tuple(x for x in degs.split(",") if x), tuple(x for x in exps.split(",") if x))
-        if not lines[1].startswith("dmax "):
-            raise ValueError("missing 'dmax' header")
-        dmax = int(lines[1][5:])
-        entries: dict[Key, Rat] = {}
-        for ln in lines[2:]:
-            d, m, v = ln.split(";")
-            key = (
-                tuple(int(x) for x in d.split(",") if x),
-                tuple(int(x) for x in m.split(",") if x),
-            )
-            entries[key] = parse_rat(v)
-        return cls(space, dmax, entries)
 
 
 def format_rat(x: Rat) -> str:

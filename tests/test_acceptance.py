@@ -63,7 +63,7 @@ def test_criterion_01_seed_reproduction(p2):
     with Budget(1, "seed reproduction", 1.0):
         gw = wdvv_solve(p2, {((1,), (2, 2)): Fraction(1)}, 1)
         table = charnum_genus0(gw, 1)
-        assert gw.canonical_value((1,), (2, 2)) == 1
+        assert gw.lookup((1,), (2, 2)) == 1
         assert table.coeff((1,), (2, 0, 0)) == 1
 
 

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from charnum.geometry import builtin_geometry, in_box
+from charnum.planecurves import PLANE
 from charnum.seeds import packaged_seed_text
 from charnum.series import SeriesTable
 
@@ -71,12 +72,23 @@ def test_genus2_requires_virtual_seeds():
 
 def test_genus2_with_virtual_file(tmp_path):
     path = tmp_path / "virt.seeds"
-    path.write_text("4;13,0,0;0\n")
+    path.write_text("".join(f"4;{a},{b},{c};0\n" for a, b, c in PLANE.strata(2, 4)))
     code, text = capture(
         ["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", str(path)]
     )
     assert code == 0
     json.loads(text)
+
+
+def test_genus2_incomplete_virtual_file_names_the_first_missing_record(tmp_path, capsys):
+    path = tmp_path / "virt.seeds"
+    path.write_text("4;13,0,0;0\n")
+    capsys.readouterr()
+    argv = ["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", str(path)]
+    assert capture(argv) == (3, "")
+    assert capsys.readouterr().err == (
+        "insufficient seed data: missing genus-2 virtual record 4;12,1,0 (zeros must be written out)\n"
+    )
 
 
 def test_genus1_seed_bound_exceeded_exit3():

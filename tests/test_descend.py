@@ -276,7 +276,7 @@ def test_pruned_splitting_sum_matches_unpruned_reference(name, dmax, classes, pa
     nonzero = 0
     for spec in specs:
         value = pruned.value(spec)
-        assert value == reference.value(spec), spec.describe()
+        assert value == reference.value(spec), spec
         nonzero += value != 0
     assert nonzero >= len(specs) // 3, "the sampled specs should mostly be nonzero"
 
@@ -332,7 +332,7 @@ def test_engine_matches_the_reference_on_random_specs(name, dmax, classes):
     nonzero = 0
     for spec in specs:
         value = engine.value(spec)
-        assert value == reference.value(spec), spec.describe()
+        assert value == reference.value(spec), spec
         nonzero += value != 0
     assert nonzero >= len(specs) // 3
 
@@ -388,12 +388,12 @@ def test_pde_residual_zero_all_indices(p2, gamma0_p2):
     for k in (1, 2):
         for i in (1, 2):
             for j in (i, 2):
-                assert genus0_pde_residual(p2, gamma0_p2, k, i, j).is_zero(), (k, i, j)
+                assert len(genus0_pde_residual(p2, gamma0_p2, k, i, j)) == 0, (k, i, j)
 
 
 def test_integrated_residual_zero(p2, gamma0_p2):
-    assert genus0_integrated_residual(p2, gamma0_p2, 1).is_zero()
-    assert genus0_integrated_residual(p2, gamma0_p2, 2).is_zero()
+    assert len(genus0_integrated_residual(p2, gamma0_p2, 1)) == 0
+    assert len(genus0_integrated_residual(p2, gamma0_p2, 2)) == 0
 
 
 def test_perturbed_potential_flagged(p2, gamma0_p2):
@@ -402,15 +402,15 @@ def test_perturbed_potential_flagged(p2, gamma0_p2):
     bumped[key] = bumped.get(key, Fraction(0)) + 1
     bad = SeriesTable(gamma0_p2.space, gamma0_p2.dmax, bumped)
     resid = genus0_pde_residual(p2, bad, 1, 1, 1)
-    assert not resid.is_zero()
+    assert len(resid)
     assert any(deg == (3,) for (deg, _) in resid.entries)
 
 
 def test_quadric_potential_residuals(quadric, gw_quadric):
     g0 = genus0_tangency_potential(TangencySpace(quadric), gw_quadric, 3)
     for k in (1, 2, 3):
-        assert genus0_pde_residual(quadric, g0, k, 1, 2).is_zero(), k
-    assert genus0_integrated_residual(quadric, g0, 3).is_zero()
+        assert len(genus0_pde_residual(quadric, g0, k, 1, 2)) == 0, k
+    assert len(genus0_integrated_residual(quadric, g0, 3)) == 0
 
 
 def _partials_during(monkeypatch, run) -> list[tuple[SeriesTable, str]]:
@@ -567,8 +567,8 @@ def test_gr24_first_descendants_match_engine():
     pot = genus0_tangency_potential(TangencySpace(g), gw, 1)
     assert pot.entries, "degree-1 strata expected"
     for k in (1, 2, 5):
-        assert genus0_pde_residual(g, pot, k, 1, 1).is_zero(), k
-    assert genus0_integrated_residual(g, pot, 1).is_zero()
+        assert len(genus0_pde_residual(g, pot, k, 1, 1)) == 0, k
+    assert len(genus0_integrated_residual(g, pot, 1)) == 0
     engine = DescendantEngine(g, gw)
     ts_nondiv = (2, 3, 4, 5)
     for (beta, mono), val in sorted(pot.entries.items()):
@@ -586,7 +586,7 @@ def test_p3_first_descendants_match_engine():
     gw = wdvv_solve(p3, default_gw_seeds(p3), 2)
     pot = genus0_tangency_potential(TangencySpace(p3), gw, 2)
     for k in (1, 2, 3):
-        assert genus0_pde_residual(p3, pot, k, 1, 1).is_zero(), k
+        assert len(genus0_pde_residual(p3, pot, k, 1, 1)) == 0, k
     engine = DescendantEngine(p3, gw)
     for (beta, mono), val in sorted(pot.entries.items()):
         xs, ys = mono[:2], mono[2:]

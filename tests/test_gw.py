@@ -15,7 +15,6 @@ from charnum.gw import (
     SeedConflict,
     canonical_keys,
     class_splits,
-    gw_potential,
     multiset_splits,
     parse_seed_records,
     sample_wdvv_residuals,
@@ -29,25 +28,25 @@ def test_p2_classical_counts(gw_p2):
     # rational plane curves through 3d-1 points
     expected = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304}
     for d, n in expected.items():
-        assert gw_p2.canonical_value((d,), (2,) * (3 * d - 1)) == n
+        assert gw_p2.lookup((d,), (2,) * (3 * d - 1)) == n
 
 
 def test_p2_positive_integers_to_degree_six():
     p2 = builtin_geometry("p2")
     tab = wdvv_solve(p2, default_gw_seeds(p2), 6)
     for d in range(1, 7):
-        val = tab.canonical_value((d,), (2,) * (3 * d - 1))
+        val = tab.lookup((d,), (2,) * (3 * d - 1))
         assert val.denominator == 1 and val > 0
-    assert tab.canonical_value((6,), (2,) * 17) == 26312976
+    assert tab.lookup((6,), (2,) * 17) == 26312976
 
 
 def test_quadric_counts(gw_quadric):
-    assert gw_quadric.canonical_value((1, 1), (3, 3, 3)) == 1
-    assert gw_quadric.canonical_value((2, 1), (3,) * 5) == 1
-    assert gw_quadric.canonical_value((2, 2), (3,) * 7) == 12
+    assert gw_quadric.lookup((1, 1), (3, 3, 3)) == 1
+    assert gw_quadric.lookup((2, 1), (3,) * 5) == 1
+    assert gw_quadric.lookup((2, 2), (3,) * 7) == 12
     # multiple covers of a ruling contribute nothing through general points
-    assert gw_quadric.canonical_value((2, 0), (3, 3, 3)) == 0
-    assert gw_quadric.canonical_value((3, 0), (3,) * 5) == 0
+    assert gw_quadric.lookup((2, 0), (3, 3, 3)) == 0
+    assert gw_quadric.lookup((3, 0), (3,) * 5) == 0
 
 
 def test_p3_classical_conic_counts():
@@ -55,10 +54,10 @@ def test_p3_classical_conic_counts():
     # 2 lines (plane + five-point conic), 92 meeting 8 general lines
     p3 = builtin_geometry("p3")
     tab = wdvv_solve(p3, default_gw_seeds(p3), 2)
-    assert tab.canonical_value((1,), (2, 2, 2, 2)) == 2  # lines meeting 4 lines
-    assert tab.canonical_value((2,), (3, 3, 3, 3)) == 0
-    assert tab.canonical_value((2,), (2, 2, 3, 3, 3)) == 1
-    assert tab.canonical_value((2,), (2,) * 8) == 92
+    assert tab.lookup((1,), (2, 2, 2, 2)) == 2  # lines meeting 4 lines
+    assert tab.lookup((2,), (3, 3, 3, 3)) == 0
+    assert tab.lookup((2,), (2, 2, 3, 3, 3)) == 1
+    assert tab.lookup((2,), (2,) * 8) == 92
     rng = random.Random(17)
     for inst, resid in sample_wdvv_residuals(p3, tab, 25, rng):
         assert resid == 0, inst.describe()
@@ -66,7 +65,7 @@ def test_p3_classical_conic_counts():
 
 def test_quadric_swap_symmetry(gw_quadric):
     for (beta, key), val in gw_quadric.entries.items():
-        assert gw_quadric.canonical_value((beta[1], beta[0]), key) == val
+        assert gw_quadric.lookup((beta[1], beta[0]), key) == val
 
 
 def test_divisor_and_string_lookup(gw_p2):
@@ -156,21 +155,6 @@ def test_gr24_degree2_insufficiency_is_reported():
 def test_canonical_keys_p2():
     p2 = builtin_geometry("p2")
     assert canonical_keys(p2, (2,)) == [(2,) * 5]
-
-
-def test_gw_potential_entries(gw_p2):
-    pot = gw_potential(gw_p2)
-    assert pot.coeff((1,), (2,)) == 1
-    assert pot.coeff((3,), (8,)) == 12
-    empty = gw_potential(wdvv_solve(builtin_geometry("p2"), {((1,), (2, 2)): Fraction(1)}, 1))
-    assert empty.coeff((1,), (2,)) == 1
-
-
-def test_gw_potential_zero_table():
-    from charnum.gw import GWTable
-
-    pot = gw_potential(GWTable(builtin_geometry("p2"), 2))
-    assert pot.is_zero()
 
 
 def test_seed_record_validation():

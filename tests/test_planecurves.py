@@ -17,7 +17,7 @@ from charnum.planecurves import (
     genus2_corrections,
     tangency_expand,
 )
-from charnum.series import SeriesTable
+from charnum.series import NumeratorSum, SeriesTable
 
 
 def row(table, d, c=None):
@@ -92,15 +92,13 @@ def test_expanded_tangency_equation_residual(g0_p2):
     g = g0_p2
     g_ss = g.partial("s").partial("s")
     g_us = g.partial("u").partial("s")
-    rhs = (
-        g_us
-        - g.partial("u")
-        + (g_ss * g_ss).scale(Fraction(1, 2))
-        + (g_ss * g_us).times_monomial({"v": 1}, 2)
-        + (g_us * g_us).times_monomial({"v": 2})
-        + (g_us * g_us).times_monomial({"w": 1})
-    )
-    assert (g.partial("v").partial("s") - rhs).is_zero()
+    rhs = NumeratorSum(P2_SPACE, g.dmax)
+    rhs.add(g_us, [(1, {})])
+    rhs.add(g.partial("u"), [(-1, {})])
+    rhs.add(g_ss * g_ss, [(Fraction(1, 2), {})])
+    rhs.add(g_ss * g_us, [(2, {"v": 1})])
+    rhs.add(g_us * g_us, [(1, {"v": 2}), (1, {"w": 1})])
+    assert g.partial("v").partial("s") == rhs.table()
 
 
 # -- the cover polynomials ----------------------------------------------------
@@ -259,13 +257,13 @@ def test_cover_terms_operator_vs_expansion(g0_p2):
     h = h.truncate(4)
     op_form = h.partial("s") * L(g0_p2) + h.partial("u") * P(g0_p2)
     g_s, g_u = g0_p2.partial("s"), g0_p2.partial("u")
-    expanded = (
-        h.partial("s") * (g_s + g_u.times_monomial({"v": 1}, 2))
-        + (h.partial("u") * g_s).times_monomial({"v": 1}, 2)
-        + (h.partial("u") * g_u).times_monomial({"v": 2}, 2)
-        + (h.partial("u") * g_u).times_monomial({"w": 1}, 2)
-    )
-    assert op_form == expanded
+    h_s, h_u = h.partial("s"), h.partial("u")
+    expanded = NumeratorSum(P2_SPACE, op_form.dmax)
+    expanded.add(h_s * g_s, [(1, {})])
+    expanded.add(h_s * g_u, [(2, {"v": 1})])
+    expanded.add(h_u * g_s, [(2, {"v": 1})])
+    expanded.add(h_u * g_u, [(2, {"v": 2}), (2, {"w": 1})])
+    assert op_form == expanded.table()
 
 
 def test_genus2_zero_virtual_is_minus_corrections(g0_p2, g1_p2):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from charnum.planecurves import P2_SPACE
+from charnum.gw import InsufficientSeeds
+from charnum.planecurves import P2_SPACE, PLANE
 from charnum.seeds import (
     load_genus1_seeds,
     load_gw_seeds,
@@ -42,11 +43,23 @@ def test_genus1_seed_stratum_validated(p2):
         load_genus1_seeds("3;0,0,4;1\n".replace("0,0,4", "0,0,4"), p2)
 
 
+def virtual2_records(dmax):
+    return [f"{d};{a},{b},{c}" for d in range(4, dmax + 1) for a, b, c in PLANE.strata(2, d)]
+
+
 def test_virtual2_records():
-    table = load_virtual2("# header\n4;13,0,0;7/3\n5;16,0,0;2\n", 5)
+    values = {"4;13,0,0": "7/3", "5;16,0,0": "2"}
+    table = load_virtual2("# header\n" + "".join(f"{r};{values.get(r, 0)}\n" for r in virtual2_records(5)), 5)
     assert table.space == P2_SPACE
     assert table.coeff((4,), (13, 0, 0)) == Fraction(7, 3)
     assert table.coeff((5,), (16, 0, 0)) == 2
+    assert len(table) == 2
+
+
+def test_virtual2_needs_every_stratum_of_every_degree():
+    assert (len(virtual2_records(4)), len(virtual2_records(5))) == (56, 56 + 81)
+    with pytest.raises(InsufficientSeeds, match="missing genus-2 virtual record 5;16,0,0 "):
+        load_virtual2("".join(f"{r};0\n" for r in virtual2_records(4)), 5)
 
 
 def test_virtual2_malformed_record_names_the_line():

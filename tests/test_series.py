@@ -40,7 +40,7 @@ def test_unit_product_adds_degrees():
 def test_product_with_zero_table():
     f = table({((1,), (2, 0, 0)): 5})
     z = table({})
-    assert (f * z).is_zero()
+    assert len(f * z) == 0
 
 
 def test_egf_binomial_convolution():
@@ -57,7 +57,7 @@ def test_degree_variable_derivative_scales():
 def test_exponent_derivative_shifts_index():
     f = table({((2,), (1, 3, 0)): 5})
     assert f.partial("v").entries == {((2,), (1, 2, 0)): 5}
-    assert f.partial("w").is_zero()
+    assert len(f.partial("w")) == 0
 
 
 def test_unknown_variable_rejected():
@@ -69,8 +69,10 @@ def test_unknown_variable_rejected():
 def test_monomial_multiplication_egf_factor():
     # v * (v^b/b!) = (b+1) v^{b+1}/(b+1)!
     f = table({((1,), (0, 3, 0)): 1})
-    assert f.times_monomial({"v": 1}).entries == {((1,), (0, 4, 0)): 4}
-    assert f.times_monomial({"v": 2}).entries == {((1,), (0, 5, 0)): 20}
+    for k, value in ((1, 4), (2, 20)):
+        acc = NumeratorSum(SP, f.dmax)
+        acc.add(f, [(1, {"v": k})])
+        assert acc.table().entries == {((1,), (0, 3 + k, 0)): value}
 
 
 def test_operator_on_degree_stratum():
@@ -89,7 +91,7 @@ def test_point_operator_example():
 def test_zero_operator():
     op = DiffOperator.build([(0, {}, "s")])
     f = table({((1,), (1, 1, 1)): 9})
-    assert op(f).is_zero()
+    assert len(op(f)) == 0
 
 
 def test_variable_mismatch():
@@ -144,17 +146,6 @@ def test_leibniz_rule(f, g, var):
 @given(tables(), st.sampled_from(["s", "u", "v", "w"]), st.sampled_from(["s", "u", "v", "w"]))
 def test_partials_commute(f, x, y):
     assert f.partial(x).partial(y) == f.partial(y).partial(x)
-
-
-def test_serialization_roundtrip():
-    f = table({((2,), (1, 0, 3)): Fraction(-7, 3), ((1,), (0, 2, 0)): 4})
-    assert SeriesTable.from_text(f.to_text()) == f
-
-
-def test_serialization_is_sorted():
-    f = table({((2,), (0, 0, 0)): 1, ((1,), (5, 0, 0)): 2})
-    body = f.to_text().splitlines()[2:]
-    assert body == sorted(body)
 
 
 def test_substitute_splits_variable():
@@ -240,7 +231,6 @@ def test_operations_keep_tables_clean(f, g, var, c, k):
         PLANE.point(f),
         PLANE.lines[0](f),
         DiffOperator.build([(c, {"v": 1}, var), (-c, {}, "s")])(f),
-        f.times_monomial({"v": 2, "w": 1}, c),
         f.scale(c),
         f + g,
         f - g,
@@ -255,7 +245,9 @@ def test_operations_keep_tables_clean(f, g, var, c, k):
     acc = NumeratorSum(SP, k)
     acc.add(f, [(c, {"v": 1}), (1, {})])
     acc.add(g, [(Fraction(1, 3), {"w": 2}), (-c, {"u": 1})])
-    results.append(acc.table())
+    raised = NumeratorSum(SP, f.dmax)
+    raised.add(f, [(c, {"v": 2, "w": 1})])
+    results += [acc.table(), raised.table()]
     for t in results:
         assert_clean(t)
 
@@ -549,7 +541,7 @@ def test_numerator_path_checks_its_space():
         NumeratorSum(Q_SP, 3).add_product(f, f, 2)
     acc = NumeratorSum(SP, 1)
     acc.add_product(f, f, 2)  # above the sum's dmax: left out
-    assert acc.table().is_zero()
+    assert len(acc.table()) == 0
 
 
 def test_operand_rejects_exponents_above_its_bounds_and_a_second_slice():
