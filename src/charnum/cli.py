@@ -149,6 +149,10 @@ def _degree_box(text: str, geom: TargetGeometry) -> tuple[int, ...]:
 
 
 def cmd_compute(args, out) -> int:
+    if args.genus == 0 and args.seeds:
+        raise ValueError("--seeds applies to genus 1 and 2 only (it holds genus-1 seeds)")
+    if args.genus < 2 and args.virtual2:
+        raise ValueError("--virtual2 applies to genus 2 only")
     geom = _geometry(args.target)
     name = builtin_name(geom)
     if name not in ("p2", "p1xp1"):
@@ -189,9 +193,7 @@ def cmd_compute(args, out) -> int:
 def cmd_gw(args, out) -> int:
     geom = _geometry(args.target)
     dmax = sum(_degree_box(args.dmax, geom))
-    seeds = default_gw_seeds(geom)
-    if args.seeds:
-        seeds = parse_seed_records(read_seed_file(args.seeds), geom)
+    seeds = parse_seed_records(read_seed_file(args.seeds), geom) if args.seeds else default_gw_seeds(geom)
     gw = wdvv_solve(geom, seeds, dmax)
     _emit(_gw_records(gw), ["d", "insertions", "value"], args.format, out)
     return EXIT_OK

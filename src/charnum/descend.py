@@ -56,8 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import CurveClass, TargetGeometry, in_box
-from .gw import GWTable, SeedConflict, _int_view, class_splits, multiset_splits
+from .geometry import CurveClass, TargetGeometry, _int_view, in_box
+from .gw import GWTable, SeedConflict, class_splits, multiset_splits
 from .metric import deformed_metric
 from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions
 
@@ -140,25 +140,22 @@ class DescendantEngine:
     `value` checks a spec (genus, effective class, dimension) and returns a
     Fraction; below it the recursion runs on plain (beta, sorted insertions)
     keys, whose terms keep those properties by construction.  Values stay
-    ints while integral (`gw._int_view`).  `memo` maps (beta, reduced
-    insertions) to a value and may be a cache file's records; `vdims`,
-    `sides` and `side_values` live and die with the engine.
+    ints while integral (`geometry._int_view`).  `memo` maps (beta, reduced
+    insertions) to a value and may be a cache file's records; `sides` and
+    `side_values` live and die with the engine, the ring's views and memos
+    (vdim0, cup_view) with `geom`, shared by every engine and table over it.
     """
 
     def __init__(self, geom: TargetGeometry, gw: GWTable, memo: dict | None = None):
         self.geom = geom
         self.gw = gw
         self.memo: dict[tuple, Rat] = memo if memo is not None else {}
-        self.codims = [geom.codim(i) for i in range(geom.rank)]
-        self.slot = tuple(geom.divisors.index(i) if i in geom.divisors else None for i in range(geom.rank))
         # the gluing pairs (e, f) with gamma^{ef} != 0, by (codim e, codim f)
         self.gluing: dict[tuple[int, int], list[tuple[int, int, int | Rat]]] = {}
         for e, row in enumerate(geom.pairing_inv):
             for f, c in enumerate(row):
                 if c:
-                    self.gluing.setdefault((self.codims[e], self.codims[f]), []).append((e, f, _int_view(c)))
-        self.cups: dict[tuple[int, ...], dict[int, int | Rat]] = {}
-        self.vdims: dict[CurveClass, int] = {}
+                    self.gluing.setdefault((geom.codims[e], geom.codims[f]), []).append((e, f, _int_view(c)))
         self.sides: dict[tuple[Insertion, ...], dict[int, list]] = {}
         self.side_values: dict[tuple, int | Rat] = {}
 
@@ -184,13 +181,14 @@ class DescendantEngine:
         the table or the memoized recursion."""
         factor = 1
         kept = []
+        slot = self.geom.slots
         for m, c in ins:
             if c == 0 and m < 2:
                 if m == 0:
                     return 0  # string
                 factor *= -2  # dilaton
-            elif m == 0 and self.slot[c] is not None:
-                factor *= beta[self.slot[c]]  # divisor
+            elif m == 0 and slot[c] is not None:
+                factor *= beta[slot[c]]  # divisor
                 if not factor:
                     return 0
             else:
@@ -221,19 +219,19 @@ class DescendantEngine:
             raise ValueError("distinguished mark must carry a psi class")
         m1 -= 1
         others = tuple(ins[t] for t in range(len(ins)) if t not in (p1, p2, p3))
-        value = self._value
+        value, cup = self._value, geom.cup_view
         total = 0
         # cup-merge terms
-        for k, c in self._cup((g2, g3)).items():
+        for k, c in cup((g2, g3)).items():
             total += c * value(beta, tuple(sorted(others + ((m1, g1), (m2 + m3, k)))))
-        for k, c in self._cup((g1, g2)).items():
+        for k, c in cup((g1, g2)).items():
             total -= c * value(beta, tuple(sorted(others + ((m1 + m2, k), (m3, g3)))))
-        for k, c in self._cup((g1, g3)).items():
+        for k, c in cup((g1, g3)).items():
             total -= c * value(beta, tuple(sorted(others + ((m1 + m3, k), (m2, g2)))))
         # splitting sum over curve-class and mark distributions; a side is
         # dimension-valid for one codimension of its gluing class only, so
         # only the pairs (e, f) of those codimensions are visited
-        vdim, sides, side, gluing = self._vdim, self._sides, self._side, self.gluing
+        vdim, sides, side, gluing = geom.vdim0, self._sides, self._side, self.gluing
         splits = [(b1, b2, vdim(b1), vdim(b2)) for b1, b2 in class_splits(beta, nonzero=True)]
         for s1, s2, w_split in multiset_splits(others):
             opts1 = sides(s1 + ((m1, g1),))
@@ -252,11 +250,6 @@ class DescendantEngine:
                                             total += lhs * w2 * rhs
         return total
 
-    def _vdim(self, beta: CurveClass) -> int:
-        if beta not in self.vdims:
-            self.vdims[beta] = self.geom.vdim(0, beta, 0)
-        return self.vdims[beta]
-
     def _sides(self, marks: tuple[Insertion, ...]) -> dict[int, list]:
         """The A | B options (A, B, weight) of one side, `_ab_partitions` of
         the sorted marks, by the codimension their gluing class needs for the
@@ -265,20 +258,11 @@ class DescendantEngine:
         key = tuple(sorted(marks))
         hit = self.sides.get(key)
         if hit is None:
-            codim = self.codims
+            codim = self.geom.codims
             hit = self.sides[key] = {}
             for (a, b), w in _ab_partitions(key, ()):
                 need = len(a) + 1 - sum(codim[c] + m for m, c in a) - sum(codim[c] + m - 1 for m, c in b)
                 hit.setdefault(need, []).append((a, b, w))
-        return hit
-
-    def _cup(self, indices) -> dict[int, int | Rat]:
-        """`geom.cup_classes`, memoized by the sorted non-unit indices: the
-        cup product is commutative and associative with unit T0."""
-        key = tuple(sorted(i for i in indices if i))
-        hit = self.cups.get(key)
-        if hit is None:
-            hit = self.cups[key] = {k: _int_view(c) for k, c in self.geom.cup_classes(key).items()}
         return hit
 
     def _side(self, beta: CurveClass, a_marks, b_marks, gluing_class: int) -> int | Rat:
@@ -290,7 +274,7 @@ class DescendantEngine:
             mb = sum(m - 1 for m, _ in b_marks)
             hit = self.side_values[key] = sum(
                 c * self._value(beta, tuple(sorted(a_marks + ((mb, k),))))
-                for k, c in self._cup(tuple(c for _, c in b_marks) + (gluing_class,)).items()
+                for k, c in self.geom.cup_view(tuple(c for _, c in b_marks) + (gluing_class,)).items()
             )
         return hit
 
@@ -317,16 +301,13 @@ class TangencySpace:
 
     def __init__(self, geom: TargetGeometry):
         self.geom = geom
-        self.nondiv = tuple(i for i in range(geom.rank) if geom.codim(i) >= 2)
         self.space = VarSpace(
             tuple(f"x{i}" for i in geom.divisors),
-            tuple(f"x{i}" for i in self.nondiv) + tuple(f"y{k}" for k in range(1, geom.rank)),
+            tuple(f"x{i}" for i in geom.nondiv) + tuple(f"y{k}" for k in range(1, geom.rank)),
         )
-        self.nx = len(self.nondiv)
+        self.nx = len(geom.nondiv)
         # the grading weight of each exponent slot in the dimension constraint
-        self.weights = tuple(geom.codim(c) - 1 for c in self.nondiv) + tuple(
-            geom.codim(k) for k in range(1, geom.rank)
-        )
+        self.weights = tuple(geom.codims[c] - 1 for c in geom.nondiv) + geom.codims[1:]
         # gamma^{ef}: polynomial entries over y1..yr at y0 = 0
         self.gamma = deformed_metric(geom)[1].rows
         # `gated_keys` and `descendant_keys` by (genus, beta)
@@ -372,7 +353,7 @@ class TangencySpace:
         of T_1..T_r."""
         out = [0] * len(self.space.exp_vars)
         for m, c in insertions:
-            out[self.nx + c - 1 if m else self.nondiv.index(c)] += 1
+            out[self.nx + c - 1 if m else self.geom.nondiv.index(c)] += 1
         return tuple(out)
 
     def lowered(self, key: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -403,7 +384,7 @@ def _deriv_coeff(ts: TangencySpace, entries, beta, mono, derivs) -> Rat:
         if i in geom.divisors:
             factor *= geom.degree_of(i, beta)
         else:
-            mono[ts.nondiv.index(i)] += 1
+            mono[geom.nondiv.index(i)] += 1
     val = entries.get((tuple(beta), tuple(mono)), 0)
     return val * factor if val and factor != 1 else val
 

@@ -10,6 +10,12 @@ for each divisor T_i.
 Curve classes are coordinate vectors against the divisor basis (partial
 degrees d_i = \int_beta T_i); effectivity is "all coordinates >= 0".
 
+The solvers read the ring only through its geometry: integer views derived
+once (`codims`, `slots`, `point`, `nondiv`), one multiplication by T_j
+(`times`), and memos that every solver over the ring shares, in ints while
+integral: vdim(0, beta, 0) by class, cup products and degree-0 three-point
+integrals.  The views and memos take no part in equality or the fingerprint.
+
 Built-ins: projective spaces P^1..P^6 ("p1".."p6"), the quadric P^1 x P^1
 ("p1xp1"), and the Grassmannian of lines in P^3 ("gr24", Schubert basis;
 its structure constants come from the Pieri/Giambelli oracle in
@@ -36,6 +42,11 @@ class GeometryError(ValueError):
 CurveClass = tuple[int, ...]
 
 
+def _int_view(x: Rat) -> int | Rat:
+    """x as an int when it is integral: int products skip Fraction's gcd."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def in_box(beta: CurveClass, box: CurveClass | None) -> bool:
     """Whether `beta` lies componentwise below `box`; every class does if box is None."""
     return box is None or all(d <= b for d, b in zip(beta, box))
@@ -54,11 +65,25 @@ class TargetGeometry:
     euler: int
     chern_divisor: tuple[Rat, ...]    # \int T_i cup c(T_X), one per divisor
     pairing_inv: tuple[tuple[Rat, ...], ...] = field(default=(), compare=False)
+    # derived from the fields above once the ring is validated
+    codims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    slots: tuple[int | None, ...] = field(init=False, repr=False, compare=False)  # position among the divisors
+    point: int = field(init=False, repr=False, compare=False)  # the class of top codimension
+    nondiv: tuple[int, ...] = field(init=False, repr=False, compare=False)  # the classes of codim >= 2
+    vdims: dict[CurveClass, int] = field(init=False, repr=False, compare=False, default_factory=dict)
+    cups: dict[tuple[int, ...], dict[int, int | Rat]] = field(init=False, repr=False, compare=False, default_factory=dict)
+    triples: dict[tuple[int, int, int], int | Rat] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.pairing_inv:
             object.__setattr__(self, "pairing_inv", _invert(self.pairing))
         _validate(self)
+        codims = tuple(self.codim(i) for i in range(self.rank))
+        slot = {d: s for s, d in enumerate(self.divisors)}
+        object.__setattr__(self, "codims", codims)
+        object.__setattr__(self, "slots", tuple(slot.get(i) for i in range(self.rank)))
+        object.__setattr__(self, "point", max(range(self.rank), key=codims.__getitem__))
+        object.__setattr__(self, "nondiv", tuple(i for i, c in enumerate(codims) if c >= 2))
 
     # -- ring operations -----------------------------------------------------
 
@@ -69,19 +94,39 @@ class TargetGeometry:
     def codim(self, i: int) -> int:
         return self.degrees[i] // 2
 
+    def times(self, vec: dict[int, Rat], j: int) -> dict[int, Rat]:
+        """vec cup T_j for a class in basis coordinates, zero terms dropped."""
+        out: dict[int, Rat] = {}
+        for i, c in vec.items():
+            for k, s in enumerate(self.cup_table[i][j]):
+                if s:
+                    out[k] = out.get(k, 0) + c * s
+        return {k: v for k, v in out.items() if v}
+
     def cup_classes(self, indices) -> dict[int, Rat]:
         """Expand a cup product of several basis classes into the basis."""
         acc: dict[int, Rat] = {0: Fraction(1)}
         for j in indices:
-            nxt: dict[int, Rat] = {}
-            for i, c in acc.items():
-                for k, s in enumerate(self.cup_table[i][j]):
-                    if s:
-                        nxt[k] = nxt.get(k, Fraction(0)) + c * s
-            acc = {k: v for k, v in nxt.items() if v}
-            if not acc:
-                break
+            acc = self.times(acc, j)
         return acc
+
+    def cup_view(self, indices) -> dict[int, int | Rat]:
+        """`cup_classes` in ints while integral, memoized by the sorted non-unit
+        indices (the product is commutative and associative with unit T0).
+        The caller must not change the returned dict."""
+        key = tuple(sorted(i for i in indices if i))
+        hit = self.cups.get(key)
+        if hit is None:
+            hit = self.cups[key] = {k: _int_view(c) for k, c in self.cup_classes(key).items()}
+        return hit
+
+    def triple_view(self, ins: tuple[int, int, int]) -> int | Rat:
+        r"""\int T_i T_j T_k, an int while integral, memoized by the sorted triple."""
+        key = tuple(sorted(ins))
+        hit = self.triples.get(key)
+        if hit is None:
+            hit = self.triples[key] = _int_view(self.integral(self.cup_classes(key)))
+        return hit
 
     def integral(self, vec: dict[int, Rat]) -> Rat:
         r"""\int_X of a class given in basis coordinates."""
@@ -95,6 +140,13 @@ class TargetGeometry:
         if c1.denominator != 1:
             raise GeometryError("c1 pairing must be integral")
         return (self.dim - 3) * (1 - g) + int(c1) + n
+
+    def vdim0(self, beta: CurveClass) -> int:
+        """vdim(0, beta, 0), the weight of a class's genus-0 insertions, memoized."""
+        hit = self.vdims.get(beta)
+        if hit is None:
+            hit = self.vdims[beta] = self.vdim(0, beta, 0)
+        return hit
 
     def degree_of(self, i: int, beta: CurveClass) -> int:
         r"""\int_beta T_i for a divisor index i."""
@@ -179,34 +231,18 @@ def _validate(geom: TargetGeometry) -> None:
             for k, c in enumerate(geom.cup_table[i][j]):
                 if c and geom.degrees[k] != geom.degrees[i] + geom.degrees[j]:
                     raise GeometryError(f"cup({i}, {j}) hits T{k} of wrong degree")
-    # associativity of structure constants
+    # associativity of structure constants; commutativity holds by now, so
+    # T_i (T_j T_l) is (T_j T_l) T_i
+    prod = {(i, j): geom.times({i: 1}, j) for i in range(r) for j in range(r)}
     for i in range(1, r):
         for j in range(i, r):
             for l in range(j, r):
-                left: dict[int, Rat] = {}
-                for m, c in enumerate(geom.cup_table[i][j]):
-                    if c:
-                        for k, s in enumerate(geom.cup_table[m][l]):
-                            if s:
-                                left[k] = left.get(k, Fraction(0)) + c * s
-                right: dict[int, Rat] = {}
-                for m, c in enumerate(geom.cup_table[j][l]):
-                    if c:
-                        for k, s in enumerate(geom.cup_table[i][m]):
-                            if s:
-                                right[k] = right.get(k, Fraction(0)) + c * s
-                for k in set(left) | set(right):
-                    if left.get(k, Fraction(0)) != right.get(k, Fraction(0)):
-                        raise GeometryError(f"cup not associative at ({i}, {j}, {l})")
+                if geom.times(prod[i, j], l) != geom.times(prod[j, l], i):
+                    raise GeometryError(f"cup not associative at ({i}, {j}, {l})")
     # pairing must match the ring: g_ij = \int T_i T_j
-    for i in range(r):
-        for j in range(r):
-            byring = sum(
-                (c * geom.pairing[k][0] for k, c in enumerate(geom.cup_table[i][j]) if c),
-                Fraction(0),
-            )
-            if byring != geom.pairing[i][j]:
-                raise GeometryError(f"pairing disagrees with cup at ({i}, {j})")
+    for (i, j), vec in prod.items():
+        if geom.integral(vec) != geom.pairing[i][j]:
+            raise GeometryError(f"pairing disagrees with cup at ({i}, {j})")
     # the integral lives in degree 2 dim: gw's contraction skips degree-0
     # three-point terms whose codimensions do not add up to dim
     for k in range(r):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .geometry import CurveClass, TargetGeometry
+from .geometry import CurveClass, TargetGeometry, _int_view
 from .series import Rat, compositions, parse_rat
 
 __all__ = [
@@ -55,52 +55,22 @@ class InsufficientSeeds(ValueError):
 GWKey = tuple[CurveClass, tuple[int, ...]]
 
 
-def _int_view(x: Rat) -> int | Rat:
-    """x as an int when it is integral: int products skip Fraction's gcd."""
-    return x.numerator if x.denominator == 1 else x
-
-
 @dataclass
 class GWTable:
     geom: TargetGeometry
     dmax: int
     entries: dict[GWKey, Rat] = field(default_factory=dict)
-    # integer views of the ring, built once per table: step[i] = codim(T_i) - 1,
-    # slot[i] = position of T_i among the divisors (None otherwise), the
-    # nonzero inverse-pairing entries grouped by the step of their first index,
-    # vdim(0, beta, 0) per class and the degree-0 three-point integrals by
-    # their sorted triple, each as it is first needed
-    step: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    slot: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    # the nonzero inverse-pairing entries grouped by codim - 1 of their first
+    # index; the ring's integer views and memos (codims, slots, vdim0,
+    # triple_view) live on `geom`, shared by every table over it
     pairs_by_step: dict[int, list[tuple[int, int, Rat]]] = field(init=False, repr=False, compare=False)
-    vdims: dict[CurveClass, int] = field(init=False, repr=False, compare=False, default_factory=dict)
-    triples: dict[tuple[int, int, int], int | Rat] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        geom = self.geom
-        self.step = tuple(geom.codim(i) - 1 for i in range(geom.rank))
-        self.slot = tuple(geom.divisors.index(i) if i in geom.divisors else None for i in range(geom.rank))
         self.pairs_by_step = {}
-        for e, row in enumerate(geom.pairing_inv):
+        for e, row in enumerate(self.geom.pairing_inv):
             for f, g in enumerate(row):
                 if g:
-                    self.pairs_by_step.setdefault(self.step[e], []).append((e, f, _int_view(g)))
-
-    def vdim(self, beta: CurveClass) -> int:
-        """vdim(0, beta, 0), the weight a class's canonical keys must carry."""
-        v = self.vdims.get(beta)
-        if v is None:
-            v = self.vdims[beta] = self.geom.vdim(0, beta, 0)
-        return v
-
-    def _triple(self, ins: tuple[int, ...]) -> int | Rat:
-        """<T_i T_j T_k>_0, the int numerator when it is integral."""
-        key = tuple(sorted(ins))
-        v = self.triples.get(key)
-        if v is None:
-            v = _int_view(self.geom.integral(self.geom.cup_classes(key)))
-            self.triples[key] = v
-        return v
+                    self.pairs_by_step.setdefault(self.geom.codims[e] - 1, []).append((e, f, _int_view(g)))
 
     def _strip(self, beta: CurveClass, insertions) -> tuple[int | Rat, GWKey | None]:
         """(coef, None) for a known value, (coef, key) for coef times an
@@ -108,13 +78,14 @@ class GWTable:
         beta = tuple(beta)
         total = sum(beta)
         ins = tuple(insertions)
+        geom = self.geom
         if total == 0:
             if len(ins) != 3:
                 return 0, None
-            return self._triple(ins), None
+            return geom.triple_view(ins), None
         if total > self.dmax or min(beta) < 0:
             raise KeyError(f"curve class {beta} outside the truncation bound {self.dmax}")
-        step, slot = self.step, self.slot
+        codim, slot = geom.codims, geom.slots
         factor = 1
         weight = 0
         kept = []
@@ -124,12 +95,12 @@ class GWTable:
             s = slot[i]
             if s is None:
                 kept.append(i)
-                weight += step[i]
+                weight += codim[i] - 1
             else:
                 factor *= beta[s]  # divisor equation
                 if not factor:
                     return 0, None
-        if weight != self.vdim(beta):
+        if weight != geom.vdim0(beta):
             return 0, None  # dimension gate
         full = (beta, tuple(sorted(kept)))
         val = self.entries.get(full)
@@ -148,10 +119,9 @@ class GWTable:
 def canonical_keys(geom: TargetGeometry, beta: CurveClass) -> list[tuple[int, ...]]:
     """All dimension-valid canonical insertion multisets at this class,
     fewest insertions first, then lexicographic."""
-    classes = [i for i in range(geom.rank) if geom.codim(i) >= 2]
     # each insertion of codim c adds c-1 to the budget vdim(0, beta, 0)
-    counts = compositions(geom.vdim(0, beta, 0), tuple(geom.codim(c) - 1 for c in classes))
-    keys = [sum(((c,) * k for c, k in zip(classes, m)), ()) for m in counts]
+    counts = compositions(geom.vdim0(beta), tuple(geom.codims[c] - 1 for c in geom.nondiv))
+    keys = [sum(((c,) * k for c, k in zip(geom.nondiv, m)), ()) for m in counts]
     return sorted(keys, key=lambda t: (len(t), t))
 
 
@@ -198,7 +168,8 @@ def _assoc_sum(table: GWTable, class_pairs, splits, marks, sign: int, out: dict)
     """Add sign * F(a,b|c,d) at beta, summed over splittings with the
     inverse-pairing insertion, into out: {unknown: coef}, the constant term
     under None.  class_pairs holds the `class_splits` (beta1, beta2) of beta
-    and splits the mark splits (M1, M2, weight, sum step(M1)).
+    and splits the mark splits (M1, M2, weight, sum step(M1)), where
+    step(x) = codim(T_x) - 1.
 
     Only pairs (e, f) with step(a) + step(b) + step(e) + sum step(M1) =
     vdim(0, beta1, 0) are visited.  Every other left factor is zero: for
@@ -210,8 +181,9 @@ def _assoc_sum(table: GWTable, class_pairs, splits, marks, sign: int, out: dict)
     or a g^{ef} that is not makes its term, and the sum, a Fraction.
     """
     a, b, c, d = marks
+    codim, vdim0 = table.geom.codims, table.geom.vdim0
     for beta1, beta2 in class_pairs:
-        budget = table.vdim(beta1) - table.step[a] - table.step[b]
+        budget = vdim0(beta1) - (codim[a] - 1) - (codim[b] - 1)
         for m1, m2, w, s in splits:
             for e, f, g in table.pairs_by_step.get(budget - s, ()):
                 left, lkey = table._strip(beta1, (a, b, e) + m1)
@@ -230,7 +202,8 @@ def wdvv_instance_residual(table: GWTable, inst: Instance) -> dict[GWKey | None,
     """F(i,j|k,l) - F(i,k|j,l) as {unknown: coef}, the constant under None;
     zero terms are dropped, so {} means 0 = 0."""
     i, j, k, l = inst.marks
-    splits = [(m1, m2, w, sum(table.step[x] for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
+    codim = table.geom.codims
+    splits = [(m1, m2, w, sum(codim[x] - 1 for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
     class_pairs = list(class_splits(inst.beta))
     out: dict[GWKey | None, int | Rat] = {}
     _assoc_sum(table, class_pairs, splits, (i, j, k, l), 1, out)
@@ -280,8 +253,7 @@ def wdvv_solve(geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int) -> GWTa
     for (beta, key), val in seeds.items():
         beta = tuple(beta)
         key = tuple(sorted(key))
-        weight = sum(geom.codim(i) - 1 for i in key)
-        if weight != geom.vdim(0, beta, 0):
+        if sum(geom.codims[i] - 1 for i in key) != geom.vdim0(beta):
             raise ValueError(f"seed at beta={beta}, key={key} violates the dimension gate")
         if sum(beta) <= dmax:
             table.entries[(beta, key)] = Fraction(val)

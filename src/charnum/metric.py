@@ -127,12 +127,7 @@ def _terminating_sum(geom: TargetGeometry, base: dict[int, Rat], sign: int) -> P
                 coef /= factorial(e)
             out = _poly_add(out, {mono: coef})
         for k in range(kmin, r):
-            nxt: dict[int, Rat] = {}
-            for i, c in vec.items():
-                for m, s in enumerate(geom.cup_table[i][k]):
-                    if s:
-                        nxt[m] = nxt.get(m, Fraction(0)) + c * s
-            nxt = {m: c for m, c in nxt.items() if c}
+            nxt = geom.times(vec, k)
             if nxt:
                 bumped = list(mono)
                 bumped[k - 1] += 1
@@ -152,19 +147,15 @@ def deformed_metric(geom: TargetGeometry) -> tuple[PolyMatrix, PolyMatrix]:
 def inverse_metric(geom: TargetGeometry) -> PolyMatrix:
     """gamma^ij alone, the second matrix of `deformed_metric`."""
     r = geom.rank
-    ginv = geom.pairing_inv
+    duals = [{m: c for m, c in enumerate(row) if c} for row in geom.pairing_inv]
     upper_rows = []
     for i in range(r):
         up = []
         for j in range(r):
             dual: dict[int, Rat] = {}
-            for m in range(r):
-                if ginv[i][m]:
-                    for n in range(r):
-                        if ginv[j][n]:
-                            for k, c in enumerate(geom.cup_table[m][n]):
-                                if c:
-                                    dual[k] = dual.get(k, Fraction(0)) + ginv[i][m] * ginv[j][n] * c
+            for n, c in duals[j].items():
+                for k, v in geom.times(duals[i], n).items():
+                    dual[k] = dual.get(k, 0) + c * v
             up.append(_terminating_sum(geom, dual, sign=+1))
         upper_rows.append(tuple(up))
     return PolyMatrix(tuple(f"y{i}" for i in range(1, r)), +2, tuple(upper_rows))

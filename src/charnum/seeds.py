@@ -67,12 +67,11 @@ def load_genus1_seeds(text: str, geom: TargetGeometry) -> dict[tuple, Rat]:
     Each record must sit in the unique psi-free stratum of its class (all
     insertions the point class, in the gated number).
     """
-    point = max(range(geom.rank), key=geom.codim)
     out: dict[tuple, Rat] = {}
     for (beta, key), val in parse_seed_records(text, geom).items():
-        if any(i != point for i in key):
+        if any(i != geom.point for i in key):
             raise ValueError(f"genus-1 seed at beta={beta} must carry only point insertions")
-        expect = geom.vdim(1, beta, 0) // (geom.codim(point) - 1)
+        expect = geom.vdim(1, beta, 0) // (geom.codims[geom.point] - 1)
         if len(key) != expect:
             raise ValueError(
                 f"genus-1 seed at beta={beta} has {len(key)} point insertions, expected {expect}"

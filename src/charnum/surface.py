@@ -54,7 +54,7 @@ class Surface:
     point: DiffOperator = field(init=False)
 
     def __post_init__(self):
-        geom, point = self.geom, self.geom.rank - 1
+        geom, point = self.geom, self.geom.point
         (c1,) = set(geom.c1)
         object.__setattr__(self, "c1", int(c1))
         object.__setattr__(self, "d_sq", int(sum(geom.pairing[i][j] for i in geom.divisors for j in geom.divisors)))
@@ -132,7 +132,7 @@ class Surface:
         every divisor becomes v, the x of the point u + (D.D) v and the y of
         the point w.
         """
-        geom, point = self.geom, self.geom.rank - 1
+        geom, point = self.geom, self.geom.point
         out = {f"y{i}": [(1, "v")] for i in geom.divisors}
         out[f"x{point}"] = [(1, "u"), (self.d_sq, "v")]
         out[f"y{point}"] = [(1, "w")]
@@ -154,7 +154,6 @@ class Surface:
         their w = 0 part.
         """
         geom = self._geometry(gw)
-        point_class = geom.rank - 1
         w = self.space.exp_index("w")
 
         def flat(t: SeriesTable) -> SeriesTable:
@@ -169,7 +168,7 @@ class Surface:
             level: dict = {}
             for beta in geom.curve_classes(n, box):
                 npts = self.c1 * n - 1
-                seed = Fraction(gw.lookup(beta, [point_class] * npts))
+                seed = Fraction(gw.lookup(beta, [geom.point] * npts))
                 if seed:
                     level[(beta, (npts, 0, 0))] = seed
             qv = self.pair_operands(left_s, right_s, n).scale(Fraction(1, 2))

@@ -319,6 +319,32 @@ def test_a_config_holding_a_builtin_ring_is_that_builtin(tmp_path):
     assert capture([*argv, "--target", str(path)]) == capture([*argv, "--target", "p2"])
 
 
+def test_gw_on_a_config_target_reads_the_seed_file(tmp_path):
+    """A custom target has no default seeds; --seeds supplies them."""
+    (tmp_path / "myplane.geom").write_text(P2_TEXT.replace("name p2", "name myplane"))
+    (tmp_path / "line.seeds").write_text("1;0,0,2;1\n")
+    argv = ["gw", "--dmax", "2", "--seeds", str(tmp_path / "line.seeds")]
+    code, text = capture([*argv, "--target", str(tmp_path / "myplane.geom")])
+    assert (code, text) == capture([*argv, "--target", "p2"])
+    assert code == 0 and '"value":"1"' in text
+
+
+@pytest.mark.parametrize(
+    "genus, option, line",
+    [
+        ("0", "--seeds", "error: --seeds applies to genus 1 and 2 only (it holds genus-1 seeds)\n"),
+        ("0", "--virtual2", "error: --virtual2 applies to genus 2 only\n"),
+        ("1", "--virtual2", "error: --virtual2 applies to genus 2 only\n"),
+    ],
+)
+def test_compute_refuses_a_file_its_genus_does_not_read(tmp_path, capsys, genus, option, line):
+    path = tmp_path / "data"
+    path.write_text("1;0,0,2;1\n")
+    capsys.readouterr()
+    assert capture(["compute", "--target", "p2", "--genus", genus, "--dmax", "3", option, str(path)]) == (2, "")
+    assert capsys.readouterr().err == line
+
+
 def test_descendant_on_quadric():
     code, text = capture(
         ["descendant", "tau0(T3)^3 @ g=0 d=1,1 target=p1xp1", "--no-cache"]

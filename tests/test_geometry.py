@@ -92,6 +92,27 @@ def test_nonassociative_cup_rejected():
         load_geometry(text)
 
 
+RING_FAULTS = {
+    # degrees still add up; (T1 T1) T3 = T5 but T1 (T1 T3) = 2 T5
+    "nonassociative": ("gr24", "cup 1 3 = 0 0 0 0 1 0", "cup 1 3 = 0 0 0 0 2 0", "cup not associative at (1, 1, 3)"),
+    # symmetric and nonsingular, but g_12 = 2 where \int T1 T2 = 1
+    "pairing off the cup": (
+        "p1xp1", "pairing\n0 0 0 1\n0 0 1 0\n0 1 0 0\n", "pairing\n0 0 0 1\n0 0 2 0\n0 2 0 0\n",
+        "pairing disagrees with cup at (1, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RING_FAULTS)
+def test_ring_check_names_where_the_ring_fails(case):
+    name, old, new, message = RING_FAULTS[case]
+    text = builtin_geometry(name).to_text()
+    assert old in text
+    with pytest.raises(GeometryError) as e:
+        load_geometry(text.replace(old, new))
+    assert str(e.value) == message
+
+
 def test_integral_off_top_degree_rejected():
     # consistent with the ring and nonsingular, but \int T0 = \int T1 = 1
     g = builtin_geometry("p2")

@@ -7,7 +7,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from charnum.geometry import BUILTIN_NAMES, builtin_geometry, load_geometry
+from charnum.descend import DescendantEngine, DescendantSpec
+from charnum.geometry import BUILTIN_NAMES, TargetGeometry, builtin_geometry, load_geometry
 from charnum.gw import (
     GWTable,
     Instance,
@@ -277,9 +278,30 @@ def test_degree0_triples_read_one_memo_entry(name):
     zero = (0,) * len(g.divisors)
     for t in product(range(g.rank), repeat=3):
         assert table._strip(zero, t) == (g.integral(g.cup_classes(t)), None), t
-        assert tuple(sorted(t)) in table.triples
+        assert tuple(sorted(t)) in g.triples
     # every permutation of a triple reads the entry of its sorted form
-    assert sorted(table.triples) == list(combinations_with_replacement(range(g.rank), 3))
+    assert sorted(g.triples) == list(combinations_with_replacement(range(g.rank), 3))
+
+
+def test_solves_and_engines_over_one_ring_share_its_memos(monkeypatch):
+    """A second WDVV solve, and a second descendant engine, over the same
+    geometry expand no degree-0 triple or cup product again."""
+    g = load_geometry(builtin_geometry("p2").to_text())  # a ring whose memos no other test has filled
+    expanded = []
+    cup_classes = TargetGeometry.cup_classes
+    monkeypatch.setattr(
+        TargetGeometry, "cup_classes", lambda self, indices: expanded.append(indices) or cup_classes(self, indices)
+    )
+    spec = DescendantSpec(0, (3,), ((0, 2),) * 6 + ((1, 1),) * 2)
+    first = wdvv_solve(g, default_gw_seeds(g), 3)
+    value = DescendantEngine(g, first).value(spec)
+    assert value == 40 and expanded
+    expanded.clear()
+    second = wdvv_solve(g, default_gw_seeds(g), 3)
+    assert second == first
+    assert DescendantEngine(g, second).value(spec) == value
+    assert expanded == []
+    assert g.triples and g.cups
 
 
 def test_table_from_config_equals_builtin():
