@@ -307,7 +307,7 @@ class TangencySpace:
         )
         self.nx = len(geom.nondiv)
         # the grading weight of each exponent slot in the dimension constraint
-        self.weights = tuple(geom.codims[c] - 1 for c in geom.nondiv) + geom.codims[1:]
+        self.weights = tuple(geom.steps[c] for c in geom.nondiv) + geom.codims[1:]
         # gamma^{ef}: polynomial entries over y1..yr at y0 = 0
         self.gamma = deformed_metric(geom)[1].rows
         # `gated_keys` and `descendant_keys` by (genus, beta)

@@ -11,7 +11,7 @@ Curve classes are coordinate vectors against the divisor basis (partial
 degrees d_i = \int_beta T_i); effectivity is "all coordinates >= 0".
 
 The solvers read the ring only through its geometry: integer views derived
-once (`codims`, `slots`, `point`, `nondiv`), one multiplication by T_j
+once (`codims`, `steps`, `slots`, `point`, `nondiv`), one multiplication by T_j
 (`times`), and memos that every solver over the ring shares, in ints while
 integral: vdim(0, beta, 0) by class, cup products and degree-0 three-point
 integrals.  The views and memos take no part in equality or the fingerprint.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import comb
 
 from .series import Rat, compositions, format_rat, parse_rat
@@ -67,6 +67,7 @@ class TargetGeometry:
     pairing_inv: tuple[tuple[Rat, ...], ...] = field(default=(), compare=False)
     # derived from the fields above once the ring is validated
     codims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    steps: tuple[int, ...] = field(init=False, repr=False, compare=False)  # codim - 1: an insertion's genus-0 weight
     slots: tuple[int | None, ...] = field(init=False, repr=False, compare=False)  # position among the divisors
     point: int = field(init=False, repr=False, compare=False)  # the class of top codimension
     nondiv: tuple[int, ...] = field(init=False, repr=False, compare=False)  # the classes of codim >= 2
@@ -81,6 +82,7 @@ class TargetGeometry:
         codims = tuple(self.codim(i) for i in range(self.rank))
         slot = {d: s for s, d in enumerate(self.divisors)}
         object.__setattr__(self, "codims", codims)
+        object.__setattr__(self, "steps", tuple(c - 1 for c in codims))
         object.__setattr__(self, "slots", tuple(slot.get(i) for i in range(self.rank)))
         object.__setattr__(self, "point", max(range(self.rank), key=codims.__getitem__))
         object.__setattr__(self, "nondiv", tuple(i for i, c in enumerate(codims) if c >= 2))
@@ -105,10 +107,7 @@ class TargetGeometry:
 
     def cup_classes(self, indices) -> dict[int, Rat]:
         """Expand a cup product of several basis classes into the basis."""
-        acc: dict[int, Rat] = {0: Fraction(1)}
-        for j in indices:
-            acc = self.times(acc, j)
-        return acc
+        return reduce(self.times, indices, {0: Fraction(1)})
 
     def cup_view(self, indices) -> dict[int, int | Rat]:
         """`cup_classes` in ints while integral, memoized by the sorted non-unit

@@ -60,8 +60,8 @@ class GWTable:
     geom: TargetGeometry
     dmax: int
     entries: dict[GWKey, Rat] = field(default_factory=dict)
-    # the nonzero inverse-pairing entries grouped by codim - 1 of their first
-    # index; the ring's integer views and memos (codims, slots, vdim0,
+    # the nonzero inverse-pairing entries grouped by the step of their first
+    # index; the ring's integer views and memos (steps, slots, vdim0,
     # triple_view) live on `geom`, shared by every table over it
     pairs_by_step: dict[int, list[tuple[int, int, Rat]]] = field(init=False, repr=False, compare=False)
 
@@ -70,7 +70,7 @@ class GWTable:
         for e, row in enumerate(self.geom.pairing_inv):
             for f, g in enumerate(row):
                 if g:
-                    self.pairs_by_step.setdefault(self.geom.codims[e] - 1, []).append((e, f, _int_view(g)))
+                    self.pairs_by_step.setdefault(self.geom.steps[e], []).append((e, f, _int_view(g)))
 
     def _strip(self, beta: CurveClass, insertions) -> tuple[int | Rat, GWKey | None]:
         """(coef, None) for a known value, (coef, key) for coef times an
@@ -85,7 +85,7 @@ class GWTable:
             return geom.triple_view(ins), None
         if total > self.dmax or min(beta) < 0:
             raise KeyError(f"curve class {beta} outside the truncation bound {self.dmax}")
-        codim, slot = geom.codims, geom.slots
+        step, slot = geom.steps, geom.slots
         factor = 1
         weight = 0
         kept = []
@@ -95,7 +95,7 @@ class GWTable:
             s = slot[i]
             if s is None:
                 kept.append(i)
-                weight += codim[i] - 1
+                weight += step[i]
             else:
                 factor *= beta[s]  # divisor equation
                 if not factor:
@@ -119,8 +119,8 @@ class GWTable:
 def canonical_keys(geom: TargetGeometry, beta: CurveClass) -> list[tuple[int, ...]]:
     """All dimension-valid canonical insertion multisets at this class,
     fewest insertions first, then lexicographic."""
-    # each insertion of codim c adds c-1 to the budget vdim(0, beta, 0)
-    counts = compositions(geom.vdim0(beta), tuple(geom.codims[c] - 1 for c in geom.nondiv))
+    # each insertion adds its step, codim - 1, to the budget vdim(0, beta, 0)
+    counts = compositions(geom.vdim0(beta), tuple(geom.steps[c] for c in geom.nondiv))
     keys = [sum(((c,) * k for c, k in zip(geom.nondiv, m)), ()) for m in counts]
     return sorted(keys, key=lambda t: (len(t), t))
 
@@ -169,7 +169,7 @@ def _assoc_sum(table: GWTable, class_pairs, splits, marks, sign: int, out: dict)
     inverse-pairing insertion, into out: {unknown: coef}, the constant term
     under None.  class_pairs holds the `class_splits` (beta1, beta2) of beta
     and splits the mark splits (M1, M2, weight, sum step(M1)), where
-    step(x) = codim(T_x) - 1.
+    step(x) = codim(T_x) - 1 (`TargetGeometry.steps`).
 
     Only pairs (e, f) with step(a) + step(b) + step(e) + sum step(M1) =
     vdim(0, beta1, 0) are visited.  Every other left factor is zero: for
@@ -181,9 +181,9 @@ def _assoc_sum(table: GWTable, class_pairs, splits, marks, sign: int, out: dict)
     or a g^{ef} that is not makes its term, and the sum, a Fraction.
     """
     a, b, c, d = marks
-    codim, vdim0 = table.geom.codims, table.geom.vdim0
+    step, vdim0 = table.geom.steps, table.geom.vdim0
     for beta1, beta2 in class_pairs:
-        budget = vdim0(beta1) - (codim[a] - 1) - (codim[b] - 1)
+        budget = vdim0(beta1) - step[a] - step[b]
         for m1, m2, w, s in splits:
             for e, f, g in table.pairs_by_step.get(budget - s, ()):
                 left, lkey = table._strip(beta1, (a, b, e) + m1)
@@ -202,8 +202,8 @@ def wdvv_instance_residual(table: GWTable, inst: Instance) -> dict[GWKey | None,
     """F(i,j|k,l) - F(i,k|j,l) as {unknown: coef}, the constant under None;
     zero terms are dropped, so {} means 0 = 0."""
     i, j, k, l = inst.marks
-    codim = table.geom.codims
-    splits = [(m1, m2, w, sum(codim[x] - 1 for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
+    step = table.geom.steps
+    splits = [(m1, m2, w, sum(step[x] for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
     class_pairs = list(class_splits(inst.beta))
     out: dict[GWKey | None, int | Rat] = {}
     _assoc_sum(table, class_pairs, splits, (i, j, k, l), 1, out)
@@ -253,7 +253,7 @@ def wdvv_solve(geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int) -> GWTa
     for (beta, key), val in seeds.items():
         beta = tuple(beta)
         key = tuple(sorted(key))
-        if sum(geom.codims[i] - 1 for i in key) != geom.vdim0(beta):
+        if sum(geom.steps[i] for i in key) != geom.vdim0(beta):
             raise ValueError(f"seed at beta={beta}, key={key} violates the dimension gate")
         if sum(beta) <= dmax:
             table.entries[(beta, key)] = Fraction(val)
@@ -375,7 +375,7 @@ def parse_seed_records(text: str, geom: TargetGeometry) -> dict[GWKey, Rat]:
             raise ValueError(f"line {n}: expected {len(geom.divisors)} degrees in the class, got {len(beta)}")
         if min(beta) < 0 or min(counts) < 0:
             raise ValueError(f"line {n}: degrees and insertion counts must not be negative")
-        weight = sum(k * (geom.codim(i) - 1) for i, k in enumerate(counts))
+        weight = sum(k * s for k, s in zip(counts, geom.steps))
         top = max(geom.vdim(0, beta, 0), geom.vdim(1, beta, 0))
         if weight > top:
             raise ValueError(f"line {n}: insertion weight {weight} exceeds {top}, the class's virtual dimension in genus 0 or 1")

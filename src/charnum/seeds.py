@@ -71,7 +71,7 @@ def load_genus1_seeds(text: str, geom: TargetGeometry) -> dict[tuple, Rat]:
     for (beta, key), val in parse_seed_records(text, geom).items():
         if any(i != geom.point for i in key):
             raise ValueError(f"genus-1 seed at beta={beta} must carry only point insertions")
-        expect = geom.vdim(1, beta, 0) // (geom.codims[geom.point] - 1)
+        expect = geom.vdim(1, beta, 0) // geom.steps[geom.point]
         if len(key) != expect:
             raise ValueError(
                 f"genus-1 seed at beta={beta} has {len(key)} point insertions, expected {expect}"
