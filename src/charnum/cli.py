@@ -170,16 +170,18 @@ def cmd_compute(args, out) -> int:
             "degree-3 degenerate-cover terms are never evaluated)\n"
         )
         return EXIT_MISSING_SEEDS
-    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
     # a class reads only the classes below it, so nothing outside the box is computed
-    g0 = table = quadric_genus0(gw, dmax, box) if quadric else charnum_genus0(gw, dmax)
+    gw = wdvv_solve(geom, default_gw_seeds(geom), dmax, box)
     if args.genus > 0:
         seeds = _genus1_seed_table(geom, args, box)
         if seeds is None:
             return EXIT_MISSING_SEEDS
-        if quadric:
-            table = quadric_genus1(gw, g0, seeds, dmax, box=box)
-        else:
+    if quadric:
+        # genus 1 takes its genus-0 table from its own tangency potential
+        table = quadric_genus0(gw, dmax, box) if args.genus == 0 else quadric_genus1(gw, seeds, dmax, box=box)
+    else:
+        g0 = table = charnum_genus0(gw, dmax)
+        if args.genus > 0:
             table = charnum_genus1(g0, seeds, dmax)
     if args.genus == 2:
         if not args.virtual2:
@@ -286,8 +288,8 @@ def cmd_descendant(args, out) -> int:
         seeds = _genus1_seed_table(geom, args, degrees)
         if seeds is None:
             return EXIT_MISSING_SEEDS
-        gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
         # a class reads only the classes below it, so only those of the box are solved
+        gw = wdvv_solve(geom, default_gw_seeds(geom), dmax, degrees)
         ts = TangencySpace(geom)
         g0 = genus0_tangency_potential(ts, gw, dmax, degrees)
         g1 = genus1_tangency_potential(ts, g0, seeds, dmax, box=degrees)

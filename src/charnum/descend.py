@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import CurveClass, TargetGeometry, _int_view, in_box
 from .gw import GWTable, SeedConflict, class_splits, multiset_splits
@@ -406,9 +407,10 @@ def genus0_tangency_potential(ts: TangencySpace, gw: GWTable, dmax: int, box: Cu
         levels[sum(beta)][(beta, ts.key((0, c) for c in key))] = Fraction(val)
 
     store = _SliceStore(ts, ts.packing(0, dmax, box))
+    solved: list[SeriesTable] = []
     for t, level in levels.items():
         if t > 1:
-            store.add("G", t - 1, SeriesTable._trusted(ts.space, dmax, levels[t - 1]))
+            store.add("G", t - 1, solved[-1])
         quad_by_dv_k: dict[tuple[int, int], SeriesTable] = {}
         for beta in geom.curve_classes(t, box):
             dv = next((i for i in geom.divisors if geom.degree_of(i, beta)), None)
@@ -427,7 +429,8 @@ def genus0_tangency_potential(ts: TangencySpace, gw: GWTable, dmax: int, box: Cu
                 rhs = _pde_rhs_coeff(ts, level, quad, beta, target, k_idx, dv)
                 if rhs:
                     level[(beta, mono)] = rhs / dd
-    return _joined(ts, dmax, levels)
+        solved.append(SeriesTable._trusted(ts.space, dmax, level))
+    return _joined(ts, dmax, solved)
 
 
 class _SliceStore:
@@ -595,11 +598,14 @@ def genus1_tangency_potential(
     the same `ts`.
 
     G0 is complete, so all its slices join the `_SliceStore` at once; each
-    level of G1 joins it once solved.
+    level of G1 joins it once solved.  A level holds integer numerators
+    over one denominator, which grows to a multiple of each right side's
+    as the y_k equations are formed, so reading and comparing them is
+    integer work.
     """
     geom = ts.geom
     consts = genus1_degree0_constants(geom)
-    levels: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
+    seeded: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
     for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
         slice_keys = [k for k in ts.gated_keys(1, beta) if not any(k[ts.nx:])]
         if not slice_keys:
@@ -608,7 +614,7 @@ def genus1_tangency_potential(
         if len(slice_keys) != 1:
             raise ValueError(f"expected one psi-free stratum at beta={beta}, got {slice_keys}")
         if val:
-            levels[sum(beta)][(tuple(beta), slice_keys[0])] = Fraction(val)
+            seeded[sum(beta)][(tuple(beta), slice_keys[0])] = Fraction(val)
 
     store = _SliceStore(ts, ts.packing(1, dmax, box))
     g0_levels: dict[int, dict] = {}
@@ -617,10 +623,14 @@ def genus1_tangency_potential(
             g0_levels.setdefault(sum(key[0]), {})[key] = num
     for total, part in g0_levels.items():
         store.add("G0", total, SeriesTable._of(ts.space, dmax, part, g0.den))
-    for t, level in levels.items():
+    solved: list[SeriesTable] = []
+    for t, seed_entries in seeded.items():
         if t > 1:
-            store.add("G1", t - 1, SeriesTable._trusted(ts.space, dmax, levels[t - 1]))
-        rhs_by_k: dict[int, SeriesTable] = {}
+            store.add("G1", t - 1, solved[-1])
+        start = SeriesTable._trusted(ts.space, dmax, seed_entries)
+        level, den = dict(start.nums), start.den
+        # k -> (numerators of the right side of the y_k equation, the factor taking them over den)
+        rhs_by_k: dict[int, tuple[dict, int]] = {}
         top = None
         for beta in geom.curve_classes(t, box):
             for mono in ts.descendant_keys(1, beta):
@@ -630,21 +640,34 @@ def genus1_tangency_potential(
                     if k_idx not in rhs_by_k:
                         if top is None:
                             top = _genus1_top(store, consts, t)
-                        rhs_by_k[k_idx] = _genus1_rhs(store, top, k_idx, t)
-                    vals.append(rhs_by_k[k_idx].coeff(beta, ts.lowered(mono, k_idx)))
-                if len(set(vals)) > 1:
+                        rhs = _genus1_rhs(store, top, k_idx, t)
+                        common = lcm(den, rhs.den)
+                        if common != den:
+                            grow = common // den
+                            level = {key: num * grow for key, num in level.items()}
+                            rhs_by_k = {k: (nums, f * grow) for k, (nums, f) in rhs_by_k.items()}
+                            den = common
+                        rhs_by_k[k_idx] = (rhs.nums, den // rhs.den)
+                    nums, f = rhs_by_k[k_idx]
+                    vals.append(nums.get((beta, ts.lowered(mono, k_idx)), 0) * f)
+                if any(v != vals[0] for v in vals):
                     raise SeedConflict(
                         f"the genus-1 y_k equations disagree at beta={beta}, "
-                        f"stratum={mono}: {', '.join(map(str, vals))}"
+                        f"stratum={mono}: {', '.join(str(Fraction(v, den)) for v in vals)}"
                     )
                 if vals[0]:
-                    level[(tuple(beta), mono)] = vals[0]
-    return _joined(ts, dmax, levels)
+                    level[(beta, mono)] = vals[0]
+        solved.append(SeriesTable._of(ts.space, dmax, level, den))
+    return _joined(ts, dmax, solved)
 
 
-def _joined(ts: TangencySpace, dmax: int, levels: dict[int, dict]) -> SeriesTable:
-    """The potential whose entries the level dicts hold."""
-    return SeriesTable._trusted(ts.space, dmax, {key: v for level in levels.values() for key, v in level.items()})
+def _joined(ts: TangencySpace, dmax: int, levels: list[SeriesTable]) -> SeriesTable:
+    """The potential whose entries the level tables hold, over the least
+    common multiple of their denominators."""
+    den = lcm(*(level.den for level in levels))
+    return SeriesTable._of(
+        ts.space, dmax, {key: num * (den // level.den) for level in levels for key, num in level.nums.items()}, den
+    )
 
 
 def _genus1_top(store: _SliceStore, consts, t: int) -> SeriesTable:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .geometry import CurveClass, TargetGeometry, _int_view
+from .geometry import CurveClass, TargetGeometry, _int_view, in_box
 from .series import Rat, compositions, parse_rat
 
 __all__ = [
@@ -241,8 +241,13 @@ def _candidate_instances(geom: TargetGeometry, beta: CurveClass, key: tuple[int,
                         yield inst
 
 
-def wdvv_solve(geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int) -> GWTable:
-    """Complete the genus-0 table up to total degree dmax from the seeds.
+def wdvv_solve(
+    geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int, box: CurveClass | None = None
+) -> GWTable:
+    """Complete the genus-0 table up to total degree dmax from the seeds, on
+    the classes componentwise <= `box` if given: every instance of a class
+    splits it into classes below it, so the box needs no others, and seeds
+    outside it are left out.
 
     Once a class is solved, up to three associativity instances touching
     each of its seeded invariants are evaluated; a nonzero residual raises
@@ -255,11 +260,11 @@ def wdvv_solve(geom: TargetGeometry, seeds: dict[GWKey, Rat], dmax: int) -> GWTa
         key = tuple(sorted(key))
         if sum(geom.steps[i] for i in key) != geom.vdim0(beta):
             raise ValueError(f"seed at beta={beta}, key={key} violates the dimension gate")
-        if sum(beta) <= dmax:
+        if sum(beta) <= dmax and in_box(beta, box):
             table.entries[(beta, key)] = Fraction(val)
             seeded.setdefault(beta, []).append(key)
     for total in range(1, dmax + 1):
-        for beta in geom.curve_classes(total):
+        for beta in geom.curve_classes(total, box):
             _solve_level(geom, table, beta)
             for key in seeded.get(beta, ()):
                 for n, inst in enumerate(_candidate_instances(geom, beta, key)):

@@ -194,7 +194,7 @@ def run_verify_suite(suite: str, out) -> int:
         g0 = charnum_genus0(gw, 3)
         seeds = load_genus1_seeds(packaged_seed_text("p2-genus1"), geom)
         direct = charnum_genus1(g0, seeds, 3)
-        virtual = charnum_genus1_virtual_route(gw, g0, seeds, 3)
+        virtual = charnum_genus1_virtual_route(gw, seeds, 3)
         for key, va, vb in cross_check(direct.entries, virtual.entries):
             failures += 1
             out.write(f"mismatch at {key}: direct {va} virtual route {vb}\n")

@@ -203,13 +203,14 @@ def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> Serie
     return solved - e_table.truncate(dmax)
 
 
-def charnum_genus1_virtual_route(
-    gw: GWTable, g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int
-) -> SeriesTable:
+def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
     """Genus-1 numbers via the tangency potential and the correction formula
-    enumerative = virtual + (1/24) P G^0 - E; `seeds` as for `charnum_genus1`."""
+    enumerative = virtual + (1/24) P G^0 - E; `seeds` as for `charnum_genus1`.
+    G^0 is the substituted genus-0 tangency potential of
+    `Surface.genus1_virtual`, not the level loop of `charnum_genus0`, so the
+    route shares no genus-0 table with `charnum_genus1`."""
     e_table, _ = cover_polynomials()
-    virtual = PLANE.genus1_virtual(gw, g0, seeds, dmax)
+    virtual, _ = PLANE.genus1_virtual(gw, seeds, dmax)
     return virtual - e_table.truncate(dmax)
 
 

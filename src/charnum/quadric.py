@@ -20,7 +20,10 @@ formula
 
 with the ruling operators L1 = d/du2 + 2v d/du, L2 = d/du1 + 2v d/du and
 P = 2v d/du1 + 2v d/du2 + (4v^2 + 2w) d/du, the rows of the deformed metric
-of P^1 x P^1 that `Surface` derives.
+of P^1 x P^1 that `Surface` derives.  G0 here is the genus-0 tangency
+potential under the change of variables that gives the virtual potential,
+so `quadric_genus1` needs no `quadric_genus0` table, and a degree box bounds
+every solve in it, the Hurwitz covers included.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ def quadric_genus0(gw: GWTable, dmax: int, box: tuple[int, int] | None = None) -
 
 def quadric_genus1(
     gw: GWTable,
-    g0: SeriesTable,
     seeds: dict[tuple[int, int], Rat],
     dmax: int,
     box: tuple[int, int] | None = None,
@@ -92,12 +94,16 @@ def quadric_genus1(
 
     `seeds` maps bidegrees to the genus-1 point-only invariant.  Only entries
     with both partial degrees positive are enumerative; rule-supported
-    bidegrees are dropped from the output.  With `box`, only the bidegrees
-    componentwise <= box are computed and returned, `g0` needs only those,
-    and only their seeds are read.
+    bidegrees are dropped from the output.  G^0, in (1/24) P G^0 and in the
+    cover pairing, is the genus-0 table that `Surface.genus1_virtual` gets
+    from its own tangency potential, so no second genus-0 solve runs.  With
+    `box`, only the bidegrees componentwise <= box are computed and
+    returned, only their seeds are read, and the Hurwitz covers are read up
+    to degree max(box): a cover of degree d lies on a ruling, at (d, 0) or
+    (0, d).
     """
-    virtual = QUADRIC.genus1_virtual(gw, g0, seeds, dmax, box)
-    i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax), dmax)
+    virtual, g0 = QUADRIC.genus1_virtual(gw, seeds, dmax, box)
+    i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax if box is None else min(dmax, max(box))), dmax)
     # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
     g1 = virtual - QUADRIC.pair(i_pot + j_pot, g0, box=box)
     return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1 and in_box(deg, box))

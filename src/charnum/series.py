@@ -229,9 +229,11 @@ class SeriesTable:
         Each old exponent variable maps to a list of (coefficient, new name);
         an empty list sets it to zero.  The i-th degree variable becomes the
         i-th one of `new_space`.  An entry at exponents m expands into
-        integer multiples of itself (`_expand`); with the coefficients over a
-        common denominator cden, its terms are integer numerators over
-        den * cden^|m|.
+        integer multiples of itself (`_expand`, once per distinct m); with
+        the coefficients over a common denominator cden, its terms are
+        integer numerators over den * cden^|m|.  A variable with one target
+        moves its whole exponent in one step; only one with several targets
+        is split over them.
         """
         old_sp = self.space
         if len(new_space.degree_vars) != len(old_sp.degree_vars):
@@ -299,7 +301,9 @@ def _expand(
     sum of the k_ij sent to z_l.  Restoring n! turns prod_l n_l!/prod k_ij!
     into a product of binomials, so with integer c_ij every stored multiple
     (n, w) has an integer w; the multiples come in the order the splits
-    first reach them.
+    first reach them.  A variable with one target c z_j has the one split
+    k = m, which moves every multiple to a distinct n: w times
+    binomial(n_j + m, m) c^m.
     """
     acc: dict[tuple[int, ...], int] = {(0,) * nexp: 1}
     for m, tgt in zip(mono, targets):
@@ -307,6 +311,11 @@ def _expand(
             continue
         if not tgt:
             return []
+        if len(tgt) == 1:
+            ((c, j),) = tgt
+            cm = c**m
+            acc = {base[:j] + (base[j] + m,) + base[j + 1:]: w * comb(base[j] + m, m) * cm for base, w in acc.items()}
+            continue
         nxt: dict[tuple[int, ...], int] = {}
         for split in compositions(m, (1,) * len(tgt)):
             for base, w in acc.items():

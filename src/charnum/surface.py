@@ -21,9 +21,9 @@ the y-part of the tangency change of variables `tangency_map`: L_i is the
 row of the divisor T_i and P that of the point class, column f acting as the
 partial by f's variable.  The whole map takes the first-descendant
 (tangency) potentials of `descend`, both over one `TangencySpace` of the
-ring, to the genus-1 virtual potential.  A surface's solvers take only
-tables over its own built-in ring (`geometry.builtin_name`), not over
-another ring that bears its name.
+ring, to G (genus 0) and to the genus-1 virtual potential.  A surface's
+solvers take only tables over its own built-in ring
+(`geometry.builtin_name`), not over another ring that bears its name.
 """
 
 from __future__ import annotations
@@ -204,22 +204,25 @@ class Surface:
     def genus1_virtual(
         self,
         gw: GWTable,
-        g0: SeriesTable,
         seeds: dict[tuple, Rat],
         dmax: int,
         box: CurveClass | None = None,
-    ) -> SeriesTable:
-        """The genus-1 virtual potential in (u, v, w), plus (1/24) P G^0.
+    ) -> tuple[SeriesTable, SeriesTable]:
+        """The genus-1 virtual potential in (u, v, w), plus (1/24) P G^0, and
+        the genus-0 characteristic numbers G^0 it used.
 
         Runs both tangency potentials over one `TangencySpace` up to total
         degree dmax (on the classes componentwise <= `box` if given) from
         the GW table and the genus-1 point-only `seeds` (by curve class),
-        then substitutes `tangency_map`; the degree slots keep their
-        position.  What is left to subtract is each surface's own cover
-        term.
+        then substitutes `tangency_map` in both; the degree slots keep their
+        position.  The substituted genus-0 potential is G^0, the table that
+        `genus0` gives on the same box, so a caller needs no second genus-0
+        solve.  What is left to subtract is each surface's own cover term.
         """
         ts = descend.TangencySpace(self._geometry(gw))
         gamma0 = descend.genus0_tangency_potential(ts, gw, dmax, box)
         gamma1 = descend.genus1_tangency_potential(ts, gamma0, seeds, dmax, box)
-        virtual = gamma1.substitute(self.space, self.tangency_map())
-        return virtual + self.point(g0).scale(Fraction(1, 24))
+        tangency = self.tangency_map()
+        g0 = gamma0.substitute(self.space, tangency)
+        virtual = gamma1.substitute(self.space, tangency) + self.point(g0).scale(Fraction(1, 24))
+        return virtual, g0

@@ -60,8 +60,8 @@ def g0_quadric(gw_quadric):
 
 
 @pytest.fixture(scope="session")
-def g1_quadric(gw_quadric, g0_quadric, quadric_genus1_seeds):
-    return quadric_genus1(gw_quadric, g0_quadric, quadric_genus1_seeds, 5)
+def g1_quadric(gw_quadric, quadric_genus1_seeds):
+    return quadric_genus1(gw_quadric, quadric_genus1_seeds, 5)
 
 
 @pytest.fixture(scope="session")

@@ -189,7 +189,7 @@ def test_criterion_08_genus1_dual_route(p2):
         g0 = charnum_genus0(gw, 4)
         seeds = {(1,): 0, (2,): 0, (3,): 1, (4,): 225}
         direct = charnum_genus1(g0, seeds, 4)
-        virtual = charnum_genus1_virtual_route(gw, g0, seeds, 4)
+        virtual = charnum_genus1_virtual_route(gw, seeds, 4)
         assert direct == virtual
         for (deg, mono), val in direct.entries.items():
             assert val.denominator == 1 and val >= 0, (deg, mono, val)
@@ -253,7 +253,7 @@ def test_criterion_11_quadric_symmetry(quadric):
         from charnum.seeds import load_genus1_seeds, packaged_seed_text
 
         seeds = load_genus1_seeds(packaged_seed_text("p1xp1-genus1"), quadric)
-        g1 = quadric_genus1(gw, g0, seeds, 5)
+        g1 = quadric_genus1(gw, seeds, 5)
         assert g1.entries
         for ((d1, d2), mono), val in g1.entries.items():
             assert g1.coeff((d2, d1), mono) == val

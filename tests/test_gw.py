@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -8,7 +9,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from charnum.descend import DescendantEngine, DescendantSpec
-from charnum.geometry import BUILTIN_NAMES, TargetGeometry, builtin_geometry, load_geometry
+from charnum.geometry import BUILTIN_NAMES, TargetGeometry, builtin_geometry, in_box, load_geometry
 from charnum.gw import (
     GWTable,
     Instance,
@@ -23,6 +24,7 @@ from charnum.gw import (
     wdvv_solve,
 )
 from charnum.seeds import default_gw_seeds, packaged_seed_text
+from test_quadric import BOXES
 
 
 def test_p2_classical_counts(gw_p2):
@@ -102,6 +104,30 @@ def test_seed_conflict_reported():
     seeds[((1,), (2, 4, 4))] = Fraction(7)
     with pytest.raises(SeedConflict, match="instance"):
         wdvv_solve(g, seeds, 1)
+
+
+@pytest.mark.parametrize(
+    "full_table, box",
+    [("gw_quadric", box) for box in BOXES] + [("gw_p2", (d,)) for d in range(1, 6)],
+    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else x,
+)
+def test_boxed_solve_is_the_full_solve_cut_to_the_box(full_table, box, request):
+    """A class splits only into classes below it, so solving the box alone
+    gives the full table's entries there, and none elsewhere."""
+    full = request.getfixturevalue(full_table)
+    boxed = wdvv_solve(full.geom, default_gw_seeds(full.geom), sum(box), box)
+    assert boxed.entries
+    assert boxed.entries == {key: val for key, val in full.entries.items() if in_box(key[0], box)}
+
+
+@pytest.mark.parametrize(
+    "name, bad, box", [("p1xp1", ((1, 1), (3, 3, 3)), (2, 1)), ("p2", ((2,), (2,) * 5), (2,))], ids=["p1xp1", "p2"]
+)
+def test_boxed_solve_still_checks_a_seed_inside_the_box(name, bad, box):
+    geom = builtin_geometry(name)
+    seeds = {**default_gw_seeds(geom), bad: Fraction(2)}
+    with pytest.raises(SeedConflict, match=re.escape(f"seed at beta={bad[0]}, insertions={bad[1]} contradicts")):
+        wdvv_solve(geom, seeds, sum(box), box)
 
 
 def test_gr24_degree1_from_packaged_seeds():

@@ -162,7 +162,7 @@ def test_genus1_missing_seed_degree_raises(g0_p2):
 
 
 def test_genus1_routes_agree(gw_p2, g0_p2, p2_genus1_seeds, g1_p2):
-    virtual = charnum_genus1_virtual_route(gw_p2, g0_p2, p2_genus1_seeds, 4)
+    virtual = charnum_genus1_virtual_route(gw_p2, p2_genus1_seeds, 4)
     assert virtual == g1_p2
 
 

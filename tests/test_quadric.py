@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from charnum import descend
+from charnum import cli, descend, gw, quadric
 from charnum.descend import DescendantEngine, DescendantSpec
 from charnum.geometry import TargetGeometry, in_box
 from charnum.oracles import hurwitz_bruteforce
+from charnum.planecurves import charnum_genus1_virtual_route
 from charnum.quadric import QUADRIC, hurwitz, quadric_genus0, quadric_genus1, rule_cover_potentials
+from charnum.surface import Surface
 
 
 # -- Hurwitz numbers -----------------------------------------------------------
@@ -153,12 +156,12 @@ def test_genus1_seed_echo(g1_quadric):
     assert g1_quadric.coeff((3, 2), (10, 0, 0)) == 20
 
 
-def test_corrections_vanish_without_multiple_covers(gw_quadric, g0_quadric, quadric_genus1_seeds):
+def test_corrections_vanish_without_multiple_covers(gw_quadric, quadric_genus1_seeds):
     # up to total degree 3 the I/J potentials cannot contribute (covers need
     # a ruling degree >= 2 ... they start at bidegree (2,0)/(0,2) and couple
     # to positive-degree rational pieces only from total degree 3 on); check
     # the virtual route against the bare correction at (1,1) and (2,1)
-    small = quadric_genus1(gw_quadric, g0_quadric, quadric_genus1_seeds, 3)
+    small = quadric_genus1(gw_quadric, quadric_genus1_seeds, 3)
     for deg in ((1, 1), (2, 1), (1, 2)):
         assert not any(d == deg for (d, _) in small.entries)
 
@@ -179,7 +182,7 @@ def test_boxed_tables_are_the_total_degree_tables_cut_to_the_box(
     dmax = sum(box)
     g0 = quadric_genus0(gw_quadric, dmax, box)
     assert g0.entries == box_part(g0_quadric, box)
-    g1 = quadric_genus1(gw_quadric, g0, quadric_genus1_seeds, dmax, box=box)
+    g1 = quadric_genus1(gw_quadric, quadric_genus1_seeds, dmax, box=box)
     assert g1.entries == box_part(g1_quadric, box)
 
 
@@ -206,8 +209,46 @@ def test_no_class_outside_the_box_reaches_a_recursion(monkeypatch, gw_quadric, q
     for name in ("genus0_tangency_potential", "genus1_tangency_potential"):
         monkeypatch.setattr(descend, name, spy(getattr(descend, name)))
     g0 = quadric_genus0(gw_quadric, dmax, box)
-    quadric_genus1(gw_quadric, g0, quadric_genus1_seeds, dmax, box=box)
+    quadric_genus1(gw_quadric, quadric_genus1_seeds, dmax, box=box)
     inside = {(d1, d2) for d1 in range(4) for d2 in range(2)} - {(0, 0)}
     assert set(solved) == inside
     assert len(potentials) == 2
     assert sum(not in_box(deg, box) for pot in potentials for deg, _ in pot.entries) == 0
+
+
+def test_genus1_solves_genus0_once_and_stays_in_its_box(monkeypatch, gw_p2, p2_genus1_seeds):
+    """A p1xp1 genus-1 `compute` takes G^0 from its own tangency potential,
+    solves WDVV only on the classes of its box, and reads the Hurwitz covers
+    only up to max(box); the plane's virtual route runs no genus-0 level
+    loop either."""
+    genus0_runs = []
+    genus0 = Surface.genus0
+
+    def counted_genus0(surface, *args, **kwargs):
+        genus0_runs.append(surface.geom.name)
+        return genus0(surface, *args, **kwargs)
+
+    levels = []
+    solve_level = gw._solve_level
+
+    def spy_level(geom, table, beta):
+        if geom.name == "p1xp1":
+            levels.append(beta)
+        return solve_level(geom, table, beta)
+
+    covers = []
+
+    def spy_hurwitz(*args):
+        covers.append(args)
+        return hurwitz(*args)
+
+    monkeypatch.setattr(Surface, "genus0", counted_genus0)
+    monkeypatch.setattr(gw, "_solve_level", spy_level)
+    monkeypatch.setattr(quadric, "hurwitz", spy_hurwitz)
+    argv = ["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "3,1"]
+    assert cli.run(argv, out=io.StringIO()) == 0
+    assert genus0_runs == []
+    assert sorted(levels) == sorted({(d1, d2) for d1 in range(4) for d2 in range(2)} - {(0, 0)})
+    assert covers == [(1, 3)]
+    charnum_genus1_virtual_route(gw_p2, p2_genus1_seeds, 3)
+    assert genus0_runs == []

@@ -55,6 +55,7 @@ REQUESTS = [
     (["compute", "--target", "p2", "--genus", "2", "--dmax", "3"], 3),
     (["compute", "--target", "p2", "--genus", "1", "--dmax", "6"], 3),
     (["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "2,2", "--format", "md"], 0),
+    (["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "2,1", "--format", "csv"], 0),
     (["compute", "--target", "p1xp1", "--genus", "2", "--dmax", "2,2"], 2),
     (["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "3"], 2),
     (["compute", "--target", "p3", "--genus", "0", "--dmax", "1"], 2),

@@ -5,7 +5,7 @@ from itertools import product
 from math import comb, factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charnum.descend import TangencySpace
@@ -20,6 +20,7 @@ from charnum.series import (
     SeriesTable,
     VarSpace,
     VariableMismatch,
+    compositions,
     series_product,
 )
 
@@ -418,6 +419,57 @@ def test_substitute_equals_word_expansion(f, exp_map):
     assert_exact(f.substitute(SP, exp_map), naive_substitute(f, SP, exp_map))
 
 
+def compositions_substitute(f, space, exp_map):
+    """The expansion of `substitute` before a variable with one target got
+    its own step: each exponent m of an old variable is split over its
+    targets by `compositions`, and every split multiplies the weight by
+    binomial(n_j + k, k) c^k for each target c z_j taking k of it."""
+    out = {}
+    for (deg, mono), val in f.entries.items():
+        acc = {(0,) * len(space.exp_vars): val}
+        for old, m in zip(f.space.exp_vars, mono):
+            if not m:
+                continue
+            targets = [(Fraction(c), space.exp_index(name)) for c, name in exp_map[old]]
+            nxt = {}
+            for split in compositions(m, (1,) * len(targets)):
+                for base, w in acc.items():
+                    new = list(base)
+                    for (c, j), k in zip(targets, split):
+                        w *= comb(new[j] + k, k) * c**k
+                        new[j] += k
+                    nxt[tuple(new)] = nxt.get(tuple(new), 0) + w
+            acc = nxt
+        for nmono, w in acc.items():
+            out[(deg, nmono)] = out.get((deg, nmono), 0) + w
+    return {key: v for key, v in out.items() if v}
+
+
+SRC3_SP = VarSpace(("s",), ("x", "y", "z"))
+TARGET = st.tuples(COEFS, st.sampled_from(SP.exp_vars))
+# one target (with a zero or fractional coefficient at times), or several
+MAPS = st.fixed_dictionaries(
+    {old: st.one_of(st.lists(TARGET, min_size=1, max_size=1), st.lists(TARGET, max_size=3)) for old in SRC3_SP.exp_vars}
+)
+SRC3_TABLES = st.builds(
+    lambda dmax, d: SeriesTable(SRC3_SP, dmax, d),
+    st.integers(1, 4),
+    st.dictionaries(
+        st.tuples(st.tuples(st.integers(0, 3)), st.tuples(*[st.integers(0, 4)] * 3)), VALUES, max_size=8
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(SRC3_TABLES, MAPS)
+@example(
+    table({((1,), (4, 1, 0)): Fraction(5, 3), ((2,), (0, 3, 2)): -7, ((3,), (2, 2, 2)): Fraction(1, 4)}, space=SRC3_SP),
+    {"x": [(Fraction(-2, 3), "u")], "y": [(0, "v")], "z": [(1, "w"), (Fraction(1, 2), "v")]},
+)
+def test_substitute_equals_the_compositions_expansion(f, exp_map):
+    assert_exact(f.substitute(SP, exp_map), compositions_substitute(f, SP, exp_map))
+
+
 def test_substitute_fractional_negative_zero_and_empty_targets():
     f = table({((1,), (2, 1)): Fraction(5, 3), ((2,), (0, 2)): Fraction(-7, 2), ((1,), (3, 0)): 4}, space=SRC_SP)
     exp_map = {"x": [(Fraction(1, 2), "u"), (-3, "v"), (0, "w")], "y": [(Fraction(-2, 5), "u"), (1, "u")]}
@@ -573,15 +625,15 @@ def test_entries_view_round_trips(f, g, c):
 
 
 def test_level_solvers_never_read_the_entries_view(monkeypatch, gw_p2, g0_p2, p2_genus1_seeds,
-                                                   gw_quadric, g0_quadric, quadric_genus1_seeds):
+                                                   gw_quadric, quadric_genus1_seeds):
     """The solvers work on numerators: no Fraction table is built inside them."""
     reads = []
     view = SeriesTable.entries
     monkeypatch.setattr(SeriesTable, "entries", property(lambda t: reads.append(t) or view.fget(t)))
     PLANE.genus0(gw_p2, 4)
     charnum_genus1(g0_p2, p2_genus1_seeds, 4)
-    PLANE.genus1_virtual(gw_p2, g0_p2, p2_genus1_seeds, 4)
+    PLANE.genus1_virtual(gw_p2, p2_genus1_seeds, 4)
     QUADRIC.genus0(gw_quadric, 4, (2, 2))
-    QUADRIC.genus1_virtual(gw_quadric, g0_quadric, quadric_genus1_seeds, 4, (2, 2))
+    QUADRIC.genus1_virtual(gw_quadric, quadric_genus1_seeds, 4, (2, 2))
     assert reads == []
     assert g0_p2.entries and reads == [g0_p2]  # the spy sees a read

@@ -17,7 +17,7 @@ V, V2, W = (("v", 1),), (("v", 2),), (("w", 1),)
 
 
 def _genus1_virtual(surface):
-    return lambda gw, dmax: surface.genus1_virtual(gw, SeriesTable(surface.space, dmax), {}, dmax)
+    return lambda gw, dmax: surface.genus1_virtual(gw, {}, dmax)
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,10 @@ import spans  # noqa: E402
 
 REQUESTS = {
     "plane": [["compute", "--target", "p2", "--genus", "1", "--dmax", "3"]],
-    "quadric": [["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "2,2"]],
+    "quadric": [
+        ["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "2,2"],
+        ["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "2,2"],
+    ],
     "wdvv": [["gw", "--target", "p3", "--dmax", "2"]],
     "recursion": [
         ["descendant", "tau0(T2)^6 tau1(T1)^2 @ g=0 d=3", "--cache", "{cache}"],
