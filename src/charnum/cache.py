@@ -34,9 +34,9 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "charnum"
 
 
-def _format_key(genus: int, beta, insertions) -> str:
+def _format_key(beta, insertions) -> str:
     ins = ",".join(f"{m}.{c}" for m, c in insertions)
-    return f"g{genus}|{','.join(map(str, beta))}|{ins}"
+    return f"g0|{','.join(map(str, beta))}|{ins}"
 
 
 def _parse_key(text: str) -> tuple:
@@ -88,7 +88,7 @@ class CacheFile:
             for key, val in saved.records.items():  # in place: the records may be a live memo
                 self.records.setdefault(key, val)
             body = [
-                f"{_format_key(0, beta, ins)} {format_rat(val)}" for (beta, ins), val in sorted(self.records.items())
+                f"{_format_key(beta, ins)} {format_rat(val)}" for (beta, ins), val in sorted(self.records.items())
             ]
             # a private temporary file per save: concurrent writers never share one
             fd, tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent)

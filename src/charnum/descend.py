@@ -35,7 +35,8 @@ live here:
   the equation into the classical simple-Hurwitz recursions.
 
 Both potentials take the `TangencySpace` of their target, which holds the
-variables, the gated keys and gamma, so a caller that runs both shares one.
+variables and gamma (`metric.inverse_metric`), so a caller that runs both
+shares one.
 They are solved one total degree at a time, and a level reads the levels
 below it only through the products of its quadratic term.  Their factors
 live in a `_SliceStore` for the call: it gains each completed level as one
@@ -55,11 +56,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .geometry import CurveClass, TargetGeometry, _int_view, in_box
 from .gw import GWTable, SeedConflict, class_splits, multiset_splits
-from .metric import deformed_metric
+from .metric import inverse_metric
 from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions
 
 __all__ = [
@@ -310,28 +310,18 @@ class TangencySpace:
         # the grading weight of each exponent slot in the dimension constraint
         self.weights = tuple(geom.steps[c] for c in geom.nondiv) + geom.codims[1:]
         # gamma^{ef}: polynomial entries over y1..yr at y0 = 0
-        self.gamma = deformed_metric(geom)[1].rows
-        # `gated_keys` and `descendant_keys` by (genus, beta)
-        self._keys: dict[tuple[int, CurveClass], tuple[tuple, tuple]] = {}
+        self.gamma = inverse_metric(geom).rows
 
     def gated_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
         """All exponent vectors satisfying the dimension constraint, in
         lexicographic order (the x-slots outermost)."""
-        return self._gated_and_descendant(genus, beta)[0]
+        return tuple(compositions(self.geom.vdim(genus, beta, 0), self.weights))
 
     def descendant_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
         """The gated exponent vectors with some y-exponent, fewest y first,
         so each one's lowered keys are solved before it."""
-        return self._gated_and_descendant(genus, beta)[1]
-
-    def _gated_and_descendant(self, genus: int, beta: CurveClass) -> tuple[tuple, tuple]:
-        hit = self._keys.get((genus, tuple(beta)))
-        if hit is not None:
-            return hit
-        gated = tuple(compositions(self.geom.vdim(genus, beta, 0), self.weights))
-        descendant = sorted((k for k in gated if any(k[self.nx:])), key=lambda k: sum(k[self.nx:]))
-        hit = self._keys[(genus, tuple(beta))] = (gated, tuple(descendant))
-        return hit
+        gated = compositions(self.geom.vdim(genus, beta, 0), self.weights)
+        return tuple(sorted((k for k in gated if any(k[self.nx:])), key=lambda k: sum(k[self.nx:])))
 
     def packing(self, genus: int, dmax: int, box: CurveClass | None = None) -> Packing:
         """One packing for every product operand of a potential of this
@@ -397,40 +387,43 @@ def genus0_tangency_potential(ts: TangencySpace, gw: GWTable, dmax: int, box: Cu
 
     Level t reads the levels below it only through the products of its
     quadratic term, so each level, once solved, joins a `_SliceStore` as
-    one degree slice."""
+    one degree slice.  A level is a `NumeratorSum`, seeded with the
+    Gromov-Witten values: a stratum reads its quadratic term first, then
+    the level's own numerators, and `put` divides by the squared degree."""
     geom = ts.geom
-    levels: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
+    levels = {t: NumeratorSum(ts.space, dmax) for t in range(1, dmax + 1)}
     # y = 0 slice from the Gromov-Witten table
     for (beta, key), val in gw.entries.items():
         if val == 0 or sum(beta) > dmax or not in_box(beta, box):
             continue
-        levels[sum(beta)][(beta, ts.key((0, c) for c in key))] = Fraction(val)
+        levels[sum(beta)].put((beta, ts.key((0, c) for c in key)), val.numerator, val.denominator)
 
     store = _SliceStore(ts, ts.packing(0, dmax, box))
-    solved: list[SeriesTable] = []
+    out = NumeratorSum(ts.space, dmax)
     for t, level in levels.items():
-        if t > 1:
-            store.add("G", t - 1, solved[-1])
         quad_by_dv_k: dict[tuple[int, int], SeriesTable] = {}
         for beta in geom.curve_classes(t, box):
             dv = next((i for i in geom.divisors if geom.degree_of(i, beta)), None)
             if dv is None:
                 continue
-            dd = Fraction(geom.degree_of(dv, beta)) ** 2
+            dd = geom.degree_of(dv, beta) ** 2
             for mono in ts.descendant_keys(0, beta):
                 k_idx = next(k + 1 for k, b in enumerate(mono[ts.nx:]) if b)
                 target = ts.lowered(mono, k_idx)
                 quad = quad_by_dv_k.get((dv, k_idx))
                 if quad is None:
                     # sum_{e,f} G_{x_k x_e} gamma^{ef} G_{x_f x_dv x_dv}
-                    out = NumeratorSum(ts.space, t)
-                    _metric_sum(store, out, ("G", (k_idx,)), ("G", (dv, dv)), t)
-                    quad = quad_by_dv_k[(dv, k_idx)] = out.table()
+                    acc = NumeratorSum(ts.space, t)
+                    _metric_sum(store, acc, ("G", (k_idx,)), ("G", (dv, dv)), t)
+                    quad = quad_by_dv_k[(dv, k_idx)] = acc.table()
                 rhs = _pde_rhs_coeff(ts, level, quad, beta, target, k_idx, dv)
                 if rhs:
-                    level[(beta, mono)] = rhs / dd
-        solved.append(SeriesTable._trusted(ts.space, dmax, level))
-    return _joined(ts, dmax, solved)
+                    level.put((beta, mono), rhs.numerator, rhs.denominator * dd * level.den)
+        solved = level.table()
+        out.add(solved, [(1, {})])
+        if t < dmax:
+            store.add("G", t, solved)
+    return out.table()
 
 
 class _SliceStore:
@@ -471,7 +464,7 @@ class _SliceStore:
             if idx:
                 hit = self.partial(name, idx[:-1], total).partial(f"x{idx[-1]}")
             else:
-                hit = SeriesTable._trusted(self.ts.space, self.packing.dmax, {})
+                hit = SeriesTable(self.ts.space, self.packing.dmax)
             by_total[total] = hit
         return hit
 
@@ -512,15 +505,18 @@ def _metric_sum(store: _SliceStore, out: NumeratorSum, left: tuple, right: tuple
                 out.add_product(lhs, rhs, t)
 
 
-def _pde_rhs_coeff(ts, entries, quad: SeriesTable, beta, target, k_idx: int, dv: int) -> Rat:
-    """Right side of the first-descendant equation at one coefficient."""
+def _pde_rhs_coeff(ts, level: NumeratorSum, quad: SeriesTable, beta, target, k_idx: int, dv: int) -> int | Rat:
+    """Right side of the first-descendant equation at one coefficient, over
+    `level.den` (a Fraction only if a cup coefficient is); `quad`, read
+    first, may grow that denominator."""
     geom = ts.geom
-    val = quad.coeff(beta, target)
-    for m, c in enumerate(geom.cup_table[dv][dv]):
-        if c and (d := _deriv_coeff(ts, entries, beta, target, [k_idx, m])):
+    val = level.read(quad, (beta, target))
+    entries = level.acc
+    for m, c in geom.cup_view((dv, dv)).items():
+        if d := _deriv_coeff(ts, entries, beta, target, [k_idx, m]):
             val += c * d
-    for m, c in enumerate(geom.cup_table[k_idx][dv]):
-        if c and (d := _deriv_coeff(ts, entries, beta, target, [m, dv])):
+    for m, c in geom.cup_view((k_idx, dv)).items():
+        if d := _deriv_coeff(ts, entries, beta, target, [m, dv]):
             val -= 2 * c * d
     return val
 
@@ -598,23 +594,23 @@ def genus1_tangency_potential(
     the same `ts`.
 
     G0 is complete, so all its slices join the `_SliceStore` at once; each
-    level of G1 joins it once solved.  A level holds integer numerators
-    over one denominator, which grows to a multiple of each right side's
-    as the y_k equations are formed, so reading and comparing them is
-    integer work.
+    level of G1 joins it once solved.  A level is a `NumeratorSum`, brought
+    over each right side's denominator as its y_k equation is formed; a
+    stratum forms every y_k right side it needs before it reads any, so
+    reading and comparing them is integer work over one denominator.
     """
     geom = ts.geom
     consts = genus1_degree0_constants(geom)
-    seeded: dict[int, dict] = {t: {} for t in range(1, dmax + 1)}
+    seeded = {t: NumeratorSum(ts.space, dmax) for t in range(1, dmax + 1)}
     for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
         slice_keys = [k for k in ts.gated_keys(1, beta) if not any(k[ts.nx:])]
         if not slice_keys:
             continue
-        val = seeds.get(tuple(beta), Fraction(0))
+        val = seeds.get(tuple(beta), 0)
         if len(slice_keys) != 1:
             raise ValueError(f"expected one psi-free stratum at beta={beta}, got {slice_keys}")
         if val:
-            seeded[sum(beta)][(tuple(beta), slice_keys[0])] = Fraction(val)
+            seeded[sum(beta)].put((tuple(beta), slice_keys[0]), val.numerator, val.denominator)
 
     store = _SliceStore(ts, ts.packing(1, dmax, box))
     g0_levels: dict[int, dict] = {}
@@ -623,51 +619,32 @@ def genus1_tangency_potential(
             g0_levels.setdefault(sum(key[0]), {})[key] = num
     for total, part in g0_levels.items():
         store.add("G0", total, SeriesTable._of(ts.space, dmax, part, g0.den))
-    solved: list[SeriesTable] = []
-    for t, seed_entries in seeded.items():
-        if t > 1:
-            store.add("G1", t - 1, solved[-1])
-        start = SeriesTable._trusted(ts.space, dmax, seed_entries)
-        level, den = dict(start.nums), start.den
-        # k -> (numerators of the right side of the y_k equation, the factor taking them over den)
-        rhs_by_k: dict[int, tuple[dict, int]] = {}
+    out = NumeratorSum(ts.space, dmax)
+    for t, level in seeded.items():
+        rhs_by_k: dict[int, SeriesTable] = {}  # the right side of the y_k equation
         top = None
         for beta in geom.curve_classes(t, box):
             for mono in ts.descendant_keys(1, beta):
                 choices = [k + 1 for k, b in enumerate(mono[ts.nx:]) if b]
-                vals = []
                 for k_idx in choices:
                     if k_idx not in rhs_by_k:
                         if top is None:
                             top = _genus1_top(store, consts, t)
-                        rhs = _genus1_rhs(store, top, k_idx, t)
-                        common = lcm(den, rhs.den)
-                        if common != den:
-                            grow = common // den
-                            level = {key: num * grow for key, num in level.items()}
-                            rhs_by_k = {k: (nums, f * grow) for k, (nums, f) in rhs_by_k.items()}
-                            den = common
-                        rhs_by_k[k_idx] = (rhs.nums, den // rhs.den)
-                    nums, f = rhs_by_k[k_idx]
-                    vals.append(nums.get((beta, ts.lowered(mono, k_idx)), 0) * f)
+                        rhs_by_k[k_idx] = _genus1_rhs(store, top, k_idx, t)
+                        level.over(rhs_by_k[k_idx].den)
+                vals = [level.read(rhs_by_k[k], (beta, ts.lowered(mono, k))) for k in choices]
                 if any(v != vals[0] for v in vals):
                     raise SeedConflict(
                         f"the genus-1 y_k equations disagree at beta={beta}, "
-                        f"stratum={mono}: {', '.join(str(Fraction(v, den)) for v in vals)}"
+                        f"stratum={mono}: {', '.join(str(Fraction(v, level.den)) for v in vals)}"
                     )
                 if vals[0]:
-                    level[(beta, mono)] = vals[0]
-        solved.append(SeriesTable._of(ts.space, dmax, level, den))
-    return _joined(ts, dmax, solved)
-
-
-def _joined(ts: TangencySpace, dmax: int, levels: list[SeriesTable]) -> SeriesTable:
-    """The potential whose entries the level tables hold, over the least
-    common multiple of their denominators."""
-    den = lcm(*(level.den for level in levels))
-    return SeriesTable._of(
-        ts.space, dmax, {key: num * (den // level.den) for level in levels for key, num in level.nums.items()}, den
-    )
+                    level.put((beta, mono), vals[0], level.den)
+        solved = level.table()
+        out.add(solved, [(1, {})])
+        if t < dmax:
+            store.add("G1", t, solved)
+    return out.table()
 
 
 def _genus1_top(store: _SliceStore, consts, t: int) -> SeriesTable:

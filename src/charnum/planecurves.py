@@ -158,6 +158,8 @@ def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> Serie
     tangency and a flag is solved by both equations, and unequal values
     raise SeedConflict.  The images of G^0 are prepared once as product
     operands, and the partials of G^1 gain one degree slice per level.
+    A level is a `NumeratorSum` over the denominators of its right sides,
+    so both equations are integer numerators over one denominator.
     """
     rv24, rw24 = _genus1_correction_blocks(g0)
     e_table, _ = cover_polynomials()
@@ -166,41 +168,44 @@ def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> Serie
     images_s = [Operand(pk, t) for t in PLANE.images(g0.partial("s"))]
     images_u = [Operand(pk, t) for t in PLANE.images(g0.partial("u"))]
     lower = [Operand(pk) for _ in images_s]
-    entries: dict = {}
+    out = NumeratorSum(P2_SPACE, dmax)
     for d in range(1, dmax + 1):
         if (d,) not in seeds:
             raise KeyError(f"genus-1 seed for degree {d} is missing")
-        level: dict = {}
-        if seeds[(d,)]:
-            level[((d,), (3 * d, 0, 0))] = Fraction(seeds[(d,)])
+        level = NumeratorSum(P2_SPACE, dmax)
+        seed = seeds[(d,)]
+        if seed:
+            level.put(((d,), (3 * d, 0, 0)), seed.numerator, seed.denominator)
         qv = PLANE.pair_operands(lower, images_s, d)
         qw = PLANE.pair_operands(lower, images_u, d)
+        # no division follows, so no read below grows the denominator
+        for t in (qv, qw, rv24, rw24):
+            level.over(t.den)
         for a, b, c in PLANE.strata(1, d):
             if b == 0 and c == 0:
                 continue
             vals = []
             if c > 0:
-                vals.append(qw.coeff((d,), (a, b, c - 1)) + rw24.coeff((d,), (a, b, c - 1)))
+                key = ((d,), (a, b, c - 1))
+                vals.append(level.read(qw, key) + level.read(rw24, key))
             if b > 0:
-                prev = level.get(((d,), (a + 1, b - 1, c)), Fraction(0))
-                vals.append(
-                    prev
-                    + qv.coeff((d,), (a, b - 1, c))
-                    + rv24.coeff((d,), (a, b - 1, c))
-                )
+                key = ((d,), (a, b - 1, c))
+                prev = level.acc.get(((d,), (a + 1, b - 1, c)), 0)
+                vals.append(prev + level.read(qv, key) + level.read(rv24, key))
             if len(set(vals)) > 1:
                 raise SeedConflict(
                     f"the genus-1 tangency and flag equations disagree at d={d}, "
-                    f"(a,b,c)=({a},{b},{c}): {', '.join(map(str, vals))}"
+                    f"(a,b,c)=({a},{b},{c}): {', '.join(str(Fraction(v, level.den)) for v in vals)}"
                 )
             if vals[0]:
-                level[((d,), (a, b, c))] = vals[0]
-        entries.update(level)
+                level.put(((d,), (a, b, c)), vals[0], level.den)
+        new = level.table()
+        out.add(new, [(1, {})])
         if d < dmax:
-            for operand, t in zip(lower, PLANE.partials(SeriesTable._trusted(P2_SPACE, dmax, level))):
+            for operand, t in zip(lower, PLANE.partials(new)):
                 operand.extend(t)
-    solved = SeriesTable._trusted(P2_SPACE, dmax, entries)
-    return solved - e_table.truncate(dmax)
+    out.add(e_table, [(-1, {})])
+    return out.table()
 
 
 def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:

@@ -23,10 +23,12 @@ of `descend`.  The potentials add their products to a `NumeratorSum` with
 `add_product`, straight from the kernel's integer numerators.
 
 A table holds its values as nonzero integer numerators over one least
-common denominator, and every operation reads and returns numerators, so a
-level loop does integer work only.  `fractions.Fraction`s are built only at
-the boundary: `coeff`, the `entries` view for output, oracles and tests,
-and the checked input of the constructor.  No floats anywhere.
+common denominator, and every operation reads and returns numerators.  A
+level loop holds each level as a `NumeratorSum` that `read`s its right
+sides and `put`s its solved values, and sums the levels in one more, so it
+does integer work only.  `fractions.Fraction`s are built only at the
+boundary: `coeff`, the `entries` view for output, oracles and tests, and
+the checked input of the constructor.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -108,16 +110,6 @@ class SeriesTable:
                     table[(tuple(deg), tuple(mono))] = v
         self.den = lcm(*(v.denominator for v in table.values()))
         self.nums = {key: v.numerator * (self.den // v.denominator) for key, v in table.items()}
-
-    @classmethod
-    def _trusted(cls, space: VarSpace, dmax: int, entries: dict[Key, Rat]) -> "SeriesTable":
-        """The table of a dict of rationals, without the checks of `__init__`.
-
-        For the level dicts of the solvers only: every key fits `space`
-        with total degree <= dmax.
-        """
-        den = lcm(*(v.denominator for v in entries.values()))
-        return cls._of(space, dmax, {key: v.numerator * (den // v.denominator) for key, v in entries.items()}, den)
 
     @classmethod
     def _of(cls, space: VarSpace, dmax: int, nums: dict[Key, int], den: int) -> "SeriesTable":
@@ -353,9 +345,11 @@ def _raise(mono: tuple[int, ...], shift: tuple[tuple[int, int], ...]) -> tuple[t
 
 class NumeratorSum:
     """A running sum of tables times monomials and of products, as integer
-    numerators over one common denominator.
+    numerators over one common denominator; also a level being solved.
 
     A sum of many terms costs integer additions, not a new table per term.
+    Each `add`, `read` or `put` may grow the denominator, which rescales
+    every numerator in `acc`: a numerator taken before one is stale after it.
     """
 
     __slots__ = ("space", "dmax", "acc", "den")
@@ -376,7 +370,7 @@ class NumeratorSum:
         if not plan or not t.nums:
             return
         cden = lcm(*(c.denominator for c, _ in plan))
-        rest = self._over(t.den * cden)
+        rest = self.over(t.den * cden)
         plan = [(c.numerator * (cden // c.denominator) * rest, shift) for c, shift in plan]
         acc = self.acc
         cut = t.dmax > self.dmax
@@ -401,7 +395,7 @@ class NumeratorSum:
         den, by_class = _convolve(f, g, total)
         if not by_class:
             return
-        rest = self._over(den)
+        rest = self.over(den)
         acc = self.acc
         for deg, nums in by_class.items():
             for key, num in nums.items():
@@ -410,7 +404,7 @@ class NumeratorSum:
                     key = (deg, mono)
                     acc[key] = acc.get(key, 0) + num * mfact * rest
 
-    def _over(self, den: int) -> int:
+    def over(self, den: int) -> int:
         """Bring the sum over a multiple of `den`; the factor that takes a
         numerator over `den` to the sum's denominator."""
         common = lcm(self.den, den)
@@ -420,6 +414,17 @@ class NumeratorSum:
                 self.acc[key] *= grow
             self.den = common
         return common // den
+
+    def read(self, t: SeriesTable, key: Key) -> int:
+        """t's value at `key` as a numerator over the sum's denominator,
+        after bringing the sum over a multiple of `t.den`."""
+        return t.nums.get(key, 0) * self.over(t.den)
+
+    def put(self, key: Key, num: int, den: int) -> None:
+        """Set the value at `key` to num / den, reduced by their gcd first,
+        so an integral value never grows the denominator."""
+        common = gcd(num, den)
+        self.acc[key] = num // common * self.over(den // common)
 
     def table(self) -> SeriesTable:
         """The sum as a table; the accumulator is used up."""

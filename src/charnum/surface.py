@@ -35,7 +35,7 @@ from . import descend
 from .geometry import CurveClass, TargetGeometry, builtin_name
 from .gw import GWTable
 from .metric import inverse_metric, substitute_metric
-from .series import DiffOperator, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
+from .series import DiffOperator, NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
 
 __all__ = ["Surface"]
 
@@ -151,7 +151,8 @@ class Surface:
         skip the class pairs that leave it.  The tangency product
         <G_s, G_s> is read only at w = 0, and w adds up in products and is
         never lowered by the operators, so G_s and its images keep only
-        their w = 0 part.
+        their w = 0 part.  A level is a `NumeratorSum`; a stratum reads its
+        product before the level's own numerator, and `put` divides.
         """
         geom = self._geometry(gw)
         w = self.space.exp_index("w")
@@ -163,31 +164,34 @@ class Surface:
         # the factors of <G_s, G_s> and <G_u, G_ss>
         factors = [[Operand(pk) for _ in range(1 + len(self.lines))] for _ in range(4)]
         left_s, right_s, left_u, right_ss = factors
-        entries: dict = {}
+        out = NumeratorSum(self.space, dmax)
         for n in range(1, dmax + 1):
-            level: dict = {}
+            level = NumeratorSum(self.space, dmax)
             for beta in geom.curve_classes(n, box):
                 npts = self.c1 * n - 1
-                seed = Fraction(gw.lookup(beta, [geom.point] * npts))
+                seed = gw.lookup(beta, [geom.point] * npts)
                 if seed:
-                    level[(beta, (npts, 0, 0))] = seed
-            qv = self.pair_operands(left_s, right_s, n).scale(Fraction(1, 2))
+                    level.put((beta, (npts, 0, 0)), seed.numerator, seed.denominator)
+            # the tangency equation halves qv: it divides by 2n
+            qv = self.pair_operands(left_s, right_s, n)
             qw = self.pair_operands(left_u, right_ss, n)
             for beta in geom.curve_classes(n, box):
                 for a, b, c in self.strata(0, n):
                     if b == 0 and c == 0:
                         continue
                     if c == 0:
-                        prev = level.get((beta, (a + 1, b - 1, 0)), Fraction(0))
-                        val = (self.d_sq * (n - 1) * prev + qv.coeff(beta, (a, b - 1, 0))) / n
+                        q = level.read(qv, (beta, (a, b - 1, 0)))
+                        num = 2 * self.d_sq * (n - 1) * level.acc.get((beta, (a + 1, b - 1, 0)), 0) + q
+                        den = 2 * n
                     else:
-                        prev = level.get((beta, (a + 2, b, c - 1)), Fraction(0))
-                        val = (self.d_sq * prev + qw.coeff(beta, (a, b, c - 1))) / (n * n)
-                    if val:
-                        level[(beta, (a, b, c))] = val
-            entries.update(level)
+                        q = level.read(qw, (beta, (a, b, c - 1)))
+                        num = self.d_sq * level.acc.get((beta, (a + 2, b, c - 1)), 0) + q
+                        den = n * n
+                    if num:
+                        level.put((beta, (a, b, c)), num, den * level.den)
+            new = level.table()
+            out.add(new, [(1, {})])
             if n < dmax:
-                new = SeriesTable._trusted(self.space, dmax, level)
                 new_s = self.ds(new)
                 flat_s = flat(new_s)
                 slices = (
@@ -199,7 +203,7 @@ class Surface:
                 for operands, tables in zip(factors, slices):
                     for operand, t in zip(operands, tables):
                         operand.extend(t)
-        return SeriesTable._trusted(self.space, dmax, entries)
+        return out.table()
 
     def genus1_virtual(
         self,

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -596,6 +596,50 @@ def test_numerator_path_checks_its_space():
     assert len(acc.table()) == 0
 
 
+SUM_KEYS = st.tuples(st.tuples(st.integers(0, 3)), st.tuples(*[st.integers(0, 2)] * 3))
+SUM_OPS = st.lists(
+    st.one_of(
+        # denominators that divide one another and ones that do not
+        st.tuples(st.just("put"), SUM_KEYS, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 5, 7, 12, 35])),
+        st.tuples(st.just("read"), exact_tables(SP), SUM_KEYS),
+        st.tuples(st.just("add"), exact_tables(SP), COEFS, st.sampled_from([{}, {"v": 1}, {"u": 1, "w": 2}])),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SUM_OPS)
+def test_numerator_sum_equals_a_fraction_dict(ops):
+    """Random `put`, `read` and `add` on one sum of dmax 3: its values stay
+    those of a dict of Fractions, the denominator grows only to the lcm that
+    each step needs (an integral `put` never grows it), a read is the
+    table's value over the sum's denominator, and the table is in lowest
+    terms."""
+    acc, ref = NumeratorSum(SP, 3), {}
+    for op, *args in ops:
+        before = acc.den
+        if op == "put":
+            key, num, den = args
+            acc.put(key, num, den)
+            ref[key] = Fraction(num, den)
+            assert acc.den == lcm(before, ref[key].denominator)
+        elif op == "read":
+            t, key = args
+            assert Fraction(acc.read(t, key), acc.den) == t.entries.get(key, 0)
+            assert acc.den == lcm(before, t.den)
+        else:
+            t, c, mono = args
+            acc.add(t, [(c, mono)])
+            for key, val in naive_times_poly(t, [(c, mono)]).items():
+                if sum(key[0]) <= 3:
+                    ref[key] = ref.get(key, 0) + val
+        assert {k: Fraction(num, acc.den) for k, num in acc.acc.items() if num} == {k: v for k, v in ref.items() if v}
+    out = acc.table()
+    assert_clean(out)
+    assert_exact(out, {k: v for k, v in ref.items() if v})
+
+
 def test_operand_rejects_exponents_above_its_bounds_and_a_second_slice():
     pk = Packing(SP, 3, [2, 2, 2])
     op = Operand(pk, table({((1,), (2, 1, 0)): 3}))
@@ -626,14 +670,17 @@ def test_entries_view_round_trips(f, g, c):
 
 def test_level_solvers_never_read_the_entries_view(monkeypatch, gw_p2, g0_p2, p2_genus1_seeds,
                                                    gw_quadric, quadric_genus1_seeds):
-    """The solvers work on numerators: no Fraction table is built inside them."""
+    """The solvers work on numerators: no Fraction table is built inside
+    them, and no value is read as a Fraction through `coeff`."""
     reads = []
-    view = SeriesTable.entries
+    view, coeff = SeriesTable.entries, SeriesTable.coeff
     monkeypatch.setattr(SeriesTable, "entries", property(lambda t: reads.append(t) or view.fget(t)))
+    monkeypatch.setattr(SeriesTable, "coeff", lambda t, *key: reads.append(t) or coeff(t, *key))
     PLANE.genus0(gw_p2, 4)
     charnum_genus1(g0_p2, p2_genus1_seeds, 4)
     PLANE.genus1_virtual(gw_p2, p2_genus1_seeds, 4)
     QUADRIC.genus0(gw_quadric, 4, (2, 2))
     QUADRIC.genus1_virtual(gw_quadric, quadric_genus1_seeds, 4, (2, 2))
     assert reads == []
-    assert g0_p2.entries and reads == [g0_p2]  # the spy sees a read
+    assert g0_p2.entries and reads == [g0_p2]  # the spies see a read
+    assert g0_p2.coeff((1,), (2, 0, 0)) and reads == [g0_p2, g0_p2]

@@ -27,6 +27,7 @@ REQUESTS = {
         ["descendant", "tau0(T2)^6 tau1(T1)^2 @ g=0 d=3", "--cache", "{cache}"],
         ["verify", "--suite", "hurwitz"],
         ["verify", "--suite", "p2-genus0"],
+        ["verify", "--suite", "metric"],
     ],
 }
 
