@@ -188,6 +188,12 @@ def cmd_compute(args, out) -> int:
             raise FileNotFoundError("genus-2 virtual numbers (pass --virtual2 <path>; records d;a,b,c;p/q)")
         virtual2 = load_virtual2(read_seed_file(args.virtual2), dmax)
         table = charnum_genus2(g0, table, virtual2, dmax)
+    if args.genus == 1 and (bad := [key for key, num in table.nums.items() if num < 0 or num % table.den]):
+        deg, (a, b, c) = key = min(bad)
+        raise SeedConflict(
+            f"the genus-1 number at d={','.join(map(str, deg))}, (a,b,c)=({a},{b},{c}) is "
+            f"{format_rat(Fraction(table.nums[key], table.den))}, not a non-negative integer"
+        )
     _emit(_char_records(table), ["d", "a", "b", "c", "value"], args.format, out)
     return EXIT_OK
 

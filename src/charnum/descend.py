@@ -587,7 +587,7 @@ def genus1_tangency_potential(
     `seeds` maps curve classes to the genus-1 invariant with the gated number
     of point-type insertions (the only psi-free stratum for the built-in
     surfaces); a class absent from `seeds` reads as 0, where
-    `planecurves.charnum_genus1` raises KeyError.  A stratum is solved by the
+    `Surface.genus1` raises KeyError.  A stratum is solved by the
     y_k equation of every y_k it holds, and unequal values raise
     SeedConflict.  With `box`, only the classes componentwise <= box are
     solved, and only their seeds are read.  `g0` is the genus-0 potential of

@@ -64,8 +64,8 @@ class TargetGeometry:
     c1: tuple[Rat, ...]               # c_1(T_X) in the divisor basis
     euler: int
     chern_divisor: tuple[Rat, ...]    # \int T_i cup c(T_X), one per divisor
-    pairing_inv: tuple[tuple[Rat, ...], ...] = field(default=(), compare=False)
-    # derived from the fields above once the ring is validated
+    # derived from the fields above; all but pairing_inv once the ring is validated
+    pairing_inv: tuple[tuple[Rat, ...], ...] = field(init=False, compare=False)
     codims: tuple[int, ...] = field(init=False, repr=False, compare=False)
     steps: tuple[int, ...] = field(init=False, repr=False, compare=False)  # codim - 1: an insertion's genus-0 weight
     slots: tuple[int | None, ...] = field(init=False, repr=False, compare=False)  # position among the divisors
@@ -76,8 +76,7 @@ class TargetGeometry:
     triples: dict[tuple[int, int, int], int | Rat] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.pairing_inv:
-            object.__setattr__(self, "pairing_inv", _invert(self.pairing))
+        object.__setattr__(self, "pairing_inv", _invert(self.pairing))
         _validate(self)
         codims = tuple(self.codim(i) for i in range(self.rank))
         slot = {d: s for s, d in enumerate(self.divisors)}

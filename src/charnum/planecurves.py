@@ -19,11 +19,11 @@ is computed per genus:
   that `Surface` derives, seeded by the point-only Gromov-Witten numbers.
   Virtual equals enumerative in genus 0.
 
-* genus 1: the same shape of equations holds for the double-cover-inclusive
-  potential (G^1 + E), with 1/24-correction blocks; E, the generating
+* genus 1: `Surface.genus1` solves the genus-1 equations of the ring and
+  returns G^1 + E = virtual + (1/24) P G^0, where E, the generating
   polynomial of elliptic double covers of a line, is subtracted at reporting
-  time.  An independent route goes through the genus-1 tangency potential and
-  the correction formula  virtual = G^1 - (1/24) P G^0 + E.
+  time.  An independent route takes the virtual potential from the genus-1
+  tangency potential of `descend`.
 
 * genus 2: only the correction layer: for d >= 4,
 
@@ -42,8 +42,8 @@ from math import comb, factorial
 
 from .descend import DescendantSpec
 from .geometry import builtin_geometry
-from .gw import GWTable, SeedConflict
-from .series import NumeratorSum, Operand, Rat, SeriesTable, VarSpace
+from .gw import GWTable
+from .series import Rat, SeriesTable, VarSpace
 from .surface import Surface
 
 __all__ = [
@@ -121,91 +121,10 @@ def charnum_genus0(gw: GWTable, dmax: int) -> SeriesTable:
     return PLANE.genus0(gw, dmax)
 
 
-def _genus1_correction_blocks(g0: SeriesTable) -> tuple[SeriesTable, SeriesTable]:
-    """The 1/24 blocks of the two genus-1 equations (pure genus-0 data): the
-    tangency block takes x = s, the flag block x = u.  With f = G^0_x a block is
-
-        (1/24) (L f_s + P f_u - 2 L f + 2 f - f_s - 2v f_v - (2v^2 + 2w) f_w)
-      = (1/24) (f_ss + 4v f_su + (2v^2 + 2w) f_uu - 3 f_s - 4v f_u + 2 f
-                - 2v f_v - (2v^2 + 2w) f_w),
-
-    formed in one `NumeratorSum` over the partials of f."""
-    c = Fraction(1, 24)
-
-    def block(x: str) -> SeriesTable:
-        f = g0.partial(x)
-        f_s, f_u = f.partial("s"), f.partial("u")
-        out = NumeratorSum(P2_SPACE, g0.dmax)
-        out.add(f_s.partial("s"), [(c, {})])
-        out.add(f_s.partial("u"), [(4 * c, {"v": 1})])
-        out.add(f_u.partial("u"), [(2 * c, {"v": 2}), (2 * c, {"w": 1})])
-        out.add(f_s, [(-3 * c, {})])
-        out.add(f_u, [(-4 * c, {"v": 1})])
-        out.add(f, [(2 * c, {})])
-        out.add(f.partial("v"), [(-2 * c, {"v": 1})])
-        out.add(f.partial("w"), [(-2 * c, {"v": 2}), (-2 * c, {"w": 1})])
-        return out.table()
-
-    return block("s"), block("u")
-
-
 def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
-    """Genus-1 characteristic numbers by direct recursion.
-
-    Internally solves for the double-cover-inclusive potential and subtracts
-    E at the end.  `seeds` maps the class (d,) to the point-only count
-    N^1_d(3d,0,0); missing degrees raise KeyError.  A stratum with both a
-    tangency and a flag is solved by both equations, and unequal values
-    raise SeedConflict.  The images of G^0 are prepared once as product
-    operands, and the partials of G^1 gain one degree slice per level.
-    A level is a `NumeratorSum` over the denominators of its right sides,
-    so both equations are integer numerators over one denominator.
-    """
-    rv24, rw24 = _genus1_correction_blocks(g0)
-    e_table, _ = cover_polynomials()
-    # as before, no product reaches above the degrees that G^0 holds
-    pk = PLANE.packing(min(dmax, g0.dmax))
-    images_s = [Operand(pk, t) for t in PLANE.images(g0.partial("s"))]
-    images_u = [Operand(pk, t) for t in PLANE.images(g0.partial("u"))]
-    lower = [Operand(pk) for _ in images_s]
-    out = NumeratorSum(P2_SPACE, dmax)
-    for d in range(1, dmax + 1):
-        if (d,) not in seeds:
-            raise KeyError(f"genus-1 seed for degree {d} is missing")
-        level = NumeratorSum(P2_SPACE, dmax)
-        seed = seeds[(d,)]
-        if seed:
-            level.put(((d,), (3 * d, 0, 0)), seed.numerator, seed.denominator)
-        qv = PLANE.pair_operands(lower, images_s, d)
-        qw = PLANE.pair_operands(lower, images_u, d)
-        # no division follows, so no read below grows the denominator
-        for t in (qv, qw, rv24, rw24):
-            level.over(t.den)
-        for a, b, c in PLANE.strata(1, d):
-            if b == 0 and c == 0:
-                continue
-            vals = []
-            if c > 0:
-                key = ((d,), (a, b, c - 1))
-                vals.append(level.read(qw, key) + level.read(rw24, key))
-            if b > 0:
-                key = ((d,), (a, b - 1, c))
-                prev = level.acc.get(((d,), (a + 1, b - 1, c)), 0)
-                vals.append(prev + level.read(qv, key) + level.read(rv24, key))
-            if len(set(vals)) > 1:
-                raise SeedConflict(
-                    f"the genus-1 tangency and flag equations disagree at d={d}, "
-                    f"(a,b,c)=({a},{b},{c}): {', '.join(str(Fraction(v, level.den)) for v in vals)}"
-                )
-            if vals[0]:
-                level.put(((d,), (a, b, c)), vals[0], level.den)
-        new = level.table()
-        out.add(new, [(1, {})])
-        if d < dmax:
-            for operand, t in zip(lower, PLANE.partials(new)):
-                operand.extend(t)
-    out.add(e_table, [(-1, {})])
-    return out.table()
+    """Genus-1 characteristic numbers: `Surface.genus1` minus E.  `seeds`
+    maps the class (d,) to the point-only count N^1_d(3d,0,0)."""
+    return PLANE.genus1(g0, seeds, dmax) - cover_polynomials()[0].truncate(dmax)
 
 
 def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
@@ -214,9 +133,7 @@ def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int
     G^0 is the substituted genus-0 tangency potential of
     `Surface.genus1_virtual`, not the level loop of `charnum_genus0`, so the
     route shares no genus-0 table with `charnum_genus1`."""
-    e_table, _ = cover_polynomials()
-    virtual, _ = PLANE.genus1_virtual(gw, seeds, dmax)
-    return virtual - e_table.truncate(dmax)
+    return PLANE.genus1_virtual(gw, seeds, dmax)[0] - cover_polynomials()[0].truncate(dmax)
 
 
 def genus2_corrections(g0: SeriesTable, g1: SeriesTable) -> SeriesTable:

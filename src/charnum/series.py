@@ -18,8 +18,8 @@ and classes, its exponent vectors are packed into ints by a shared
 values become the integer numerators of the EGF coefficients N/(a! b! c!)
 over one denominator per slice.  A level loop prepares each slice of its
 factors once, when the slice is solved, and reuses it at every level above:
-`Surface.genus0`, `planecurves.charnum_genus1` and both tangency potentials
-of `descend`.  The potentials add their products to a `NumeratorSum` with
+`Surface.genus0`, `Surface.genus1` and both tangency potentials of
+`descend`.  The potentials add their products to a `NumeratorSum` with
 `add_product`, straight from the kernel's integer numerators.
 
 A table holds its values as nonzero integer numerators over one least

@@ -1,5 +1,5 @@
-r"""One description of a homogeneous surface and the genus-0 level solver
-shared by the plane and the quadric.
+r"""One description of a homogeneous surface and the genus-0 and genus-1
+level solvers shared by the plane and the quadric.
 
 On a surface with tangency divisor D, a point operator P and one line
 operator L_i per degree variable x_i, the genus-0 characteristic potential
@@ -15,6 +15,16 @@ with x the total-degree derivative sum_i d/dx_i and the pairing
 Read off at a class of total degree n, the first removes one tangency and
 the second one flag, dividing by n resp. n^2; the point-only invariants seed
 each level.
+
+The genus-1 virtual potential V satisfies the genus-1 equation of
+`descend`, summed over the divisors (tangency) and taken at the point (flag):
+
+    V_v = (D.D) V_u + <G_x, V> + B(G_x)
+    V_w = <G_u, V> + B(G_u)
+    B(f) = (1/24) (sum_i L_i f_{x_i} + P f_u) + sum_i c_i L_i f
+
+with c_i = -(1/24) \int T_i c(T_X).  Neither divides, and P has no constant
+term, so the point-only genus-1 invariants seed V as they are.
 
 The pairing is gamma^{ef}, the inverse deformed metric of `metric`, under
 the y-part of the tangency change of variables `tangency_map`: L_i is the
@@ -33,7 +43,7 @@ from fractions import Fraction
 
 from . import descend
 from .geometry import CurveClass, TargetGeometry, builtin_name
-from .gw import GWTable
+from .gw import GWTable, SeedConflict
 from .metric import inverse_metric, substitute_metric
 from .series import DiffOperator, NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
 
@@ -203,6 +213,71 @@ class Surface:
                 for operands, tables in zip(factors, slices):
                     for operand, t in zip(operands, tables):
                         operand.extend(t)
+        return out.table()
+
+    def _genus1_block(self, f: SeriesTable) -> SeriesTable:
+        """B(f), the genus-0 term of both genus-1 equations: one `add` per
+        distinct partial of f, with every (coefficient, monomial) that reads it."""
+        first = {x: f.partial(x) for x in ("u", *self.space.degree_vars)}
+        terms: dict[tuple[str, ...], list] = {}
+        for x, op, c in zip(first, (self.point, *self.lines), (0, *self.geom.chern_divisor)):
+            for coef, mono, var in op.terms:
+                terms.setdefault(tuple(sorted((x, var))), []).append((coef / 24, dict(mono)))
+                terms.setdefault((var,), []).append((-c * coef / 24, dict(mono)))
+        out = NumeratorSum(self.space, f.dmax)
+        for xs, ts in terms.items():
+            out.add(first[xs[0]] if len(xs) == 1 else first[xs[0]].partial(xs[1]), ts)
+        return out.table()
+
+    def genus1(self, g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
+        """V + (1/24) P G^0 up to total degree dmax, the table of
+        `genus1_virtual`, from the genus-0 numbers `g0` and the point-only
+        `seeds` by class; a missing class raises KeyError.  A stratum with a
+        tangency and a flag is solved by both equations, and unequal values
+        raise SeedConflict.  The images of G^0_x and G^0_u are operands
+        prepared once, and the partials of V gain one slice per level.  A
+        level is a `NumeratorSum` over its right sides' denominators."""
+        g0_s, g0_u = self.ds(g0), g0.partial("u")
+        block_s, block_u = self._genus1_block(g0_s), self._genus1_block(g0_u)
+        # no product reaches above the degrees that G^0 holds
+        pk = self.packing(min(dmax, g0.dmax))
+        images_s, images_u = ([Operand(pk, t) for t in self.images(f)] for f in (g0_s, g0_u))
+        lower = [Operand(pk) for _ in images_s]
+        out = NumeratorSum(self.space, dmax)
+        out.add(self.point(g0), [(Fraction(1, 24), {})])
+        for n in range(1, dmax + 1):
+            level = NumeratorSum(self.space, dmax)
+            qv = self.pair_operands(lower, images_s, n)
+            qw = self.pair_operands(lower, images_u, n)
+            # no division follows, so no read below grows the denominator
+            for t in (qv, qw, block_s, block_u):
+                level.over(t.den)
+            for beta in self.geom.curve_classes(n):
+                if beta not in seeds:
+                    raise KeyError(f"genus-1 seed for class {beta} is missing")
+                level.put((beta, (self.c1 * n, 0, 0)), seeds[beta].numerator, seeds[beta].denominator)
+                for a, b, c in self.strata(1, n):
+                    if b == 0 and c == 0:
+                        continue
+                    vals = []
+                    if c > 0:
+                        key = (beta, (a, b, c - 1))
+                        vals.append(level.read(qw, key) + level.read(block_u, key))
+                    if b > 0:
+                        key = (beta, (a, b - 1, c))
+                        prev = level.acc.get((beta, (a + 1, b - 1, c)), 0)
+                        vals.append(self.d_sq * prev + level.read(qv, key) + level.read(block_s, key))
+                    if len(set(vals)) > 1:
+                        where = f"d={','.join(map(str, beta))}, (a,b,c)=({a},{b},{c})"
+                        shown = ", ".join(str(Fraction(v, level.den)) for v in vals)
+                        raise SeedConflict(f"the genus-1 tangency and flag equations disagree at {where}: {shown}")
+                    if vals[0]:
+                        level.put((beta, (a, b, c)), vals[0], level.den)
+            new = level.table()
+            out.add(new, [(1, {})])
+            if n < dmax:
+                for operand, t in zip(lower, self.partials(new)):
+                    operand.extend(t)
         return out.table()
 
     def genus1_virtual(

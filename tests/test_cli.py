@@ -497,6 +497,27 @@ def test_wrong_genus0_table_stops_genus1_compute(monkeypatch, capsys):
     assert err.count("\n") == 1 and err.startswith("seed data fails verification"), err
 
 
+@pytest.mark.parametrize(
+    "argv, name, record, line",
+    [
+        (["--target", "p2", "--dmax", "3"], "p2-genus1", "1;0,0,3;1/2", "d=1, (a,b,c)=(0,3,0) is 1/2"),
+        (["--target", "p1xp1", "--dmax", "2,2"], "p1xp1-genus1", "2,2;0,0,0,8;1/2", "d=2,2, (a,b,c)=(8,0,0) is 1/2"),
+    ],
+    ids=["p2", "p1xp1"],
+)
+def test_fractional_genus1_number_stops_compute(tmp_path, capsys, argv, name, record, line):
+    """A genus-1 seed that makes some characteristic number non-integral is
+    wrong: exit 1 with one line naming the first such record, and no table."""
+    key = record.split(";")[0] + ";"
+    records = [ln for ln in packaged_seed_text(name).splitlines() if not ln.startswith(key)]
+    path = tmp_path / "frac.seeds"
+    path.write_text("\n".join([*records, record]) + "\n")
+    assert capture(["compute", "--genus", "1", *argv, "--seeds", str(path)]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"seed data fails verification: the genus-1 number at {line}, not a non-negative integer\n"
+    )
+
+
 def test_genus1_descendant_reads_the_seeds_before_solving(monkeypatch, capsys):
     solves = []
     monkeypatch.setattr(cli, "wdvv_solve", lambda *args: solves.append(args))

@@ -54,6 +54,7 @@ REQUESTS = [
     (["compute", "--target", "p2", "--genus", "2", "--dmax", "4"], 3),
     (["compute", "--target", "p2", "--genus", "2", "--dmax", "3"], 3),
     (["compute", "--target", "p2", "--genus", "1", "--dmax", "6"], 3),
+    (["compute", "--target", "p2", "--genus", "1", "--dmax", "3", "--seeds", "{dir}/fractional.seeds"], 1),
     (["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "2,2", "--format", "md"], 0),
     (["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "2,1", "--format", "csv"], 0),
     (["compute", "--target", "p1xp1", "--genus", "2", "--dmax", "2,2"], 2),
@@ -131,6 +132,7 @@ def test_every_function_runs_under_some_request(tmp_path):
     (tmp_path / "virtual2").write_text("".join(f"4;{a},{b},{c};0\n" for a, b, c in PLANE.strata(2, 4)))
     (tmp_path / "partial2").write_text("4;13,0,0;0\n")
     (tmp_path / "conflict.seeds").write_text("1;0,0,2;1\n2;0,0,5;2\n")
+    (tmp_path / "fractional.seeds").write_text("1;0,0,3;1/2\n2;0,0,6;0\n3;0,0,9;1\n")
     (tmp_path / "myplane.geom").write_text(builtin_geometry("p2").to_text().replace("name p2", "name myplane"))
     argvs = [[a.format(dir=tmp_path) for a in argv] for argv, _ in REQUESTS]
     env = {**os.environ, "PYTHONPATH": str(SRC), "CHARNUM_CACHE_DIR": str(tmp_path / "cache")}

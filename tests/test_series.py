@@ -681,6 +681,7 @@ def test_level_solvers_never_read_the_entries_view(monkeypatch, gw_p2, g0_p2, p2
     PLANE.genus1_virtual(gw_p2, p2_genus1_seeds, 4)
     QUADRIC.genus0(gw_quadric, 4, (2, 2))
     QUADRIC.genus1_virtual(gw_quadric, quadric_genus1_seeds, 4, (2, 2))
+    QUADRIC.genus1(QUADRIC.genus0(gw_quadric, 4), quadric_genus1_seeds, 4)
     assert reads == []
     assert g0_p2.entries and reads == [g0_p2]  # the spies see a read
     assert g0_p2.coeff((1,), (2, 0, 0)) and reads == [g0_p2, g0_p2]

@@ -84,6 +84,31 @@ def test_genus0_equals_the_substituted_tangency_potential(surface, name, dmax, b
     assert direct.entries == potential.substitute(surface.space, surface.tangency_map()).entries
 
 
+@pytest.mark.parametrize(
+    "surface, name, dmax",
+    [(PLANE, "p2", d) for d in range(1, 6)] + [(QUADRIC, "p1xp1", d) for d in range(1, 6)],
+    ids=[f"p2-d{d}" for d in range(1, 6)] + [f"p1xp1-d{d}" for d in range(1, 6)],
+)
+def test_genus1_equals_the_virtual_route(surface, name, dmax, request):
+    """The genus-1 level loop in (u, v, w), seeded by G^0 of the genus-0 loop,
+    and the substituted genus-1 tangency potential give one table."""
+    gw = request.getfixturevalue("gw_p2" if name == "p2" else "gw_quadric")
+    seeds = request.getfixturevalue("p2_genus1_seeds" if name == "p2" else "quadric_genus1_seeds")
+    direct = surface.genus1(surface.genus0(gw, dmax), seeds, dmax)
+    # every genus-1 number of total degree 1 is 0
+    assert bool(direct.entries) == (dmax > 1)
+    assert direct == surface.genus1_virtual(gw, seeds, dmax)[0]
+
+
+def test_quadric_genus1_by_the_level_loop(gw_quadric, quadric_genus1_seeds, g1_quadric, hurwitz_table):
+    """The quadric's second genus-1 route: the level loop, less the same cover
+    pairing as `quadric_genus1`, cut to d1, d2 >= 1."""
+    g0 = QUADRIC.genus0(gw_quadric, 5)
+    i_pot, j_pot = rule_cover_potentials(hurwitz_table, 5)
+    g1 = QUADRIC.genus1(g0, quadric_genus1_seeds, 5) - QUADRIC.pair(i_pot + j_pot, g0)
+    assert g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1) == g1_quadric
+
+
 def test_operators_see_each_level_once(p2, monkeypatch):
     """The line and point operators act on each degree slice a bounded number
     of times, not on the whole lower table at every level."""
