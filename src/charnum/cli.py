@@ -188,11 +188,17 @@ def cmd_compute(args, out) -> int:
             raise FileNotFoundError("genus-2 virtual numbers (pass --virtual2 <path>; records d;a,b,c;p/q)")
         virtual2 = load_virtual2(read_seed_file(args.virtual2), dmax)
         table = charnum_genus2(g0, table, virtual2, dmax)
-    if args.genus == 1 and (bad := [key for key, num in table.nums.items() if num < 0 or num % table.den]):
-        deg, (a, b, c) = key = min(bad)
+    for key, num in sorted(table.nums.items()) if args.genus == 1 else ():
+        if num < 0 or num % table.den:
+            want = "a non-negative integer"
+        elif quadric and 1 in key[0]:
+            want = "0: every curve of a bidegree (1, d) or (d, 1) is rational"
+        else:
+            continue
+        deg, (a, b, c) = key
         raise SeedConflict(
             f"the genus-1 number at d={','.join(map(str, deg))}, (a,b,c)=({a},{b},{c}) is "
-            f"{format_rat(Fraction(table.nums[key], table.den))}, not a non-negative integer"
+            f"{format_rat(Fraction(num, table.den))}, not {want}"
         )
     _emit(_char_records(table), ["d", "a", "b", "c", "value"], args.format, out)
     return EXIT_OK

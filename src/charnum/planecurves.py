@@ -23,7 +23,8 @@ is computed per genus:
   returns G^1 + E = virtual + (1/24) P G^0, where E, the generating
   polynomial of elliptic double covers of a line, is subtracted at reporting
   time.  An independent route takes the virtual potential from the genus-1
-  tangency potential of `descend`.
+  tangency potential of `descend`.  E and H below are `Surface.cover` of
+  the one double-cover Hurwitz number, not hand-entered tables.
 
 * genus 2: only the correction layer: for d >= 4,
 
@@ -38,7 +39,7 @@ is computed per genus:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .descend import DescendantSpec
 from .geometry import builtin_geometry
@@ -64,12 +65,14 @@ P2_SPACE = VarSpace(("s",), ("u", "v", "w"))
 PLANE = Surface(builtin_geometry("p2"), P2_SPACE)
 
 
+def _double_cover(genus: int) -> SeriesTable:
+    """The cover term of genus-g double covers of a line: the Hurwitz number
+    1/2 of P^1 at b = 2g + 2 branch points, in degree 2."""
+    return PLANE.cover({(2, 2 * genus + 2): Fraction(1, 2)}, 2)
+
+
 def cover_polynomials() -> tuple[SeriesTable, SeriesTable]:
     """E and H: elliptic resp. genus-2 double covers of a line, degree 2.
-
-    Both are (1/2) e^{2s} times six monomial terms; incidence conditions come
-    with a factor 2 (two choices of mark), the leading 1/2 cancels the
-    double marking / the deck transformation.
 
     Genus-g double covers of a line form a 2g+4 dimensional family (2 for
     the line, 2g+2 for the branch points), so E and H are supported on
@@ -79,31 +82,7 @@ def cover_polynomials() -> tuple[SeriesTable, SeriesTable]:
     weight 3d-7, L keeps the weight, H_u and P shift it by -1 and +1, and
     the product lands on the genus-2 weight 3d+1 only if H has weight 8.
     """
-
-    def build(terms) -> SeriesTable:
-        entries = {}
-        for a, b, c, coef in terms:
-            # stored invariant = (1/2) * coef * a! b! c!
-            entries[((2,), (a, b, c))] = Fraction(1, 2) * coef * factorial(a) * factorial(b) * factorial(c)
-        return SeriesTable(P2_SPACE, 2, entries)
-
-    e_terms = [
-        (0, 6, 0, Fraction(1, 2 * (2 * 2 * 2))),
-        (1, 5, 0, Fraction(2, 2 * 6)),
-        (2, 4, 0, Fraction(4, 2 * 24)),
-        (0, 4, 1, Fraction(1, 2 * 2)),
-        (1, 3, 1, Fraction(2, 6)),
-        (0, 2, 2, Fraction(1, 2 * 2)),
-    ]
-    h_terms = [
-        (0, 8, 0, Fraction(1, 2 * (2 * 2 * 24))),
-        (1, 7, 0, Fraction(2, 2 * 120)),
-        (2, 6, 0, Fraction(4, 2 * 720)),
-        (0, 6, 1, Fraction(1, 2 * 24)),
-        (1, 5, 1, Fraction(2, 120)),
-        (0, 4, 2, Fraction(1, 24 * 2)),
-    ]
-    return build(e_terms), build(h_terms)
+    return _double_cover(1), _double_cover(2)
 
 
 def tangency_expand(a: int, b: int, c: int, d: int):
@@ -124,7 +103,7 @@ def charnum_genus0(gw: GWTable, dmax: int) -> SeriesTable:
 def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
     """Genus-1 characteristic numbers: `Surface.genus1` minus E.  `seeds`
     maps the class (d,) to the point-only count N^1_d(3d,0,0)."""
-    return PLANE.genus1(g0, seeds, dmax) - cover_polynomials()[0].truncate(dmax)
+    return PLANE.genus1(g0, seeds, dmax) - _double_cover(1).truncate(dmax)
 
 
 def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
@@ -133,7 +112,7 @@ def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int
     G^0 is the substituted genus-0 tangency potential of
     `Surface.genus1_virtual`, not the level loop of `charnum_genus0`, so the
     route shares no genus-0 table with `charnum_genus1`."""
-    return PLANE.genus1_virtual(gw, seeds, dmax)[0] - cover_polynomials()[0].truncate(dmax)
+    return PLANE.genus1_virtual(gw, seeds, dmax)[0] - _double_cover(1).truncate(dmax)
 
 
 def genus2_corrections(g0: SeriesTable, g1: SeriesTable) -> SeriesTable:

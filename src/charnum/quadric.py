@@ -11,9 +11,9 @@ points.  They are the first-descendant potentials of `descend` on P^1, with
 t the degree and v the tau_1(pt) variable, seeded only by the identity cover
 N^0_1(0) = 1; `oracles.hurwitz_bruteforce` counts the same numbers by
 factorizations in the symmetric group.  Genus-1 covers of a ruling,
-packaged by `RULE_COVER` as I = u H1_{u1} + (v^2 + w) H1_v (and J with the
-rulings swapped), are the excess components behind the genus-1 correction
-formula
+`QUADRIC.cover` of the genus-1 potential H1 placed on both rulings, are
+I = u H1_{u1} + (v^2 + w) H1_v (and J with the rulings swapped), the
+excess components behind the genus-1 correction formula
 
     virtual = G1 - (1/24) P G0 + I_{u1}.L1 G0 + I_u.P G0
                                 + J_{u2}.L2 G0 + J_u.P G0,
@@ -32,15 +32,13 @@ from .descend import TangencySpace, genus0_tangency_potential, genus1_tangency_p
 from .geometry import builtin_geometry, in_box
 from .gw import GWTable, wdvv_solve
 from .seeds import default_gw_seeds
-from .series import DiffOperator, Rat, SeriesTable, VarSpace
+from .series import Rat, SeriesTable, VarSpace
 from .surface import Surface
 
 __all__ = [
     "Q_SPACE",
     "QUADRIC",
-    "RULE_COVER",
     "hurwitz",
-    "rule_cover_potentials",
     "quadric_genus0",
     "quadric_genus1",
 ]
@@ -58,21 +56,6 @@ def hurwitz(gmax: int, dmax: int) -> dict[tuple[int, int, int], Rat]:
     h0 = genus0_tangency_potential(ts, wdvv_solve(p1, default_gw_seeds(p1), dmax), dmax)
     potentials = [h0] if gmax == 0 else [h0, genus1_tangency_potential(ts, h0, {}, dmax)]
     return {(g, deg[0], mono[0]): v for g, h in enumerate(potentials) for (deg, mono), v in h.entries.items()}
-
-
-# The ruling under a genus-1 cover is pinned by one point (d choices of mark
-# on a degree-d cover), by two tangencies (through a point where two
-# tangency curves meet) or by one flag: u (d/du1 + d/du2) + (v^2 + w) d/dv.
-RULE_COVER = DiffOperator.build([(1, {"u": 1}, "u1"), (1, {"u": 1}, "u2"), (1, {"v": 2}, "v"), (1, {"w": 1}, "v")])
-
-
-def rule_cover_potentials(h1_table: dict[tuple[int, int, int], Rat], dmax: int) -> tuple[SeriesTable, SeriesTable]:
-    """I and J: genus-1 multiple covers of a horizontal resp. vertical rule,
-    `RULE_COVER` applied to the genus-1 Hurwitz potential placed on that ruling."""
-    h1 = [(d, b, val) for (g, d, b), val in h1_table.items() if g == 1 and d <= dmax]
-    i_pot = RULE_COVER(SeriesTable(Q_SPACE, dmax, {((d, 0), (0, b, 0)): val for d, b, val in h1}))
-    j_pot = RULE_COVER(SeriesTable(Q_SPACE, dmax, {((0, d), (0, b, 0)): val for d, b, val in h1}))
-    return i_pot, j_pot
 
 
 QUADRIC = Surface(builtin_geometry("p1xp1"), Q_SPACE)
@@ -103,7 +86,8 @@ def quadric_genus1(
     (0, d).
     """
     virtual, g0 = QUADRIC.genus1_virtual(gw, seeds, dmax, box)
-    i_pot, j_pot = rule_cover_potentials(hurwitz(1, dmax if box is None else min(dmax, max(box))), dmax)
+    h1 = hurwitz(1, dmax if box is None else min(dmax, max(box)))
     # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
-    g1 = virtual - QUADRIC.pair(i_pot + j_pot, g0, box=box)
+    covers = QUADRIC.cover({(d, b): val for (g, d, b), val in h1.items() if g == 1}, dmax)
+    g1 = virtual - QUADRIC.pair(covers, g0, box=box)
     return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1 and in_box(deg, box))

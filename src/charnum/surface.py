@@ -1,5 +1,5 @@
-r"""One description of a homogeneous surface and the genus-0 and genus-1
-level solvers shared by the plane and the quadric.
+r"""One description of a homogeneous surface, the genus-0 and genus-1
+level solvers and the cover term, all shared by the plane and the quadric.
 
 On a surface with tangency divisor D, a point operator P and one line
 operator L_i per degree variable x_i, the genus-0 characteristic potential
@@ -26,6 +26,15 @@ The genus-1 virtual potential V satisfies the genus-1 equation of
 with c_i = -(1/24) \int T_i c(T_X).  Neither divides, and P has no constant
 term, so the point-only genus-1 invariants seed V as they are.
 
+The virtual numbers also count genus-g covers of a curve of total degree 1
+(a line, a ruling), fixed by branch points on tangency curves (v) and by
+k = c1 - 1 pins: a point at one of d marks (u ds), or a branch point at a
+flag (w d/dv) or at one of the D.D points where two tangency curves meet
+((D.D)/2 v^2 d/dv).  With H^g the Hurwitz potential of P^1 on each such
+class, and d/dv acting on H^g only (normal order), the cover term is
+
+    (1/k!) :(u ds + ((D.D)/2 v^2 + w) d/dv)^k: H^g.
+
 The pairing is gamma^{ef}, the inverse deformed metric of `metric`, under
 the y-part of the tangency change of variables `tangency_map`: L_i is the
 row of the divisor T_i and P that of the point class, column f acting as the
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from . import descend
 from .geometry import CurveClass, TargetGeometry, builtin_name
@@ -305,3 +315,21 @@ class Surface:
         g0 = gamma0.substitute(self.space, tangency)
         virtual = gamma1.substitute(self.space, tangency) + self.point(g0).scale(Fraction(1, 24))
         return virtual, g0
+
+    def cover(self, hurwitz: dict[tuple[int, int], Rat], dmax: int) -> SeriesTable:
+        """The cover term of the genus-g Hurwitz numbers {(d, b): N_d(b)} of
+        P^1 up to total degree dmax: one `add` per choice of j marks, l
+        tangency pairs and m flags for the k = j + l + m pins."""
+        degree_one = self.geom.curve_classes(1)
+        placed = {(tuple(d * x for x in e), (0, b, 0)): val for e in degree_one for (d, b), val in hurwitz.items()}
+        h = SeriesTable(self.space, dmax, placed)
+        out = NumeratorSum(self.space, dmax)
+        for j, l, m in compositions(self.c1 - 1, (1, 1, 1)):
+            f = h
+            for _ in range(j):
+                f = self.ds(f)
+            for _ in range(l + m):
+                f = f.partial("v")
+            coef = Fraction(self.d_sq, 2) ** l / (factorial(j) * factorial(l) * factorial(m))
+            out.add(f, [(coef, {"u": j, "v": 2 * l, "w": m})])
+        return out.table()

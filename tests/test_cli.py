@@ -518,6 +518,20 @@ def test_fractional_genus1_number_stops_compute(tmp_path, capsys, argv, name, re
     )
 
 
+def test_genus1_number_on_a_rational_bidegree_stops_compute(tmp_path, capsys):
+    """A curve of bidegree (1, d) is rational, so a quadric genus-1 number
+    there means a wrong seed: exit 1 with one line naming the first record."""
+    text = packaged_seed_text("p1xp1-genus1").replace("1,2;0,0,0,6;0", "1,2;0,0,0,6;1")
+    path = tmp_path / "rational.seeds"
+    path.write_text(text)
+    argv = ["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "2,2"]
+    assert capture([*argv, "--seeds", str(path)]) == (1, "")
+    assert capsys.readouterr().err == (
+        "seed data fails verification: the genus-1 number at d=1,2, (a,b,c)=(0,6,0) is 64, "
+        "not 0: every curve of a bidegree (1, d) or (d, 1) is rational\n"
+    )
+
+
 def test_genus1_descendant_reads_the_seeds_before_solving(monkeypatch, capsys):
     solves = []
     monkeypatch.setattr(cli, "wdvv_solve", lambda *args: solves.append(args))

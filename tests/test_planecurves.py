@@ -17,7 +17,9 @@ from charnum.planecurves import (
     genus2_corrections,
     tangency_expand,
 )
-from charnum.series import NumeratorSum, SeriesTable
+from charnum.oracles import hurwitz_bruteforce
+from charnum.quadric import hurwitz
+from charnum.series import DiffOperator, NumeratorSum, SeriesTable
 
 
 def row(table, d, c=None):
@@ -138,6 +140,34 @@ def test_cover_support_levels():
     e, h = cover_polynomials()
     assert all(sum(m) + m[2] == 6 for (_, m) in e.entries)
     assert all(sum(m) + m[2] == 8 for (_, m) in h.entries)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_double_cover_hurwitz_number(genus):
+    """E and H are the cover term of one Hurwitz number each: 1/2, the double
+    covers of P^1 branched over 2g + 2 points."""
+    assert hurwitz_bruteforce(2, 2 * genus + 2) == Fraction(1, 2)
+
+
+def test_elliptic_cover_from_every_genus1_cover():
+    """Degree 2 is the only cover degree that reaches the genus-1 strata: the
+    cover term of the whole genus-1 Hurwitz potential to degree 6, kept on
+    a + b + 2c = 3d, is E."""
+    h1 = {(d, b): val for (g, d, b), val in hurwitz(1, 6).items() if g == 1}
+    on_strata = PLANE.cover(h1, 6).filter_keys(lambda deg, mono: mono in PLANE.strata(1, deg[0]))
+    assert on_strata == cover_polynomials()[0]
+
+
+def test_flag_line_term_is_the_known_wrong_number(g0_p2):
+    """Z = w ds on the genus-1 double covers of a line: the covered line is
+    the flag's own line and the flag's point one of two marks.  Z is the
+    one entry (0,4,1) = 1, the printed genus-1 conic count that no conic
+    has; without it degree 2 cancels.  Z is not subtracted in `src/`."""
+    z = DiffOperator.build([(1, {"w": 1}, "s")])(SeriesTable(P2_SPACE, 2, {((2,), (0, 4, 0)): Fraction(1, 2)}))
+    assert z.entries == {((2,), (0, 4, 1)): 1}
+    g1 = charnum_genus1(g0_p2, {(1,): 0, (2,): 0, (3,): 1}, 3)
+    assert g1.coeff((2,), (0, 4, 1)) == 1
+    assert not (g1 - z).filter_keys(lambda deg, mono: deg == (2,)).entries
 
 
 # -- genus 1 -------------------------------------------------------------------

@@ -11,7 +11,7 @@ from charnum.descend import DescendantEngine, DescendantSpec
 from charnum.geometry import TargetGeometry, in_box
 from charnum.oracles import hurwitz_bruteforce
 from charnum.planecurves import charnum_genus1_virtual_route
-from charnum.quadric import QUADRIC, hurwitz, quadric_genus0, quadric_genus1, rule_cover_potentials
+from charnum.quadric import QUADRIC, hurwitz, quadric_genus0, quadric_genus1
 from charnum.surface import Surface
 
 
@@ -52,21 +52,29 @@ def test_denominator_divides_factorial(hurwitz_table):
 # -- rule-cover potentials -----------------------------------------------------
 
 
-def test_rule_covers_linear_in_u(hurwitz_table):
-    i_pot, j_pot = rule_cover_potentials(hurwitz_table, 5)
-    assert all(mono[0] <= 1 for (_, mono) in i_pot.entries)
-    assert all(mono[0] <= 1 for (_, mono) in j_pot.entries)
+@pytest.fixture(scope="module")
+def rule_covers(hurwitz_table):
+    """I + J, `QUADRIC.cover` of the genus-1 Hurwitz potential, and I, its
+    part on the first ruling (d2 = 0)."""
+    covers = QUADRIC.cover({(d, b): val for (g, d, b), val in hurwitz_table.items() if g == 1}, 5)
+    return covers, covers.filter_keys(lambda deg, mono: deg[1] == 0)
 
 
-def test_rule_covers_start_at_degree_two(hurwitz_table):
-    i_pot, _ = rule_cover_potentials(hurwitz_table, 5)
+def test_rule_covers_linear_in_u(rule_covers):
+    covers, _ = rule_covers
+    assert all(mono[0] <= 1 for (_, mono) in covers.entries)
+
+
+def test_rule_covers_start_at_degree_two(rule_covers):
+    _, i_pot = rule_covers
     assert all(sum(deg) >= 2 for (deg, _) in i_pot.entries)
 
 
-def test_rule_cover_weights(hurwitz_table):
+def test_rule_cover_weights(rule_covers):
     # per cover degree i the tangency/flag weight b + 2c is 2i (one incidence),
     # 2i + 1 with two extra tangencies, or 2i + 1 via one flag
-    i_pot, _ = rule_cover_potentials(hurwitz_table, 5)
+    _, i_pot = rule_covers
+    assert i_pot.entries
     for (deg, mono), _ in i_pot.entries.items():
         i = deg[0]
         a, b, c = mono
@@ -77,10 +85,13 @@ def test_rule_cover_weights(hurwitz_table):
             assert (b, c) in ((2 * i + 1, 0), (2 * i - 1, 1))
 
 
-def test_j_is_i_with_rulings_swapped(hurwitz_table):
-    i_pot, j_pot = rule_cover_potentials(hurwitz_table, 5)
-    flipped = {((d2, d1), mono): v for ((d1, d2), mono), v in i_pot.entries.items()}
-    assert flipped == j_pot.entries
+def test_j_is_i_with_rulings_swapped(rule_covers):
+    """The cover is swap-symmetric and lies on the rulings, so J, its part
+    at d1 = 0, is I with the rulings swapped."""
+    covers, _ = rule_covers
+    flipped = {((d2, d1), mono): v for ((d1, d2), mono), v in covers.entries.items()}
+    assert flipped == covers.entries
+    assert all(0 in deg for (deg, _) in covers.entries)
 
 
 # -- genus 0 -------------------------------------------------------------------

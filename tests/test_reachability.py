@@ -20,6 +20,7 @@ from pathlib import Path
 
 from charnum.geometry import builtin_geometry
 from charnum.planecurves import PLANE
+from charnum.seeds import packaged_seed_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -56,6 +57,7 @@ REQUESTS = [
     (["compute", "--target", "p2", "--genus", "1", "--dmax", "6"], 3),
     (["compute", "--target", "p2", "--genus", "1", "--dmax", "3", "--seeds", "{dir}/fractional.seeds"], 1),
     (["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "2,2", "--format", "md"], 0),
+    (["compute", "--target", "p1xp1", "--genus", "1", "--dmax", "2,2", "--seeds", "{dir}/rational.seeds"], 1),
     (["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "2,1", "--format", "csv"], 0),
     (["compute", "--target", "p1xp1", "--genus", "2", "--dmax", "2,2"], 2),
     (["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "3"], 2),
@@ -133,6 +135,9 @@ def test_every_function_runs_under_some_request(tmp_path):
     (tmp_path / "partial2").write_text("4;13,0,0;0\n")
     (tmp_path / "conflict.seeds").write_text("1;0,0,2;1\n2;0,0,5;2\n")
     (tmp_path / "fractional.seeds").write_text("1;0,0,3;1/2\n2;0,0,6;0\n3;0,0,9;1\n")
+    (tmp_path / "rational.seeds").write_text(
+        packaged_seed_text("p1xp1-genus1").replace("1,2;0,0,0,6;0", "1,2;0,0,0,6;1")
+    )
     (tmp_path / "myplane.geom").write_text(builtin_geometry("p2").to_text().replace("name p2", "name myplane"))
     argvs = [[a.format(dir=tmp_path) for a in argv] for argv, _ in REQUESTS]
     env = {**os.environ, "PYTHONPATH": str(SRC), "CHARNUM_CACHE_DIR": str(tmp_path / "cache")}

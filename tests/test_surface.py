@@ -8,7 +8,7 @@ from charnum.descend import TangencySpace, genus0_tangency_potential
 from charnum.geometry import builtin_geometry, load_geometry
 from charnum.gw import GWTable, wdvv_solve
 from charnum.planecurves import PLANE, charnum_genus0
-from charnum.quadric import QUADRIC, Q_SPACE, RULE_COVER, quadric_genus0, rule_cover_potentials
+from charnum.quadric import QUADRIC, Q_SPACE, quadric_genus0
 from charnum.seeds import default_gw_seeds
 from charnum.series import DiffOperator, SeriesTable
 from charnum.surface import Surface
@@ -104,8 +104,8 @@ def test_quadric_genus1_by_the_level_loop(gw_quadric, quadric_genus1_seeds, g1_q
     """The quadric's second genus-1 route: the level loop, less the same cover
     pairing as `quadric_genus1`, cut to d1, d2 >= 1."""
     g0 = QUADRIC.genus0(gw_quadric, 5)
-    i_pot, j_pot = rule_cover_potentials(hurwitz_table, 5)
-    g1 = QUADRIC.genus1(g0, quadric_genus1_seeds, 5) - QUADRIC.pair(i_pot + j_pot, g0)
+    covers = QUADRIC.cover({(d, b): val for (g, d, b), val in hurwitz_table.items() if g == 1}, 5)
+    g1 = QUADRIC.genus1(g0, quadric_genus1_seeds, 5) - QUADRIC.pair(covers, g0)
     assert g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1) == g1_quadric
 
 
@@ -162,15 +162,14 @@ def test_derived_data_equal_the_hand_tables(surface, c1, d_sq, lines, point):
 
 
 def test_rule_cover_of_both_rulings_is_i_plus_j(hurwitz_table):
-    """RULE_COVER is linear and each ruling's u-partial vanishes on the other
-    ruling, so one application to H1 on both rulings gives I + J."""
+    """On the quadric (k = 1, D.D = 2) the cover term is the hand-entered
+    operator u (d/du1 + d/du2) + (v^2 + w) d/dv on H1 placed on both
+    rulings: I + J."""
+    rule_cover = DiffOperator.build([(1, {"u": 1}, "u1"), (1, {"u": 1}, "u2"), (1, {"v": 2}, "v"), (1, {"w": 1}, "v")])
     dmax = 5
-    on_both = {
-        (beta, (0, b, 0)): val
-        for (g, d, b), val in hurwitz_table.items()
-        if g == 1
-        for beta in ((d, 0), (0, d))
-    }
-    i_pot, j_pot = rule_cover_potentials(hurwitz_table, dmax)
-    assert i_pot.entries and j_pot.entries
-    assert RULE_COVER(SeriesTable(Q_SPACE, dmax, on_both)) == i_pot + j_pot
+    h1 = {(d, b): val for (g, d, b), val in hurwitz_table.items() if g == 1}
+    on_both = {(beta, (0, b, 0)): val for (d, b), val in h1.items() for beta in ((d, 0), (0, d))}
+    covers = QUADRIC.cover(h1, dmax)
+    # I (d2 = 0) and J (d1 = 0) are both there
+    assert {deg.index(0) for deg, _ in covers.entries} == {0, 1}
+    assert rule_cover(SeriesTable(Q_SPACE, dmax, on_both)) == covers
