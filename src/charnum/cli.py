@@ -188,7 +188,7 @@ def cmd_compute(args, out) -> int:
             raise FileNotFoundError("genus-2 virtual numbers (pass --virtual2 <path>; records d;a,b,c;p/q)")
         virtual2 = load_virtual2(read_seed_file(args.virtual2), dmax)
         table = charnum_genus2(g0, table, virtual2, dmax)
-    for key, num in sorted(table.nums.items()) if args.genus == 1 else ():
+    for key, num in sorted(table.nums.items()) if args.genus else ():
         if num < 0 or num % table.den:
             want = "a non-negative integer"
         elif quadric and 1 in key[0]:
@@ -197,7 +197,7 @@ def cmd_compute(args, out) -> int:
             continue
         deg, (a, b, c) = key
         raise SeedConflict(
-            f"the genus-1 number at d={','.join(map(str, deg))}, (a,b,c)=({a},{b},{c}) is "
+            f"the genus-{args.genus} number at d={','.join(map(str, deg))}, (a,b,c)=({a},{b},{c}) is "
             f"{format_rat(Fraction(num, table.den))}, not {want}"
         )
     _emit(_char_records(table), ["d", "a", "b", "c", "value"], args.format, out)
@@ -377,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"charnum {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=True):
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    def common(p, fmt=True, seeds=True):
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv", "md"), default="json")
         if seeds:
             p.add_argument("--seeds", help="seed-file path overriding packaged data")
 
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="overrides the target named in the invariant string")
     p.add_argument("--cache", help="cache file path")
     p.add_argument("--no-cache", action="store_true")
-    common(p)
+    common(p, fmt=False)
     p.set_defaults(func=cmd_descendant)
 
     p = sub.add_parser("hurwitz", help="simple Hurwitz numbers")

@@ -35,8 +35,8 @@ live here:
   the equation into the classical simple-Hurwitz recursions.
 
 Both potentials take the `TangencySpace` of their target, which holds the
-variables and gamma (`metric.inverse_metric`), so a caller that runs both
-shares one.
+variables, gamma (`metric.inverse_metric`), and gamma's rows and the genus-1
+term T as ready terms, so a caller that runs both shares one.
 They are solved one total degree at a time, and a level reads the levels
 below it only through the products of its quadratic term.  Their factors
 live in a `_SliceStore` for the call: it gains each completed level as one
@@ -310,7 +310,20 @@ class TangencySpace:
         # the grading weight of each exponent slot in the dimension constraint
         self.weights = tuple(geom.steps[c] for c in geom.nondiv) + geom.codims[1:]
         # gamma^{ef}: polynomial entries over y1..yr at y0 = 0
-        self.gamma = inverse_metric(geom).rows
+        self.gamma = gamma = inverse_metric(geom).rows
+        r = geom.rank
+        # the row of each e >= 1 as (f, the terms of its entry), f >= 1: a contraction's factors
+        self.rows = {e: [(f, self.poly_terms(gamma[e][f])) for f in range(1, r) if gamma[e][f]] for e in range(1, r)}
+        # T of `_genus1_top` as terms by the partial of G0 they read (its sorted x-indices)
+        consts, top = genus1_degree0_constants(geom), {}
+        for e in range(1, r):
+            for f in range(1, r):
+                for idx, coef in (((e,), consts.get(f)), (tuple(sorted((e, f))), Fraction(1, 24))):
+                    if coef and gamma[e][f]:
+                        acc = top.setdefault(idx, {})
+                        for mono, c in gamma[e][f].items():
+                            acc[mono] = acc.get(mono, 0) + coef * c
+        self.top = {idx: self.poly_terms(poly) for idx, poly in top.items()}
 
     def gated_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
         """All exponent vectors satisfying the dimension constraint, in
@@ -470,12 +483,9 @@ class _SliceStore:
 
     def contraction(self, name: str, idx: tuple[int, ...], e: int, total: int) -> SeriesTable:
         """sum_f gamma^{ef} times the x_f-partial of `name` x idx, at `total`."""
-        ts = self.ts
-        out = NumeratorSum(ts.space, self.packing.dmax)
-        for f in range(1, ts.geom.rank):
-            poly = ts.gamma[e][f]
-            if poly:
-                out.add(self.partial(name, idx + (f,), total), ts.poly_terms(poly))
+        out = NumeratorSum(self.ts.space, self.packing.dmax)
+        for f, terms in self.ts.rows[e]:
+            out.add(self.partial(name, idx + (f,), total), terms)
         return out.table()
 
     def operand(self, key: tuple, below: int) -> Operand:
@@ -600,7 +610,6 @@ def genus1_tangency_potential(
     reading and comparing them is integer work over one denominator.
     """
     geom = ts.geom
-    consts = genus1_degree0_constants(geom)
     seeded = {t: NumeratorSum(ts.space, dmax) for t in range(1, dmax + 1)}
     for beta in (b for t in range(1, dmax + 1) for b in geom.curve_classes(t, box)):
         slice_keys = [k for k in ts.gated_keys(1, beta) if not any(k[ts.nx:])]
@@ -629,7 +638,7 @@ def genus1_tangency_potential(
                 for k_idx in choices:
                     if k_idx not in rhs_by_k:
                         if top is None:
-                            top = _genus1_top(store, consts, t)
+                            top = _genus1_top(store, t)
                         rhs_by_k[k_idx] = _genus1_rhs(store, top, k_idx, t)
                         level.over(rhs_by_k[k_idx].den)
                 vals = [level.read(rhs_by_k[k], (beta, ts.lowered(mono, k))) for k in choices]
@@ -647,31 +656,15 @@ def genus1_tangency_potential(
     return out.table()
 
 
-def _genus1_top(store: _SliceStore, consts, t: int) -> SeriesTable:
+def _genus1_top(store: _SliceStore, t: int) -> SeriesTable:
     """T = sum_{e,f} gamma^{ef} (c_f G0_{x_e} + G0_{x_e x_f} / 24) at degree t:
     the degree-0 constants c_f of G1_{x_f} times G0, and the 1/24 term.
     Both terms of the y_k equation are T_{x_k}, as gamma depends on y only.
-    The polynomials that multiply one partial of G0 are summed first, so
+    `TangencySpace.top` holds the terms that multiply one partial of G0, so
     each partial is walked once."""
-    ts = store.ts
-    polys: dict[tuple[int, ...], dict] = {}  # sorted x-indices -> polynomial
-
-    def put(idx, poly, coef):
-        acc = polys.setdefault(tuple(sorted(idx)), {})
-        for mono, c in poly.items():
-            acc[mono] = acc.get(mono, 0) + coef * c
-
-    r = ts.geom.rank
-    for e in range(1, r):
-        for f in range(1, r):
-            poly = ts.gamma[e][f]
-            if poly:
-                if consts.get(f):
-                    put((e,), poly, consts[f])
-                put((e, f), poly, Fraction(1, 24))
-    out = NumeratorSum(ts.space, t)
-    for idx, poly in polys.items():
-        out.add(store.partial("G0", idx, t), ts.poly_terms(poly))
+    out = NumeratorSum(store.ts.space, t)
+    for idx, terms in store.ts.top.items():
+        out.add(store.partial("G0", idx, t), terms)
     return out.table()
 
 

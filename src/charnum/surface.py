@@ -171,7 +171,9 @@ class Surface:
         skip the class pairs that leave it.  The tangency product
         <G_s, G_s> is read only at w = 0, and w adds up in products and is
         never lowered by the operators, so G_s and its images keep only
-        their w = 0 part.  A level is a `NumeratorSum`; a stratum reads its
+        their w = 0 part.  The operators have coefficients in v and w only,
+        so they commute with ds and with that cut: a level forms the images
+        of its G_s once.  A level is a `NumeratorSum`; a stratum reads its
         product before the level's own numerator, and `put` divides.
         """
         geom = self._geometry(gw)
@@ -213,12 +215,12 @@ class Surface:
             out.add(new, [(1, {})])
             if n < dmax:
                 new_s = self.ds(new)
-                flat_s = flat(new_s)
+                images = self.images(new_s)
                 slices = (
-                    self.partials(flat_s),
-                    map(flat, self.images(flat_s)),
+                    self.partials(flat(new_s)),
+                    map(flat, images),
                     self.partials(new.partial("u")),
-                    self.images(self.ds(new_s)),
+                    map(self.ds, images),
                 )
                 for operands, tables in zip(factors, slices):
                     for operand, t in zip(operands, tables):
@@ -244,17 +246,20 @@ class Surface:
         `genus1_virtual`, from the genus-0 numbers `g0` and the point-only
         `seeds` by class; a missing class raises KeyError.  A stratum with a
         tangency and a flag is solved by both equations, and unequal values
-        raise SeedConflict.  The images of G^0_x and G^0_u are operands
-        prepared once, and the partials of V gain one slice per level.  A
-        level is a `NumeratorSum` over its right sides' denominators."""
-        g0_s, g0_u = self.ds(g0), g0.partial("u")
-        block_s, block_u = self._genus1_block(g0_s), self._genus1_block(g0_u)
+        raise SeedConflict.  The operators and B have coefficients in v and w
+        only, so the images and B of G^0_x and G^0_u are the partials of
+        those of G^0, formed once; the images are operands prepared once,
+        and the partials of V gain one slice per level.  A level is a
+        `NumeratorSum` over its right sides' denominators."""
+        images, block = self.images(g0), self._genus1_block(g0)
+        block_s, block_u = self.ds(block), block.partial("u")
         # no product reaches above the degrees that G^0 holds
         pk = self.packing(min(dmax, g0.dmax))
-        images_s, images_u = ([Operand(pk, t) for t in self.images(f)] for f in (g0_s, g0_u))
+        images_s = [Operand(pk, self.ds(t)) for t in images]
+        images_u = [Operand(pk, t.partial("u")) for t in images]
         lower = [Operand(pk) for _ in images_s]
         out = NumeratorSum(self.space, dmax)
-        out.add(self.point(g0), [(Fraction(1, 24), {})])
+        out.add(images[0], [(Fraction(1, 24), {})])
         for n in range(1, dmax + 1):
             level = NumeratorSum(self.space, dmax)
             qv = self.pair_operands(lower, images_s, n)

@@ -4,9 +4,10 @@ import pytest
 
 from charnum.geometry import builtin_geometry
 from charnum.gw import wdvv_solve
-from charnum.planecurves import charnum_genus0, charnum_genus1
+from charnum.planecurves import PLANE, charnum_genus0, charnum_genus1, genus2_corrections
 from charnum.quadric import hurwitz, quadric_genus0, quadric_genus1
 from charnum.seeds import default_gw_seeds, load_genus1_seeds, packaged_seed_text
+from charnum.series import format_rat
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,13 @@ def g1_quadric(gw_quadric, quadric_genus1_seeds):
 @pytest.fixture(scope="session")
 def hurwitz_table():
     return hurwitz(1, 5)
+
+
+@pytest.fixture(scope="session")
+def virtual2_ones(g0_p2, g1_p2):
+    """A complete genus-2 virtual file at d = 4 whose every genus-2 number is
+    1: each record is the genus-2 correction at its stratum plus 1."""
+    corrections = genus2_corrections(g0_p2, g1_p2)
+    return "".join(
+        f"4;{a},{b},{c};{format_rat(corrections.coeff((4,), (a, b, c)) + 1)}\n" for a, b, c in PLANE.strata(2, 4)
+    )

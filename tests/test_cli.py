@@ -70,14 +70,30 @@ def test_genus2_requires_virtual_seeds():
     assert code == 3
 
 
-def test_genus2_with_virtual_file(tmp_path):
+def test_genus2_with_virtual_file(tmp_path, virtual2_ones):
     path = tmp_path / "virt.seeds"
-    path.write_text("".join(f"4;{a},{b},{c};0\n" for a, b, c in PLANE.strata(2, 4)))
+    path.write_text(virtual2_ones)
     code, text = capture(
         ["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", str(path)]
     )
     assert code == 0
-    json.loads(text)
+    records = json.loads(text)
+    assert len(records) == len(list(PLANE.strata(2, 4))) == 56
+    assert {r["value"] for r in records} == {"1"}
+
+
+def test_fractional_genus2_number_stops_compute(tmp_path, capsys):
+    """An all-zero virtual file makes most genus-2 numbers fractions: exit 1
+    with one line naming the genus and the first such record, and no table."""
+    path = tmp_path / "virt.seeds"
+    path.write_text("".join(f"4;{a},{b},{c};0\n" for a, b, c in PLANE.strata(2, 4)))
+    capsys.readouterr()
+    argv = ["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", str(path)]
+    assert capture(argv) == (1, "")
+    assert capsys.readouterr().err == (
+        "seed data fails verification: the genus-2 number at d=4, (a,b,c)=(0,1,6) is 185/2, "
+        "not a non-negative integer\n"
+    )
 
 
 def test_genus2_incomplete_virtual_file_names_the_first_missing_record(tmp_path, capsys):
@@ -178,6 +194,13 @@ def test_usage_error_exit2(capsys):
         assert err.count("\n") == 1 and "needs a" in err, (argv, err)
     capture(["compute", "--target", "p1xp1", "--genus", "0", "--dmax", "3"])
     assert "p1xp1 needs a bidegree D1,D2" in capsys.readouterr().err
+
+
+def test_descendant_takes_no_format(capsys):
+    """A descendant prints one bare value, so it refuses --format as a usage error."""
+    capsys.readouterr()
+    assert capture(["descendant", "tau0(T2)^2 @ d=1", "--no-cache", "--format", "csv"]) == (2, "")
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_descendant_spec_parsing(capsys):

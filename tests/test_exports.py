@@ -9,6 +9,7 @@ count.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import charnum
+from charnum import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["charnum"] + [f"charnum.{m.name}" for m in pkgutil.iter_modules(charnum.__path__)]
@@ -87,3 +89,38 @@ def test_every_parameter_is_read():
     """A parameter that no body reads is an option no caller can vary."""
     unread = [name for path in sorted(ROOT.glob("src/charnum/*.py")) for name in _unread_parameters(path)]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _attributes_read(fn: ast.FunctionDef, param: str, defs: dict, seen: set) -> set[str]:
+    """The attributes that `fn` reads off its parameter `param`, directly or
+    through a function of `defs` that it passes `param` to."""
+    read = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == param:
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs:
+            callee = defs[node.func.id]
+            names = [a.arg for a in callee.args.args]
+            passed = [*zip(names, node.args), *((k.arg, k.value) for k in node.keywords)]
+            for name, arg in passed:
+                if isinstance(arg, ast.Name) and arg.id == param and (callee.name, name) not in seen:
+                    seen.add((callee.name, name))
+                    read |= _attributes_read(callee, name, defs, seen)
+    return read
+
+
+def test_every_cli_option_is_read():
+    """An option that its command never reads is parsed and ignored: each
+    option of each `build_parser()` subcommand is read as `args.<dest>` by its
+    command or by a `cli` function that receives `args`."""
+    tree = ast.parse((ROOT / "src/charnum/cli.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in sub.choices.items():
+        fn = defs[parser.get_default("func").__name__]
+        read = _attributes_read(fn, fn.args.args[0].arg, defs, set())
+        dests = [a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        unread += [f"{command} {dest}" for dest in dests if dest not in read]
+    assert len(sub.choices) == 6
+    assert not unread, f"options never read: {unread}"

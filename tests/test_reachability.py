@@ -52,6 +52,7 @@ REQUESTS = [
     (["compute", "--target", "p2", "--genus", "1", "--dmax", "3", "--format", "csv"], 0),
     (["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", "{dir}/virtual2", "--format", "md"], 0),
     (["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", "{dir}/partial2"], 3),
+    (["compute", "--target", "p2", "--genus", "2", "--dmax", "4", "--virtual2", "{dir}/zero2"], 1),
     (["compute", "--target", "p2", "--genus", "2", "--dmax", "4"], 3),
     (["compute", "--target", "p2", "--genus", "2", "--dmax", "3"], 3),
     (["compute", "--target", "p2", "--genus", "1", "--dmax", "6"], 3),
@@ -70,7 +71,7 @@ REQUESTS = [
     (["descendant", "tau0(T2)^6 tau1(T1)^2 @ g=0 d=3", "--cache", "{dir}/p2.cache"], 0),
     (["descendant", "tau0(T2)^6 tau1(T1)^2 @ g=0 d=3", "--cache", "{dir}/p2.cache"], 0),
     (["descendant", "tau0(T2)^4 tau1(T1) @ g=0 d=2"], 0),
-    (["descendant", "tau0(T3)^2 tau1(T2)^2 @ g=0 d=1,1 target=p1xp1", "--no-cache", "--format", "csv"], 0),
+    (["descendant", "tau0(T3)^2 tau1(T2)^2 @ g=0 d=1,1 target=p1xp1", "--no-cache"], 0),
     (["descendant", "tau0(T2)^8 tau1(T1) @ g=1 d=3"], 0),
     (["descendant", "tau2(T1)^2 @ g=1 d=3"], 2),
     (["descendant", "tau0(T2)^2 @ g=2 d=1"], 2),
@@ -130,8 +131,9 @@ def _defs() -> dict[tuple[str, int], str]:
     return out
 
 
-def test_every_function_runs_under_some_request(tmp_path):
-    (tmp_path / "virtual2").write_text("".join(f"4;{a},{b},{c};0\n" for a, b, c in PLANE.strata(2, 4)))
+def test_every_function_runs_under_some_request(tmp_path, virtual2_ones):
+    (tmp_path / "virtual2").write_text(virtual2_ones)
+    (tmp_path / "zero2").write_text("".join(f"4;{a},{b},{c};0\n" for a, b, c in PLANE.strata(2, 4)))
     (tmp_path / "partial2").write_text("4;13,0,0;0\n")
     (tmp_path / "conflict.seeds").write_text("1;0,0,2;1\n2;0,0,5;2\n")
     (tmp_path / "fractional.seeds").write_text("1;0,0,3;1/2\n2;0,0,6;0\n3;0,0,9;1\n")

@@ -3,6 +3,8 @@ from __future__ import annotations
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charnum.descend import TangencySpace, genus0_tangency_potential
 from charnum.geometry import builtin_geometry, load_geometry
@@ -123,6 +125,71 @@ def test_operators_see_each_level_once(p2, monkeypatch):
     monkeypatch.setattr(DiffOperator, "__call__", counted)
     result = PLANE.genus0(gw, 7)
     assert sum(seen) <= 4 * len(result)
+
+
+def _tables(space):
+    degs = st.tuples(*[st.integers(0, 3)] * len(space.degree_vars))
+    exps = st.tuples(*[st.integers(0, 3)] * len(space.exp_vars))
+    entries = st.dictionaries(st.tuples(degs, exps), st.fractions(-5, 5, max_denominator=12), max_size=10)
+    return st.builds(lambda dmax, d: SeriesTable(space, dmax, d), st.integers(1, 6), entries)
+
+
+SURFACE_TABLES = st.sampled_from([PLANE, QUADRIC]).flatmap(lambda s: st.tuples(st.just(s), _tables(s.space)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SURFACE_TABLES)
+def test_operators_commute_with_ds_and_d_du(surface_table):
+    """P, the L_i and B have coefficients in v and w only, so the level loops
+    may apply them once to G and take ds and d/du of the images."""
+    surface, f = surface_table
+    for op in (surface.point, *surface.lines, surface._genus1_block):
+        assert surface.ds(op(f)) == op(surface.ds(f))
+        assert op(f).partial("u") == op(f.partial("u"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SURFACE_TABLES)
+def test_w_zero_part_of_an_image_reads_only_w_zero(surface_table):
+    """The operators never lower w, so cutting an image to w = 0 gives what
+    cutting both its argument and the image gives."""
+    surface, f = surface_table
+    w = surface.space.exp_index("w")
+
+    def flat(t):
+        return t.filter_keys(lambda deg, mono: not mono[w])
+
+    for image, of_flat in zip(surface.images(f), surface.images(flat(f))):
+        assert flat(image) == flat(of_flat)
+
+
+def _count_calls(monkeypatch, names):
+    calls = []
+    for name in names:
+        method = getattr(Surface, name)
+        monkeypatch.setattr(Surface, name, lambda self, f, _m=method, _n=name: calls.append(_n) or _m(self, f))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "surface, g0, seeds",
+    [(PLANE, "g0_p2", "p2_genus1_seeds"), (QUADRIC, "g0_quadric", "quadric_genus1_seeds")],
+    ids=["PLANE", "QUADRIC"],
+)
+def test_genus1_forms_the_images_and_block_of_g0_once(surface, g0, seeds, request, monkeypatch):
+    g0, seeds = request.getfixturevalue(g0), request.getfixturevalue(seeds)
+    calls = _count_calls(monkeypatch, ("images", "_genus1_block"))
+    surface.genus1(g0, seeds, 4)
+    assert sorted(calls) == ["_genus1_block", "images"]
+
+
+@pytest.mark.parametrize("surface, gw", [(PLANE, "gw_p2"), (QUADRIC, "gw_quadric")], ids=["PLANE", "QUADRIC"])
+def test_genus0_forms_the_images_once_per_level(surface, gw, request, monkeypatch):
+    gw = request.getfixturevalue(gw)
+    calls = _count_calls(monkeypatch, ("images",))
+    surface.genus0(gw, 5)
+    # the last level feeds no level above it
+    assert calls == ["images"] * 4
 
 
 def test_surface_is_its_geometry_and_variables():
