@@ -15,7 +15,7 @@ from .descend import (
 from .geometry import TargetGeometry, builtin_geometry, load_geometry
 from .gw import GWTable, wdvv_solve
 from .metric import PolyMatrix, deformed_metric, substitute_metric
-from .planecurves import charnum_genus0, charnum_genus1, charnum_genus2, cover_polynomials
+from .planecurves import charnum_genus0, charnum_genus1, charnum_genus2
 from .quadric import hurwitz, quadric_genus0, quadric_genus1
 from .series import DiffOperator, Rat, SeriesTable, VarSpace, series_product
 
@@ -41,7 +41,6 @@ __all__ = [
     "charnum_genus0",
     "charnum_genus1",
     "charnum_genus2",
-    "cover_polynomials",
     "hurwitz",
     "quadric_genus0",
     "quadric_genus1",

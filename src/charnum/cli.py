@@ -204,11 +204,15 @@ def cmd_compute(args, out) -> int:
     return EXIT_OK
 
 
+def _gw_seeds(geom: TargetGeometry, args) -> dict:
+    """The genus-0 seeds of --seeds, or the packaged ones."""
+    return parse_seed_records(read_seed_file(args.seeds), geom) if args.seeds else default_gw_seeds(geom)
+
+
 def cmd_gw(args, out) -> int:
     geom = _geometry(args.target)
     dmax = sum(_degree_box(args.dmax, geom))
-    seeds = parse_seed_records(read_seed_file(args.seeds), geom) if args.seeds else default_gw_seeds(geom)
-    gw = wdvv_solve(geom, seeds, dmax)
+    gw = wdvv_solve(geom, _gw_seeds(geom, args), dmax)
     _emit(_gw_records(gw), ["d", "insertions", "value"], args.format, out)
     return EXIT_OK
 
@@ -271,8 +275,8 @@ def cmd_descendant(args, out) -> int:
         raise ValueError(f"{geom.name} has the basis classes T0..T{geom.rank - 1} only")
     dmax = sum(degrees)
     if genus == 0:
-        if args.seeds:
-            raise ValueError("--seeds applies to genus-1 descendants only")
+        if args.seeds and not args.no_cache:
+            raise ValueError("--seeds needs --no-cache at genus 0: the cache file is keyed by the geometry alone")
         cache = None
         if not args.no_cache:
             cache_path = Path(args.cache) if args.cache else default_cache_dir() / f"{geom.name}.cache"
@@ -282,7 +286,8 @@ def cmd_descendant(args, out) -> int:
             except OSError as e:
                 raise ValueError(f"cannot read the cache file {cache_path}: {e.strerror}") from None
         # the cache's records are the engine's memo, so the file is rewritten only when it grew
-        engine = DescendantEngine(geom, _SolveOnLookup(geom, dmax), None if cache is None else cache.records)
+        solver = _SolveOnLookup(geom, _gw_seeds(geom, args), dmax)
+        engine = DescendantEngine(geom, solver, None if cache is None else cache.records)
         known = len(engine.memo)
         value = engine.value(DescendantSpec(0, degrees, insertions))
         if cache is not None and len(engine.memo) > known:
@@ -314,17 +319,18 @@ def cmd_descendant(args, out) -> int:
 
 
 class _SolveOnLookup:
-    """The genus-0 table of a descendant request, solved on the engine's
-    first lookup: a value the cache already holds needs no WDVV solve."""
+    """The genus-0 table of a descendant request, solved from `seeds` on the
+    engine's first lookup: a value the cache already holds needs no WDVV solve."""
 
-    def __init__(self, geom: TargetGeometry, dmax: int):
+    def __init__(self, geom: TargetGeometry, seeds: dict, dmax: int):
         self.geom = geom
+        self.seeds = seeds
         self.dmax = dmax
         self.table: GWTable | None = None
 
     def lookup(self, beta, insertions) -> Fraction:
         if self.table is None:
-            self.table = wdvv_solve(self.geom, default_gw_seeds(self.geom), self.dmax)
+            self.table = wdvv_solve(self.geom, self.seeds, self.dmax)
         return self.table.lookup(beta, insertions)
 
 

@@ -23,8 +23,8 @@ is computed per genus:
   returns G^1 + E = virtual + (1/24) P G^0, where E, the generating
   polynomial of elliptic double covers of a line, is subtracted at reporting
   time.  An independent route takes the virtual potential from the genus-1
-  tangency potential of `descend`.  E and H below are `Surface.cover` of
-  the one double-cover Hurwitz number, not hand-entered tables.
+  tangency potential of `descend`.  E and H below are the cover terms of one
+  Hurwitz number; `Surface.excess` enters E as it is and pairs H with G^0.
 
 * genus 2: only the correction layer: for d >= 4,
 
@@ -50,7 +50,6 @@ from .surface import Surface
 __all__ = [
     "P2_SPACE",
     "PLANE",
-    "cover_polynomials",
     "tangency_expand",
     "charnum_genus0",
     "charnum_genus1",
@@ -65,24 +64,9 @@ P2_SPACE = VarSpace(("s",), ("u", "v", "w"))
 PLANE = Surface(builtin_geometry("p2"), P2_SPACE)
 
 
-def _double_cover(genus: int) -> SeriesTable:
-    """The cover term of genus-g double covers of a line: the Hurwitz number
-    1/2 of P^1 at b = 2g + 2 branch points, in degree 2."""
-    return PLANE.cover({(2, 2 * genus + 2): Fraction(1, 2)}, 2)
-
-
-def cover_polynomials() -> tuple[SeriesTable, SeriesTable]:
-    """E and H: elliptic resp. genus-2 double covers of a line, degree 2.
-
-    Genus-g double covers of a line form a 2g+4 dimensional family (2 for
-    the line, 2g+2 for the branch points), so E and H are supported on
-    a+b+2c = 2g+4: 6 for E and 8 for H.  For E this is the degree-2 virtual
-    dimension 3d+g-1 = 6, where E is subtracted from G^1.  H never enters at
-    degree 2: in H_s . L G^0 + H_u . P G^0 the factor G^0 has degree d-2 and
-    weight 3d-7, L keeps the weight, H_u and P shift it by -1 and +1, and
-    the product lands on the genus-2 weight 3d+1 only if H has weight 8.
-    """
-    return _double_cover(1), _double_cover(2)
+def _double_covers(g0: SeriesTable, genus: int) -> SeriesTable:
+    """The excess of the Hurwitz number 1/2 of P^1 at 2g + 2 branch points."""
+    return PLANE.excess({(2, 2 * genus + 2): Fraction(1, 2)}, g0, genus)
 
 
 def tangency_expand(a: int, b: int, c: int, d: int):
@@ -103,7 +87,7 @@ def charnum_genus0(gw: GWTable, dmax: int) -> SeriesTable:
 def charnum_genus1(g0: SeriesTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
     """Genus-1 characteristic numbers: `Surface.genus1` minus E.  `seeds`
     maps the class (d,) to the point-only count N^1_d(3d,0,0)."""
-    return PLANE.genus1(g0, seeds, dmax) - _double_cover(1).truncate(dmax)
+    return PLANE.genus1(g0, seeds, dmax) - _double_covers(g0, 1)
 
 
 def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int) -> SeriesTable:
@@ -112,18 +96,17 @@ def charnum_genus1_virtual_route(gw: GWTable, seeds: dict[tuple, Rat], dmax: int
     G^0 is the substituted genus-0 tangency potential of
     `Surface.genus1_virtual`, not the level loop of `charnum_genus0`, so the
     route shares no genus-0 table with `charnum_genus1`."""
-    return PLANE.genus1_virtual(gw, seeds, dmax)[0] - _double_cover(1).truncate(dmax)
+    virtual, g0 = PLANE.genus1_virtual(gw, seeds, dmax)
+    return virtual - _double_covers(g0, 1)
 
 
 def genus2_corrections(g0: SeriesTable, g1: SeriesTable) -> SeriesTable:
     """The terms added to G^2 to produce the virtual potential (degree >= 4
     part; the degree-2/3 degenerate-cover terms are never evaluated)."""
     P = PLANE.point
-    _, h_table = cover_polynomials()
-    h = h_table.truncate(g0.dmax)
     two_tail = P(P(g0)).scale(Fraction(1, 2 * 24 * 24))
     one_tail = P(g1).scale(Fraction(-1, 24))
-    return one_tail + two_tail + PLANE.pair(h, g0)
+    return one_tail + two_tail + _double_covers(g0, 2)
 
 
 def charnum_genus2(

@@ -12,8 +12,9 @@ t the degree and v the tau_1(pt) variable, seeded only by the identity cover
 N^0_1(0) = 1; `oracles.hurwitz_bruteforce` counts the same numbers by
 factorizations in the symmetric group.  Genus-1 covers of a ruling,
 `QUADRIC.cover` of the genus-1 potential H1 placed on both rulings, are
-I = u H1_{u1} + (v^2 + w) H1_v (and J with the rulings swapped), the
-excess components behind the genus-1 correction formula
+I = u H1_{u1} + (v^2 + w) H1_v (and J with the rulings swapped).  They sit
+one above the genus-1 dimension, so `QUADRIC.excess` pairs them with G0 in
+the genus-1 correction formula
 
     virtual = G1 - (1/24) P G0 + I_{u1}.L1 G0 + I_u.P G0
                                 + J_{u2}.L2 G0 + J_u.P G0,
@@ -29,7 +30,7 @@ every solve in it, the Hurwitz covers included.
 from __future__ import annotations
 
 from .descend import TangencySpace, genus0_tangency_potential, genus1_tangency_potential
-from .geometry import builtin_geometry, in_box
+from .geometry import builtin_geometry
 from .gw import GWTable, wdvv_solve
 from .seeds import default_gw_seeds
 from .series import Rat, SeriesTable, VarSpace
@@ -68,17 +69,14 @@ def quadric_genus0(gw: GWTable, dmax: int, box: tuple[int, int] | None = None) -
 
 
 def quadric_genus1(
-    gw: GWTable,
-    seeds: dict[tuple[int, int], Rat],
-    dmax: int,
-    box: tuple[int, int] | None = None,
+    gw: GWTable, seeds: dict[tuple[int, int], Rat], dmax: int, box: tuple[int, int] | None = None
 ) -> SeriesTable:
     """Genus-1 quadric characteristic numbers via the correction formula.
 
     `seeds` maps bidegrees to the genus-1 point-only invariant.  Only entries
     with both partial degrees positive are enumerative; rule-supported
-    bidegrees are dropped from the output.  G^0, in (1/24) P G^0 and in the
-    cover pairing, is the genus-0 table that `Surface.genus1_virtual` gets
+    bidegrees are dropped from the output.  G^0, in (1/24) P G^0 and in
+    `Surface.excess`, is the genus-0 table that `Surface.genus1_virtual` gets
     from its own tangency potential, so no second genus-0 solve runs.  With
     `box`, only the bidegrees componentwise <= box are computed and
     returned, only their seeds are read, and the Hurwitz covers are read up
@@ -87,7 +85,5 @@ def quadric_genus1(
     """
     virtual, g0 = QUADRIC.genus1_virtual(gw, seeds, dmax, box)
     h1 = hurwitz(1, dmax if box is None else min(dmax, max(box)))
-    # I has no u2-degree and J no u1-degree, so one pairing gives both cover terms
-    covers = QUADRIC.cover({(d, b): val for (g, d, b), val in h1.items() if g == 1}, dmax)
-    g1 = virtual - QUADRIC.pair(covers, g0, box=box)
-    return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1 and in_box(deg, box))
+    g1 = virtual - QUADRIC.excess({(d, b): val for (g, d, b), val in h1.items() if g == 1}, g0, 1, box)
+    return g1.filter_keys(lambda deg, mono: deg[0] >= 1 and deg[1] >= 1)

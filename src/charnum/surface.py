@@ -1,5 +1,5 @@
 r"""One description of a homogeneous surface, the genus-0 and genus-1
-level solvers and the cover term, all shared by the plane and the quadric.
+level solvers and the cover terms, all shared by the plane and the quadric.
 
 On a surface with tangency divisor D, a point operator P and one line
 operator L_i per degree variable x_i, the genus-0 characteristic potential
@@ -33,7 +33,9 @@ flag (w d/dv) or at one of the D.D points where two tangency curves meet
 ((D.D)/2 v^2 d/dv).  With H^g the Hurwitz potential of P^1 on each such
 class, and d/dv acting on H^g only (normal order), the cover term is
 
-    (1/k!) :(u ds + ((D.D)/2 v^2 + w) d/dv)^k: H^g.
+    (1/k!) :(u ds + ((D.D)/2 v^2 + w) d/dv)^k: H^g,
+
+and `excess` enters each of its entries as its weight a + b + 2c picks.
 
 The pairing is gamma^{ef}, the inverse deformed metric of `metric`, under
 the y-part of the tangency change of variables `tangency_map`: L_i is the
@@ -52,7 +54,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import descend
-from .geometry import CurveClass, TargetGeometry, builtin_name
+from .geometry import CurveClass, TargetGeometry, builtin_name, in_box
 from .gw import GWTable, SeedConflict
 from .metric import inverse_metric, substitute_metric
 from .series import DiffOperator, NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
@@ -296,11 +298,7 @@ class Surface:
         return out.table()
 
     def genus1_virtual(
-        self,
-        gw: GWTable,
-        seeds: dict[tuple, Rat],
-        dmax: int,
-        box: CurveClass | None = None,
+        self, gw: GWTable, seeds: dict[tuple, Rat], dmax: int, box: CurveClass | None = None
     ) -> tuple[SeriesTable, SeriesTable]:
         """The genus-1 virtual potential in (u, v, w), plus (1/24) P G^0, and
         the genus-0 characteristic numbers G^0 it used.
@@ -311,7 +309,7 @@ class Surface:
         then substitutes `tangency_map` in both; the degree slots keep their
         position.  The substituted genus-0 potential is G^0, the table that
         `genus0` gives on the same box, so a caller needs no second genus-0
-        solve.  What is left to subtract is each surface's own cover term.
+        solve.  What is left to subtract is the `excess` of the covers.
         """
         ts = descend.TangencySpace(self._geometry(gw))
         gamma0 = descend.genus0_tangency_potential(ts, gw, dmax, box)
@@ -338,3 +336,20 @@ class Surface:
             coef = Fraction(self.d_sq, 2) ** l / (factorial(j) * factorial(l) * factorial(m))
             out.add(f, [(coef, {"u": j, "v": 2 * l, "w": m})])
         return out.table()
+
+    def excess(self, hurwitz: dict, g0: SeriesTable, genus: int, box: CurveClass | None = None) -> SeriesTable:
+        """The `cover` entries of the genus-g `hurwitz` as they enter the
+        genus-g numbers, to the degree of `g0` (G^0), on the classes <= `box`.
+
+        A degree-d cover has 2d + 2g - 2 branch points and k pins: the weight
+        of its entries.  An entry on the genus-g dimension c1 n - 1 + g enters
+        as it is, and F one above it as <F, G^0>, which adds c1 n0 - 1 to the
+        weight of F; no other weight lands on the dimension.  With none one
+        above no image of G^0 is formed.  On the plane double covers of a line
+        sit at 2g + 4: on the genus-1 dimension (E), one above genus 2's (H)."""
+        cover = self.cover(hurwitz, g0.dmax)
+        # a + b + 2c above the genus-g dimension c1 n - 1 + g
+        height = {(deg, mono): sum(mono) + mono[2] + 1 - genus - self.c1 * sum(deg) for deg, mono in cover.nums}
+        out = cover.filter_keys(lambda deg, mono: height[deg, mono] == 0 and in_box(deg, box))
+        paired = cover.filter_keys(lambda deg, mono: height[deg, mono] == 1)
+        return out + self.pair(paired, g0, box) if paired.nums else out

@@ -32,7 +32,6 @@ from charnum.planecurves import (
     charnum_genus1,
     charnum_genus1_virtual_route,
     PLANE,
-    cover_polynomials,
     tangency_expand,
 )
 from charnum.quadric import hurwitz, quadric_genus0, quadric_genus1
@@ -197,13 +196,13 @@ def test_criterion_08_genus1_dual_route(p2):
 
 def test_criterion_09_cover_polynomial_anchors():
     with Budget(9, "E/H anchors", 5.0):
-        e_table, h_table = cover_polynomials()
+        e_table, h_table = (PLANE.cover({(2, 2 * g + 2): Fraction(1, 2)}, 2) for g in (1, 2))
         assert Fraction(1, 2) / (2 * 2 * 2) == Fraction(45, 720)
         assert e_table.coeff((2,), (0, 6, 0)) == Fraction(45, 2)
         # Genus-g double covers of a line form a 2g+4 dimensional family (2
         # for the line, 2g+2 for the branch points), so every term sits at
         # a+b+2c = 2g+4: 6 for E, 8 for H, one above the degree-2 virtual
-        # dimension 7 (the cover_polynomials docstring shows the genus-2
+        # dimension 7 (the `Surface.excess` docstring shows the genus-2
         # correction needs exactly that).
         for genus, table in ((1, e_table), (2, h_table)):
             bad = [m for (_, m) in table.entries if m[0] + m[1] + 2 * m[2] != 2 * genus + 4]

@@ -164,9 +164,31 @@ def test_genus0_descendant_rejects_a_seed_file(tmp_path, capsys):
     assert capture(["gw", "--target", "p2", "--dmax", "2", "--seeds", str(path), "--format", "csv"])[1].endswith(
         "2,T2^5,25\n"
     )
+    # the cache file is keyed by the geometry alone, so a cached request refuses seeds
+    cache = tmp_path / "p2.cache"
     for seeds in (str(path), str(tmp_path / "absent.seeds")):
-        assert capture(["descendant", "tau0(T2)^5 @ d=2", "--no-cache", "--seeds", seeds]) == (2, "")
-        assert capsys.readouterr().err == "error: --seeds applies to genus-1 descendants only\n"
+        assert capture(["descendant", "tau0(T2)^5 @ d=2", "--cache", str(cache), "--seeds", seeds]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --seeds needs --no-cache at genus 0: the cache file is keyed by the geometry alone\n"
+        )
+    assert not cache.exists()
+    assert capture(["descendant", "tau0(T2)^5 @ d=2", "--no-cache", "--seeds", str(path)]) == (0, "25\n")
+    absent = ["descendant", "tau0(T2)^5 @ d=2", "--no-cache", "--seeds", str(tmp_path / "absent.seeds")]
+    assert capture(absent) == (3, "")
+
+
+def test_genus0_descendant_on_a_config_target_reads_its_seed_file(tmp_path):
+    """A ring that is not built in has no packaged seeds; with the plane's
+    one seed in --seeds it prints what the request prints on p2."""
+    geom = tmp_path / "myplane.geom"
+    geom.write_text(builtin_geometry("p2").to_text().replace("name p2", "name myplane"))
+    seeds = tmp_path / "one.seeds"
+    seeds.write_text("1;0,0,2;1\n")
+    for spec in ("tau0(T2)^2 @ d=1", CACHED_SPEC):
+        on_p2 = capture(["descendant", spec, "--no-cache"])
+        assert on_p2[0] == 0
+        argv = ["descendant", spec, "--target", str(geom), "--no-cache", "--seeds", str(seeds)]
+        assert capture(argv) == on_p2
 
 
 def test_usage_error_exit2(capsys):
@@ -383,16 +405,22 @@ def test_gr24_insufficiency_exit3():
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 
 
-def replay_benchmark_requests(prefix: str, count: int, within: str = "", extra: tuple[str, ...] = ()) -> None:
+def replay_benchmark_requests(
+    prefix: str, count: int, within: str = "", extra: tuple[str, ...] = (), cache_dir: Path | None = None
+) -> None:
     """Replay the benchmark's reference requests starting with `prefix` and
     holding `within`, with the arguments `extra` appended: same exit code and
-    stdout digest."""
+    stdout digest.  With `cache_dir`, a request without --no-cache reads and
+    writes a fresh, empty cache file there, as the references were made."""
     refs = {
         key: ref for key, ref in json.loads(REFS.read_text()).items() if key.startswith(prefix) and within in key
     }
     assert len(refs) == count
-    for key, ref in refs.items():
-        code, text = capture(shlex.split(key) + list(extra))
+    for n, (key, ref) in enumerate(refs.items()):
+        argv = shlex.split(key) + list(extra)
+        if cache_dir is not None and "--no-cache" not in argv:
+            argv += ["--cache", str(cache_dir / f"{n}.cache")]
+        code, text = capture(argv)
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (ref["exit"], ref["sha256"]), key
 
 
@@ -416,6 +444,12 @@ def test_genus0_requests_match_the_benchmark_digests(prefix, count):
 def test_genus1_descendant_requests_match_the_benchmark_digests():
     # each runs both tangency potentials; genus 1 reads no cache, and none is touched
     replay_benchmark_requests("descendant ", 3, within=" @ g=1 ", extra=("--no-cache",))
+
+
+def test_genus0_descendant_requests_match_the_benchmark_digests(tmp_path):
+    replay_benchmark_requests("descendant ", 34, within=" @ g=0 ", cache_dir=tmp_path)
+    # each cached request wrote its own cache file
+    assert len(list(tmp_path.glob("*.cache"))) == 17
 
 
 def test_verify_suites_pass():

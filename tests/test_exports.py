@@ -69,6 +69,30 @@ def test_sources_import_only_the_standard_library():
     assert tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"] == []
 
 
+def _unused_imports(path: Path, exported) -> list[str]:
+    """`file:line name` for each name the file imports (bar `__future__`)
+    that it never reads and that is not in `exported`, its `__all__`."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in exported:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    """A name that a module imports is read in it or re-exported in its `__all__`."""
+    unused = []
+    for path in sorted(ROOT.glob("src/charnum/*.py")):
+        module = importlib.import_module("charnum" if path.stem == "__init__" else f"charnum.{path.stem}")
+        unused += _unused_imports(path, getattr(module, "__all__", ()))
+    assert not unused, f"imported names never used: {unused}"
+
+
 def _unread_parameters(path: Path) -> list[str]:
     """`module.function(parameter)` for each parameter of each `def` in the
     file that its body never reads.  Exempt are a method's receiver (`self`,

@@ -77,6 +77,7 @@ REQUESTS = [
     (["descendant", "tau0(T2)^2 @ g=2 d=1"], 2),
     (["descendant", "tau0(T2)^2 @ g=0 d=1", "--seeds", "{dir}/conflict.seeds"], 2),
     (["descendant", "tau0(T2)^2 @ d=1", "--target", "{dir}/myplane.geom", "--no-cache"], 2),
+    (["descendant", "tau0(T2)^2 @ d=1", "--target", "{dir}/myplane.geom", "--no-cache", "--seeds", "{dir}/one.seeds"], 0),
     (["descendant", "tau0(T9)^2 @ d=1", "--no-cache"], 2),
     (["descendant", "tau0(T2)^2 @ d=1,1", "--no-cache"], 2),
     (["descendant", "tau0(T2 @ d=1"], 2),
@@ -136,6 +137,7 @@ def test_every_function_runs_under_some_request(tmp_path, virtual2_ones):
     (tmp_path / "zero2").write_text("".join(f"4;{a},{b},{c};0\n" for a, b, c in PLANE.strata(2, 4)))
     (tmp_path / "partial2").write_text("4;13,0,0;0\n")
     (tmp_path / "conflict.seeds").write_text("1;0,0,2;1\n2;0,0,5;2\n")
+    (tmp_path / "one.seeds").write_text("1;0,0,2;1\n")
     (tmp_path / "fractional.seeds").write_text("1;0,0,3;1/2\n2;0,0,6;0\n3;0,0,9;1\n")
     (tmp_path / "rational.seeds").write_text(
         packaged_seed_text("p1xp1-genus1").replace("1,2;0,0,0,6;0", "1,2;0,0,0,6;1")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from charnum.descend import TangencySpace, genus0_tangency_potential
 from charnum.geometry import builtin_geometry, load_geometry
 from charnum.gw import GWTable, wdvv_solve
+from charnum.oracles import hurwitz_bruteforce
 from charnum.planecurves import PLANE, charnum_genus0
 from charnum.quadric import QUADRIC, Q_SPACE, quadric_genus0
 from charnum.seeds import default_gw_seeds
 from charnum.series import DiffOperator, SeriesTable
 from charnum.surface import Surface
+from test_quadric import BOXES
 
 V, V2, W = (("v", 1),), (("v", 2),), (("w", 1),)
 
@@ -240,3 +243,66 @@ def test_rule_cover_of_both_rulings_is_i_plus_j(hurwitz_table):
     # I (d2 = 0) and J (d1 = 0) are both there
     assert {deg.index(0) for deg, _ in covers.entries} == {0, 1}
     assert rule_cover(SeriesTable(Q_SPACE, dmax, on_both)) == covers
+
+
+# -- the excess of the covers --------------------------------------------------
+
+
+def double_covers(genus):
+    """The plane's Hurwitz numbers: genus-g double covers of a line."""
+    return {(2, 2 * genus + 2): Fraction(1, 2)}
+
+
+def _height(surface, genus, deg, mono):
+    """a + b + 2c above the genus-g dimension c1 n - 1 + g."""
+    a, b, c = mono
+    return a + b + 2 * c - (surface.c1 * sum(deg) - 1 + genus)
+
+
+@pytest.mark.parametrize("surface", [PLANE, QUADRIC], ids=["PLANE", "QUADRIC"])
+@pytest.mark.parametrize("genus", [1, 2])
+def test_cover_entries_sit_at_the_dimension_of_their_family(surface, genus):
+    """Genus-g covers of degree d form a family of dimension 2d + 2g - 2 + k:
+    the branch points and the k = c1 - 1 pins."""
+    hurwitz = {(d, 2 * d + 2 * genus - 2): hurwitz_bruteforce(d, 2 * d + 2 * genus - 2) for d in (2, 3)}
+    covers = surface.cover(hurwitz, 3)
+    assert {max(deg) for deg, _ in covers.entries} == {2, 3}
+    for deg, (a, b, c) in covers.entries:
+        assert a + b + 2 * c == 2 * sum(deg) + 2 * genus - 2 + surface.c1 - 1
+
+
+@pytest.mark.parametrize(
+    "surface, hurwitz, genus, height",
+    [(PLANE, double_covers(1), 1, 0), (PLANE, double_covers(2), 2, 1), (QUADRIC, "hurwitz_table", 1, 1)],
+    ids=["PLANE-genus1", "PLANE-genus2", "QUADRIC-genus1"],
+)
+def test_cover_entries_of_each_surface_sit_on_or_one_above_the_dimension(surface, hurwitz, genus, height, request):
+    if isinstance(hurwitz, str):
+        hurwitz = {(d, b): val for (g, d, b), val in request.getfixturevalue(hurwitz).items() if g == genus}
+    covers = surface.cover(hurwitz, 5)
+    assert covers.entries
+    assert {_height(surface, genus, deg, mono) for deg, mono in covers.entries} == {height}
+
+
+def test_plane_genus1_excess_is_e_and_pairs_nothing(g0_p2, monkeypatch):
+    calls = []
+    pair = Surface.pair
+    monkeypatch.setattr(Surface, "pair", lambda self, *args: calls.append(args) or pair(self, *args))
+    excess = PLANE.excess(double_covers(1), g0_p2, 1)
+    assert excess == PLANE.cover(double_covers(1), 2)
+    assert excess.entries and not calls
+
+
+def test_plane_genus2_excess_pairs_h_with_g0(p2):
+    h = PLANE.cover(double_covers(2), 2)
+    g0 = charnum_genus0(wdvv_solve(p2, default_gw_seeds(p2), 6), 6)
+    for dmax in range(1, 7):
+        g0_cut = g0.truncate(dmax)
+        assert PLANE.excess(double_covers(2), g0_cut, 2) == PLANE.pair(h.truncate(dmax), g0_cut)
+
+
+@pytest.mark.parametrize("box", BOXES, ids=lambda box: f"{box[0]},{box[1]}")
+def test_quadric_excess_pairs_the_rule_covers_with_g0(box, gw_quadric, hurwitz_table):
+    g0 = QUADRIC.genus0(gw_quadric, sum(box), box)
+    h1 = {(d, b): val for (g, d, b), val in hurwitz_table.items() if g == 1}
+    assert QUADRIC.excess(h1, g0, 1, box) == QUADRIC.pair(QUADRIC.cover(h1, g0.dmax), g0, box)
