@@ -17,6 +17,21 @@ also settles unknowns that no single instance isolates (Gr(2,4), whose
 cohomology is not generated by divisors: sigma_2- and sigma_{1,1}-insertions
 enter cup terms in pairs).  A key still open after all of its candidates are
 in is refused with InsufficientSeeds.
+
+Residuals read the table through insertion codes.  A multiset of insertions
+of codimension >= 2 has the code sum count(c) * R^pos(c), pos(c) the place of
+c among them (`TargetGeometry.nondiv`), so the code of a union is the sum of
+the codes.  The radix R is one more than the largest vdim(0, beta, 0) within
+the bound.  A readable key has weight sum step(c) = vdim(0, beta, 0) with
+every step >= 1, so no count reaches R and no slot carries into the next;
+every code is read only after its side has passed that weight.  Beside
+`entries` the table keeps the readable values by class and code
+(`GWTable.by_code`); `GWTable.store` writes both.  A residual first takes T0
+and the divisors out of its extras (an extra T0 makes it 0, a divisor x
+scales it by beta.x), then reads each term whose two sides both have
+positive degree by two code additions and two dict reads.  Those sides lie
+in classes below the instance's, which a solve has completed, so no read
+misses.
 """
 
 from __future__ import annotations
@@ -64,13 +79,47 @@ class GWTable:
     # index; the ring's integer views and memos (steps, slots, vdim0,
     # triple_view) live on `geom`, shared by every table over it
     pairs_by_step: dict[int, list[tuple[int, int, Rat]]] = field(init=False, repr=False, compare=False)
+    # the insertion codes (module docstring): R, and R^pos(c) by basis index,
+    # 0 for T0 and the divisors
+    radix: int = field(init=False, repr=False, compare=False)
+    units: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the values of `entries` that `_strip` can read, by class, then code
+    by_code: dict[CurveClass, dict[int, int | Rat]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        geom = self.geom
         self.pairs_by_step = {}
-        for e, row in enumerate(self.geom.pairing_inv):
+        for e, row in enumerate(geom.pairing_inv):
             for f, g in enumerate(row):
                 if g:
-                    self.pairs_by_step.setdefault(self.geom.steps[e], []).append((e, f, _int_view(g)))
+                    self.pairs_by_step.setdefault(geom.steps[e], []).append((e, f, _int_view(g)))
+        top = max((geom.vdim0(b) for t in range(1, self.dmax + 1) for b in geom.curve_classes(t)), default=0)
+        self.radix = 1 + max(top, 1)
+        units = [0] * geom.rank
+        for pos, c in enumerate(geom.nondiv):
+            units[c] = self.radix**pos
+        self.units = tuple(units)
+        self.by_code = {}
+        for key, val in list(self.entries.items()):
+            self.store(key, val)
+
+    def store(self, key: GWKey, val: Rat) -> None:
+        """Enter a value: the one writer of `entries`, which keeps `by_code`
+        in step.  Only a key that `_strip` can read gets a code."""
+        self.entries[key] = val
+        beta, ins = key
+        step = self.geom.steps
+        if (
+            0 < sum(beta) <= self.dmax
+            and min(beta) >= 0
+            and all(step[i] > 0 for i in ins)
+            and sum(step[i] for i in ins) == self.geom.vdim0(beta)
+        ):
+            self.by_code.setdefault(beta, {})[self.code(ins)] = _int_view(val)
+
+    def code(self, insertions) -> int:
+        """The code of a multiset of insertions of codimension >= 2."""
+        return sum(self.units[i] for i in insertions)
 
     def _strip(self, beta: CurveClass, insertions) -> tuple[int | Rat, GWKey | None]:
         """(coef, None) for a known value, (coef, key) for coef times an
@@ -164,52 +213,159 @@ def multiset_splits(marks: tuple):
     yield from rec(0, [], [], 1)
 
 
-def _assoc_sum(table: GWTable, class_pairs, splits, marks, sign: int, out: dict) -> None:
+def _mark_splits(table: GWTable, extras: tuple[int, ...]) -> dict[int, list[tuple[int, int, int]]]:
+    """The splits (M1, M2) of a multiset of marks of codimension >= 2 as
+    {sum step(M1): [(code(M1), code(M2), weight)]}, the weight the number of
+    ways to split the labeled marks that way (as in `multiset_splits`)."""
+    step, units = table.geom.steps, table.units
+    splits = [(0, 0, 1)]  # (code(M1), sum step(M1), weight)
+    for x, m in Counter(extras).items():
+        u, t = units[x], step[x]
+        splits = [(c + k * u, s + k * t, w * comb(m, k)) for c, s, w in splits for k in range(m + 1)]
+    whole = table.code(extras)
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for c, s, w in splits:
+        groups.setdefault(s, []).append((c, whole - c, w))
+    return groups
+
+
+def _fixed_marks(beta: CurveClass, marks, slots, units) -> tuple[int, int]:
+    """(divisor factor, code) of marks on a side of positive degree; the
+    factor is 0 when T0 is among them (string equation)."""
+    factor, code = 1, 0
+    for x in marks:
+        if x == 0:
+            return 0, 0
+        s = slots[x]
+        if s is None:
+            code += units[x]
+        else:
+            factor *= beta[s]
+    return factor, code
+
+
+def _assoc_sum(table: GWTable, beta: CurveClass, class_pairs, extras, groups, marks, sign: int, out: dict) -> None:
     """Add sign * F(a,b|c,d) at beta, summed over splittings with the
     inverse-pairing insertion, into out: {unknown: coef}, the constant term
-    under None.  class_pairs holds the `class_splits` (beta1, beta2) of beta
-    and splits the mark splits (M1, M2, weight, sum step(M1)), where
-    step(x) = codim(T_x) - 1 (`TargetGeometry.steps`).
+    under None.  class_pairs holds the `class_splits` of beta with both
+    sides nonzero, extras marks of codimension >= 2 only (an extra T0 or
+    divisor is taken out before, see `wdvv_instance_residual`), and groups
+    their `_mark_splits`; step(x) = codim(T_x) - 1 (`TargetGeometry.steps`).
 
-    Only pairs (e, f) with step(a) + step(b) + step(e) + sum step(M1) =
-    vdim(0, beta1, 0) are visited.  Every other left factor is zero: for
-    beta1 > 0 that sum is the dimension gate's weight (T0 kills the term,
-    divisors have step 0), and for beta1 = 0 it says the three codimensions
-    add up to dim, off which a degree-0 three-point integral vanishes.
+    A side of degree 0 is a three-point integral, so it takes only the split
+    that leaves it (a, b, e) or (c, d, f) alone; the other side, at beta,
+    goes through `_strip`, since that is where the open class's unknowns are.
+
+    On a class pair (beta1, beta2) with both sides of positive degree only
+    the pairs (e, f) and the split group with step(a) + step(b) + step(e) +
+    sum step(M1) = vdim(0, beta1, 0) are visited, and of those only the ones
+    whose right side passes its own dimension gate.  Every other term is
+    zero: T0 kills it, and divisors have step 0.  A term is then two code
+    additions and two reads of `GWTable.by_code`.  The codes cannot carry:
+    each side's weight, sum step(c) over its insertions of codimension >= 2,
+    is vdim(0, beta_i, 0) < R (module docstring).  In a solve both sides lie
+    in classes below beta, which the solve has completed (every
+    dimension-valid key is stored), so no read misses.  On a table that
+    lacks a readable key, a miss is the unknown with that code.
 
     The sums stay Python ints while every factor is integral; a stored value
     or a g^{ef} that is not makes its term, and the sum, a Fraction.
     """
     a, b, c, d = marks
-    step, vdim0 = table.geom.steps, table.geom.vdim0
+    geom = table.geom
+    step, slots, units, vdim0 = geom.steps, geom.slots, table.units, geom.vdim0
+    pairs_by_step = table.pairs_by_step
+    weight = sum(step[x] for x in extras)
+    zero = (0,) * len(beta)
+    for e, f, g in pairs_by_step.get(vdim0(zero) - step[a] - step[b], ()):  # (0, beta)
+        left = geom.triple_view((a, b, e))
+        if left:
+            right, rkey = table._strip(beta, (c, d, f) + extras)
+            if right:
+                out[rkey] = out.get(rkey, 0) + left * right * (sign * g)
+    if any(beta):
+        for e, f, g in pairs_by_step.get(vdim0(beta) - step[a] - step[b] - weight, ()):  # (beta, 0)
+            right = geom.triple_view((c, d, f))
+            if right:
+                left, lkey = table._strip(beta, (a, b, e) + extras)
+                if left:
+                    out[lkey] = out.get(lkey, 0) + left * right * (sign * g)
+    const = 0
     for beta1, beta2 in class_pairs:
+        abf, abcode = _fixed_marks(beta1, (a, b), slots, units)
+        cdf, cdcode = _fixed_marks(beta2, (c, d), slots, units)
+        if not abf or not cdf:
+            continue
+        lvals, rvals = table.by_code.get(beta1, {}), table.by_code.get(beta2, {})
         budget = vdim0(beta1) - step[a] - step[b]
-        for m1, m2, w, s in splits:
-            for e, f, g in table.pairs_by_step.get(budget - s, ()):
-                left, lkey = table._strip(beta1, (a, b, e) + m1)
-                if not left:
+        rbudget = vdim0(beta2) - step[c] - step[d] - weight
+        for t, pairs in pairs_by_step.items():
+            s1 = budget - t
+            group = groups.get(s1)
+            if group is None:
+                continue
+            for e, f, g in pairs:
+                if step[f] - s1 != rbudget or not e or not f:
+                    continue  # the right side fails its dimension gate, or T0 kills a side
+                lf = abf if slots[e] is None else abf * beta1[slots[e]]
+                rf = cdf if slots[f] is None else cdf * beta2[slots[f]]
+                if not lf or not rf:
                     continue
-                right, rkey = table._strip(beta2, (c, d, f) + m2)
-                if not right:
-                    continue
-                if lkey is not None and rkey is not None:
-                    raise AssertionError("product of two unknown invariants in one instance")
-                key = rkey if lkey is None else lkey
-                out[key] = out.get(key, 0) + left * right * (sign * w * g)
+                lcode, rcode = abcode + units[e], cdcode + units[f]
+                acc = 0
+                for c1, c2, w in group:
+                    lv, rv = lvals.get(lcode + c1), rvals.get(rcode + c2)
+                    if lv is not None and rv is not None:
+                        acc += w * lv * rv
+                        continue
+                    # a miss: the side's key is an unknown
+                    if lv == 0 or rv == 0:
+                        continue
+                    if lv is None and rv is None:
+                        raise AssertionError("product of two unknown invariants in one instance")
+                    beta_u, code = (beta1, lcode + c1) if lv is None else (beta2, rcode + c2)
+                    key = (beta_u, next(k for k in canonical_keys(geom, beta_u) if table.code(k) == code))
+                    coef = (lf if lv is None else lf * lv) * (rf if rv is None else rf * rv)
+                    out[key] = out.get(key, 0) + coef * (sign * w * g)
+                const += acc * lf * rf * g
+    if const:
+        out[None] = out.get(None, 0) + sign * const
 
 
 def wdvv_instance_residual(table: GWTable, inst: Instance) -> dict[GWKey | None, Rat]:
     """F(i,j|k,l) - F(i,k|j,l) as {unknown: coef}, the constant under None;
-    zero terms are dropped, so {} means 0 = 0."""
+    zero terms are dropped, so {} means 0 = 0.
+
+    The extras are reduced first.  An extra T0 makes every term zero: the
+    string equation kills a side of positive degree, and a side of degree 0
+    would hold four marks.  An extra divisor x scales the residual by
+    beta.x and is dropped: summed over its two placements, the divisor
+    equation gives beta1.x + beta2.x = beta.x (a side of degree 0 that took
+    it would vanish, as beta1.x = 0 there)."""
+    beta = tuple(inst.beta)
+    if sum(beta) > table.dmax:
+        raise KeyError(f"curve class {beta} outside the truncation bound {table.dmax}")
+    slots = table.geom.slots
+    scale = 1
+    extras = []
+    for x in inst.extras:
+        if x == 0:
+            return {}
+        if slots[x] is None:
+            extras.append(x)
+        else:
+            scale *= beta[slots[x]]
+    if not scale:
+        return {}
+    extras = tuple(extras)
+    groups = _mark_splits(table, extras)
+    class_pairs = list(class_splits(beta, nonzero=True))
     i, j, k, l = inst.marks
-    step = table.geom.steps
-    splits = [(m1, m2, w, sum(step[x] for x in m1)) for m1, m2, w in multiset_splits(inst.extras)]
-    class_pairs = list(class_splits(inst.beta))
     out: dict[GWKey | None, int | Rat] = {}
-    _assoc_sum(table, class_pairs, splits, (i, j, k, l), 1, out)
-    _assoc_sum(table, class_pairs, splits, (i, k, j, l), -1, out)
+    _assoc_sum(table, beta, class_pairs, extras, groups, (i, j, k, l), 1, out)
+    _assoc_sum(table, beta, class_pairs, extras, groups, (i, k, j, l), -1, out)
     # the elimination divides by these, so it gets Fractions, never ints
-    return {k: Fraction(v) for k, v in out.items() if v}
+    return {key: Fraction(v * scale) for key, v in out.items() if v}
 
 
 def _candidate_instances(geom: TargetGeometry, beta: CurveClass, key: tuple[int, ...]):
@@ -261,7 +417,7 @@ def wdvv_solve(
         if sum(geom.steps[i] for i in key) != geom.vdim0(beta):
             raise ValueError(f"seed at beta={beta}, key={key} violates the dimension gate")
         if sum(beta) <= dmax and in_box(beta, box):
-            table.entries[(beta, key)] = Fraction(val)
+            table.store((beta, key), Fraction(val))
             seeded.setdefault(beta, []).append(key)
     for total in range(1, dmax + 1):
         for beta in geom.curve_classes(total, box):
@@ -322,7 +478,7 @@ def _solve_level(geom, table: GWTable, beta: CurveClass) -> None:
                     _add_scaled(other, row, -other[pivot])
             rows[pivot] = row
             for p in [p for p, r in rows.items() if len(r) - (None in r) == 1]:
-                table.entries[p] = -rows.pop(p).get(None, Fraction(0))
+                table.store(p, -rows.pop(p).get(None, Fraction(0)))
     remaining = [k for k in keys if (beta, k) not in table.entries]
     if remaining:
         raise InsufficientSeeds(

@@ -1,13 +1,29 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
+import charnum
 from charnum.geometry import builtin_geometry
 from charnum.gw import wdvv_solve
 from charnum.planecurves import PLANE, charnum_genus0, charnum_genus1, genus2_corrections
 from charnum.quadric import hurwitz, quadric_genus0, quadric_genus1
 from charnum.seeds import default_gw_seeds, load_genus1_seeds, packaged_seed_text
 from charnum.series import format_rat
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_bytecode_in_the_package():
+    """A run that writes no bytecode must leave none beside the sources: a
+    later benchmark in the same checkout would start warm.  A test that runs
+    a child Python must pass PYTHONDONTWRITEBYTECODE on to it."""
+    cache = Path(charnum.__file__).resolve().parent / "__pycache__"
+    watch = sys.dont_write_bytecode and not cache.exists()
+    yield
+    if watch and cache.exists():
+        pytest.fail(f"the tests wrote bytecode into {cache}", pytrace=False)
 
 
 @pytest.fixture(scope="session")

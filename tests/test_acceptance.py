@@ -274,11 +274,13 @@ def test_criterion_12_determinism(tmp_path):
             "--format",
             "json",
         ]
-        # the children import the same charnum as this process, installed or not
+        # the children import the same charnum as this process, installed or
+        # not, and write no bytecode, so that both runs start cold
         src = Path(charnum.__file__).resolve().parent.parent
         env = {
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(src),
+            "PYTHONDONTWRITEBYTECODE": "1",
             "CHARNUM_CACHE_DIR": str(tmp_path),
             "HOME": str(tmp_path),
         }

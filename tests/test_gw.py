@@ -266,6 +266,103 @@ def test_pruned_contraction_equals_all_pairs(name):
     assert nonzero or name == "p1"
 
 
+def _residual_or_assertion(residual, table, inst):
+    try:
+        return residual(table, inst)
+    except AssertionError:
+        return AssertionError
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_kernel_equals_all_pairs_with_string_and_divisor_extras(name):
+    # as above, but one class of any degree is dropped, so a side of positive
+    # degree below the instance's class can miss a key, and the extras, up
+    # to 5, often hold T0 and divisors, which the kernel takes out first
+    g = builtin_geometry(name)
+    dmax = WDVV_DMAX[name]
+    rng = random.Random(f"kernel-{name}")
+    solved = wdvv_solve(g, default_gw_seeds(g), dmax)
+    betas = [b for t in range(1, dmax + 1) for b in g.curve_classes(t)]
+    dropped = rng.choice(betas)
+    entries = {
+        (beta, key): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for beta, key in solved.entries
+        if beta != dropped
+    }
+    table = GWTable(g, dmax, entries)
+    # each extra comes with even odds from T0 and the divisors (T0 the
+    # rarer) or from the classes of codim >= 2; every other instance's marks
+    # leave out T0
+    pools = [[0] + list(g.divisors) * 3, g.nondiv or list(g.divisors)]
+    instances = []
+    if name == "p1xp1":
+        # a kernel that keeps divisor extras in its mark splits, unscaled,
+        # gets this instance wrong
+        instances.append(Instance((1, 1), (2, 2, 1, 3), (1, 1, 2, 3)))
+    while len(instances) < 300:
+        marks = tuple(rng.randrange(len(instances) % 2, g.rank) for _ in range(4))
+        extras = tuple(sorted(rng.choice(rng.choice(pools)) for _ in range(rng.randint(0, 5))))
+        beta = rng.choice(betas)
+        if sum(g.steps[x] for x in marks + extras) == g.vdim0(beta) - 1:
+            instances.append(Instance(beta, marks, extras))
+    reduced = 0
+    for inst in instances:
+        expect = _residual_or_assertion(_all_pairs_residual, table, inst)
+        got = _residual_or_assertion(wdvv_instance_residual, table, inst)
+        assert got == expect, inst.describe()
+        reduced += expect not in ({}, AssertionError) and any(g.steps[x] < 1 for x in inst.extras)
+    # on P^1 every residual is 0 = 0: its one invariant has no insertions
+    assert reduced or name == "p1"
+
+
+def test_solve_strips_few_insertions(monkeypatch):
+    # a residual term of positive degree on both sides reads its values by
+    # code; only sides of degree 0 and their partners go through _strip
+    calls = []
+    strip = GWTable._strip
+    monkeypatch.setattr(GWTable, "_strip", lambda self, beta, ins: calls.append(beta) or strip(self, beta, ins))
+    p5 = builtin_geometry("p5")
+    wdvv_solve(p5, default_gw_seeds(p5), 3)
+    assert 0 < len(calls) <= 2000
+
+
+def _insertions(table, code):
+    """The sorted multiset of insertions whose code is `code`."""
+    out = []
+    for c in table.geom.nondiv:
+        code, k = divmod(code, table.radix)
+        out += [c] * k
+    assert code == 0
+    return tuple(out)
+
+
+def _read_through_codes(table):
+    return {(beta, _insertions(table, code)): val for beta, vals in table.by_code.items() for code, val in vals.items()}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_code_index_equals_entries(name):
+    g = builtin_geometry(name)
+    solved = wdvv_solve(g, default_gw_seeds(g), WDVV_DMAX[name])
+    assert _read_through_codes(solved) == solved.entries
+    rebuilt = GWTable(g, solved.dmax, dict(solved.entries))
+    assert _read_through_codes(rebuilt) == solved.entries
+
+
+@pytest.mark.parametrize("name, dmax, largest", [("p2", 8, (2,) * 23), ("p1xp1", 10, (3,) * 19)])
+def test_insertion_codes_do_not_carry(name, dmax, largest):
+    # the largest tables that the benchmark pool and the anchors solve
+    g = builtin_geometry(name)
+    table = GWTable(g, dmax)
+    assert table.radix > len(largest)
+    for t in range(1, dmax + 1):
+        for beta in g.curve_classes(t):
+            keys = canonical_keys(g, beta)
+            assert [_insertions(table, table.code(key)) for key in keys] == keys
+            assert len({table.code(key) for key in keys}) == len(keys)
+    assert largest in canonical_keys(g, (dmax, 0) if name == "p1xp1" else (dmax,))
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_no_int_reaches_the_elimination(name, monkeypatch):
     # residuals are summed on ints; the elimination divides by their
