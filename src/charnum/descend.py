@@ -40,11 +40,11 @@ term T as ready terms, so a caller that runs both shares one.
 They are solved one total degree at a time, and a level reads the levels
 below it only through the products of its quadratic term.  Their factors
 live in a `_SliceStore` for the call: it gains each completed level as one
-`SeriesTable` slice, keeps its x-partials, and prepares each slice of each
-product operand once.  gamma depends on y only, so it commutes with the
-x-partials and the product, and sum_{e,f} L_{x_e} gamma^{ef} R_{x_f} is formed
-as r - 1 products sum_e L_{x_e} M_e against the contractions
-M_e = sum_f gamma^{ef} R_{x_f}.
+`SeriesTable` slice, packs it once, derives its x-partials and contractions
+from that packed slice, and appends each slice of each product operand once.
+gamma depends on y only, so it commutes with the x-partials and the product,
+and sum_{e,f} L_{x_e} gamma^{ef} R_{x_f} is formed as r - 1 products
+sum_e L_{x_e} M_e against the contractions M_e = sum_f gamma^{ef} R_{x_f}.
 
 Variables: one structural degree slot per divisor class, one x-exponent slot
 per class of codimension >= 2, one y-exponent slot per class T_1..T_r.  The
@@ -60,7 +60,7 @@ from fractions import Fraction
 from .geometry import CurveClass, TargetGeometry, _int_view, in_box
 from .gw import GWTable, SeedConflict, class_splits, multiset_splits
 from .metric import inverse_metric
-from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions
+from .series import NumeratorSum, Operand, Packing, Rat, SeriesTable, Slice, VarSpace, compositions
 
 __all__ = [
     "DescendantSpec",
@@ -312,8 +312,9 @@ class TangencySpace:
         # gamma^{ef}: polynomial entries over y1..yr at y0 = 0
         self.gamma = gamma = inverse_metric(geom).rows
         r = geom.rank
-        # the row of each e >= 1 as (f, the terms of its entry), f >= 1: a contraction's factors
-        self.rows = {e: [(f, self.poly_terms(gamma[e][f])) for f in range(1, r) if gamma[e][f]] for e in range(1, r)}
+        # the row of each e >= 1 as (f, the terms of its entry as monomial shifts), f >= 1:
+        # a contraction's factors
+        self.rows = {e: [(f, self._shifts(gamma[e][f])) for f in range(1, r) if gamma[e][f]] for e in range(1, r)}
         # T of `_genus1_top` as terms by the partial of G0 they read (its sorted x-indices)
         consts, top = genus1_degree0_constants(geom), {}
         for e in range(1, r):
@@ -370,6 +371,11 @@ class TangencySpace:
         """A polynomial in the y-variables, as the (coefficient, monomial)
         terms of `NumeratorSum.add`."""
         return [(c, {f"y{k + 1}": e for k, e in enumerate(mono) if e}) for mono, c in poly.items()]
+
+    def _shifts(self, poly) -> list[tuple[Rat, tuple[tuple[int, int], ...]]]:
+        """`poly_terms` with each monomial as its `VarSpace.shift`: the terms
+        of `Slice.combine`."""
+        return [(c, self.space.shift(mono)) for c, mono in self.poly_terms(poly)]
 
     def poly_times(self, table: SeriesTable, poly) -> SeriesTable:
         """Multiply a table by a polynomial in the y-variables."""
@@ -444,34 +450,41 @@ class _SliceStore:
     one degree slice at a time.
 
     A slice is added once, when its level is complete, and never changes.
-    Its x-partials are memoized under their sorted indices (the partials
-    commute), and each product operand, all over the one `packing`, gains
-    each slice once: `operand(key, t)` extends it by the slices below t it
-    does not hold yet.  An operand key is a partial (name, idx) or a
+    Each added slice is packed once (`Packing.prepare`), and every product
+    operand slice is derived from that packed `Slice`: its x-partials are
+    memoized under their sorted indices (the partials commute), and a
     contraction (name, idx, e), the sum over f of gamma^{ef} times the
-    x_f-partial of (name, idx).  The store lives inside one potential call.
+    x_f-partial of (name, idx), applies the terms of gamma's row e as
+    monomial shifts to those partials.  Each product operand, all over the
+    one `packing`, gains each slice once: `operand(key, t)` appends the
+    slices below t it does not hold yet; a key is a partial (name, idx) or
+    a contraction.  `partial` differentiates the added tables themselves,
+    for a caller that reads tables.  The store lives inside one potential
+    call.
     """
 
     def __init__(self, ts: TangencySpace, packing: Packing):
         self.ts = ts
         self.packing = packing
-        # (name, sorted x-indices) -> total degree -> slice
-        self.slices: dict[tuple[str, tuple[int, ...]], dict[int, SeriesTable]] = {}
+        # (name, sorted x-indices) -> total degree -> table
+        self.tables: dict[tuple[str, tuple[int, ...]], dict[int, SeriesTable]] = {}
+        # (name, sorted x-indices) -> total degree -> packed slice
+        self.slices: dict[tuple[str, tuple[int, ...]], dict[int, Slice]] = {}
         # operand key -> [operand, number of slices held]
         self.operands: dict[tuple, list] = {}
 
     def add(self, name: str, total: int, part: SeriesTable) -> None:
         """Add `part`, the slice of `name` at `total`, which nothing has read yet."""
-        by_total = self.slices.setdefault((name, ()), {})
+        by_total = self.tables.setdefault((name, ()), {})
         if total in by_total:
             raise ValueError(f"slice {total} of {name} is already in use")
         by_total[total] = part
 
     def partial(self, name: str, idx: tuple[int, ...], total: int) -> SeriesTable:
-        """The slice of `name` at `total`, differentiated once by each x_i,
+        """The table of `name` at `total`, differentiated once by each x_i,
         i in idx; a slice never added is zero."""
         idx = tuple(sorted(idx))
-        by_total = self.slices.setdefault((name, idx), {})
+        by_total = self.tables.setdefault((name, idx), {})
         hit = by_total.get(total)
         if hit is None:
             if idx:
@@ -481,12 +494,23 @@ class _SliceStore:
             by_total[total] = hit
         return hit
 
-    def contraction(self, name: str, idx: tuple[int, ...], e: int, total: int) -> SeriesTable:
+    def packed(self, name: str, idx: tuple[int, ...], total: int) -> Slice:
+        """`partial` as a packed slice, derived from the packed added slice."""
+        idx = tuple(sorted(idx))
+        by_total = self.slices.setdefault((name, idx), {})
+        hit = by_total.get(total)
+        if hit is None:
+            if idx:
+                hit = self.packed(name, idx[:-1], total).partial(f"x{idx[-1]}")
+            else:
+                part = self.tables.get((name, ()), {}).get(total)
+                hit = part is not None and self.packing.prepare(part).get(total) or Slice(self.packing, total)
+            by_total[total] = hit
+        return hit
+
+    def contraction(self, name: str, idx: tuple[int, ...], e: int, total: int) -> Slice:
         """sum_f gamma^{ef} times the x_f-partial of `name` x idx, at `total`."""
-        out = NumeratorSum(self.ts.space, self.packing.dmax)
-        for f, terms in self.ts.rows[e]:
-            out.add(self.partial(name, idx + (f,), total), terms)
-        return out.table()
+        return Slice.combine((self.packed(name, idx + (f,), total), terms) for f, terms in self.ts.rows[e])
 
     def operand(self, key: tuple, below: int) -> Operand:
         """The operand of `key`, holding its slices of total degree < below."""
@@ -495,7 +519,7 @@ class _SliceStore:
             hit = self.operands[key] = [Operand(self.packing), 0]
         op, held = hit
         for total in range(held, below):
-            op.extend(self.partial(*key, total) if len(key) == 2 else self.contraction(*key, total))
+            op.append(self.packed(*key, total) if len(key) == 2 else self.contraction(*key, total))
         hit[1] = max(held, below)
         return op
 

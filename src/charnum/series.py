@@ -15,12 +15,22 @@ multiplication by monomials in the exponent variables.
 A product convolves `Operand`s: each factor is grouped into degree slices
 and classes, its exponent vectors are packed into ints by a shared
 `Packing` (a mixed radix, so packed vectors add without carries), and its
-values become the integer numerators of the EGF coefficients N/(a! b! c!)
-over one denominator per slice.  A level loop prepares each slice of its
-factors once, when the slice is solved, and reuses it at every level above:
-`Surface.genus0`, `Surface.genus1` and both tangency potentials of
-`descend`.  The potentials add their products to a `NumeratorSum` with
-`add_product`, straight from the kernel's integer numerators.
+values become ordinary power-series coefficients c = N/(a! b! c!), held as
+integer numerators over one denominator per slice (a `Slice`).  In that
+form every linear map a level loop applies to a solved level is an exact
+integer edit of (packed key, numerator) pairs: a degree partial by x_i
+scales each class group by beta_i; the partial by exponent slot j maps
+(k, c) to (k - W_j, c m_j), with W_j the slot's weight and m_j its exponent
+in k, and drops m_j = 0; a monomial adds its packed shift to k, with no
+factorial factor; ds of a slice of total degree n is n times it; and the
+w = 0 cut keeps the keys with m_w = 0.  So a level loop packs each solved
+level once (`Packing.prepare`), derives every factor slice from it and
+`Operand.append`s it, and reuses it at every level above: `Surface.genus0`,
+`Surface.genus1` and both tangency potentials of `descend`.  A
+`DiffOperator` has one term plan, variable -> (coefficient, shift), for
+tables and slices alike.  The potentials add their products to a
+`NumeratorSum` with `add_product`, straight from the kernel's integer
+numerators.
 
 A table holds its values as nonzero integer numerators over one least
 common denominator, and every operation reads and returns numerators.  A
@@ -48,6 +58,7 @@ __all__ = [
     "DiffOperator",
     "series_product",
     "Packing",
+    "Slice",
     "Operand",
     "NumeratorSum",
     "compositions",
@@ -71,8 +82,18 @@ class VarSpace:
     def degree_index(self, name: str) -> int:
         return self.degree_vars.index(name)
 
+    def shift(self, powers: Mapping[str, int]) -> Shift:
+        """(slot, k) for each exponent slot that the monomial prod(var^k) raises."""
+        shift = [0] * len(self.exp_vars)
+        for name, k in powers.items():
+            if k < 0:
+                raise ValueError("monomial powers must be non-negative")
+            shift[self.exp_index(name)] += k
+        return tuple((i, k) for i, k in enumerate(shift) if k)
+
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]  # (curve class, exponent multi-index)
+Shift = tuple[tuple[int, int], ...]  # (exponent slot, power) of a monomial, slots ascending
 
 
 def _as_rat(x) -> Rat:
@@ -322,17 +343,7 @@ def _expand(
     return [(key, w) for key, w in acc.items() if w]
 
 
-def _exp_shift(space: VarSpace, powers: Iterable[tuple[str, int]]) -> tuple[tuple[int, int], ...]:
-    """(slot, k) for each exponent slot that the monomial prod(var^k) raises."""
-    shift = [0] * len(space.exp_vars)
-    for name, k in powers:
-        if k < 0:
-            raise ValueError("monomial powers must be non-negative")
-        shift[space.exp_index(name)] += k
-    return tuple((i, k) for i, k in enumerate(shift) if k)
-
-
-def _raise(mono: tuple[int, ...], shift: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
+def _raise(mono: tuple[int, ...], shift: Shift) -> tuple[tuple[int, ...], int]:
     """`mono` raised by `shift`, and the EGF factor prod (m+1)...(m+k) as an int."""
     new = list(mono)
     fac = 1
@@ -363,10 +374,13 @@ class NumeratorSum:
     def add(self, t: SeriesTable, terms: Iterable[tuple[Rat | int, Mapping[str, int]]]) -> None:
         """Add sum_j c_j m_j t for the (coefficient c_j, monomial m_j) of
         `terms`, in one pass over t; entries above `dmax` are left out."""
+        self._add_shifted(t, [(_as_rat(c), self.space.shift(mono)) for c, mono in terms])
+
+    def _add_shifted(self, t: SeriesTable, terms: Iterable[tuple[Rat, Shift]]) -> None:
+        """`add` with each monomial given as its `VarSpace.shift`."""
         if t.space != self.space:
             raise VariableMismatch(f"{t.space} vs {self.space}")
-        plan = [(_as_rat(c), _exp_shift(self.space, mono.items())) for c, mono in terms]
-        plan = [(c, shift) for c, shift in plan if c]
+        plan = [(c, shift) for c, shift in terms if c]
         if not plan or not t.nums:
             return
         cden = lcm(*(c.denominator for c, _ in plan))
@@ -486,15 +500,188 @@ class Packing:
             hit = self._unpacked[key] = (tuple(mono), prod(map(factorial, mono)))
         return hit
 
+    def prepare(self, t: SeriesTable, below: int | None = None) -> dict[int, "Slice"]:
+        """The slices of `t` by total degree, up to `dmax` (and below
+        `below` if given): an entry N at exponents m becomes the numerator
+        of N/m! over the slice's denominator t.den * lcm(m!)."""
+        if t.space != self.space:
+            raise VariableMismatch(f"{t.space} vs {self.space}")
+        last = self.dmax if below is None else min(self.dmax, below - 1)
+        by_total: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]] = {}
+        for (deg, mono), num in t.nums.items():
+            total = sum(deg)
+            if total <= last:
+                by_total.setdefault(total, []).append((deg, mono, num))
+        out = {}
+        for total, rows in by_total.items():
+            packed = [(self._packed.get(mono) or self.pack(mono)) for _, mono, _ in rows]
+            facts = lcm(*(mfact for _, mfact in packed))
+            groups: dict[tuple[int, ...], dict[int, int]] = {}
+            for (deg, _, num), (key, mfact) in zip(rows, packed):
+                groups.setdefault(deg, {})[key] = num * (facts // mfact)
+            top = tuple(map(max, zip(*(mono for _, mono, _ in rows))))
+            out[total] = Slice(self, total, t.den * facts, groups, top)
+        return out
+
+
+class Slice:
+    """One total degree of a product factor in ordinary-coefficient form.
+
+    `groups` maps each class to {packed exponents: numerator}, and the
+    coefficient of x^m is numerator/den: N/m! for a table value N.  In this
+    form every linear map a level loop applies to a solved level is an exact
+    integer edit of (key, numerator) pairs, so a level is packed once
+    (`Packing.prepare`) and each factor of the levels above is derived from
+    it: `partial`, `scale` (ds of a degree-n slice is n times it), `cut`
+    (the w = 0 part) and `combine` (coefficients times monomials, which add
+    their packed shift to the keys and need no factorial factor).  The
+    numerators are nonzero; the classes all have this total degree.
+
+    `top` bounds each exponent slot from above: it is exact as packed and
+    stays an upper bound through the transforms.  A monomial that raises a
+    slot past it is checked against the exact maximum, and one that raises
+    a slot past the packing's bound raises ValueError, as `Packing.pack`
+    does.  A slice is immutable by convention: a transform returns a new one
+    that may share the inner dicts of its source.
+    """
+
+    __slots__ = ("packing", "total", "den", "groups", "top")
+
+    def __init__(self, packing: Packing, total: int, den: int = 1, groups=None, top: tuple[int, ...] | None = None):
+        self.packing = packing
+        self.total = total
+        self.den = den
+        self.groups: dict[tuple[int, ...], dict[int, int]] = groups or {}
+        self.top = top or (0,) * len(packing.bounds)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.groups.values()))
+
+    def _with(self, groups: dict[tuple[int, ...], dict[int, int]], top: tuple[int, ...] | None = None) -> "Slice":
+        return Slice(self.packing, self.total, self.den, groups, self.top if top is None else top)
+
+    def _digit(self, j: int) -> tuple[int, int]:
+        """The weight and the radix of exponent slot j: its exponent in key
+        k is k // weight % radix."""
+        return self.packing.weights[j], 2 * self.packing.bounds[j] + 1
+
+    def partial(self, var: str) -> "Slice":
+        """The derivative: a degree variable x_i scales each class group by
+        its degree beta_i; exponent slot j maps (k, c) to (k - W_j, c m_j),
+        m_j the slot's exponent, and drops the entries with m_j = 0."""
+        sp = self.packing.space
+        if var in sp.degree_vars:
+            i = sp.degree_index(var)
+            return self._with(
+                {
+                    deg: terms if deg[i] == 1 else {key: num * deg[i] for key, num in terms.items()}
+                    for deg, terms in self.groups.items()
+                    if deg[i]
+                }
+            )
+        if var not in sp.exp_vars:
+            raise KeyError(f"unknown variable {var!r} in {sp}")
+        j = sp.exp_index(var)
+        w, radix = self._digit(j)
+        groups = {}
+        for deg, terms in self.groups.items():
+            out = {key - w: num * m for key, num in terms.items() if (m := key // w % radix)}
+            if out:
+                groups[deg] = out
+        top = list(self.top)
+        top[j] = max(top[j] - 1, 0)
+        return self._with(groups, tuple(top))
+
+    def scale(self, c: int) -> "Slice":
+        """c times the slice, for an integer c."""
+        if c == 1:
+            return self
+        if c == 0:
+            return self._with({})
+        return self._with({deg: {key: num * c for key, num in terms.items()} for deg, terms in self.groups.items()})
+
+    def cut(self, var: str) -> "Slice":
+        """The entries where exponent variable `var` is 0."""
+        j = self.packing.space.exp_index(var)
+        w, radix = self._digit(j)
+        groups = {}
+        for deg, terms in self.groups.items():
+            out = {key: num for key, num in terms.items() if not key // w % radix}
+            if out:
+                groups[deg] = out
+        top = list(self.top)
+        top[j] = 0
+        return self._with(groups, tuple(top))
+
+    def _raised(self, shift: Shift) -> tuple[int, list[int]]:
+        """The packed step of the monomial `shift` and the bound of each slot
+        after it; ValueError if it takes an entry past the packing's bounds."""
+        pk = self.packing
+        top = list(self.top)
+        step = 0
+        for j, k in shift:
+            if top[j] + k > pk.bounds[j]:
+                w, radix = self._digit(j)
+                key = max((key for terms in self.groups.values() for key in terms), key=lambda key: key // w % radix)
+                mono = list(pk.unpack(key)[0])
+                top[j] = mono[j]
+                if top[j] + k > pk.bounds[j]:
+                    mono[j] += k
+                    raise ValueError(f"exponents {tuple(mono)} exceed the packing bounds {pk.bounds}")
+            top[j] += k
+            step += k * pk.weights[j]
+        return step, top
+
+    @staticmethod
+    def combine(parts: Iterable[tuple["Slice", Iterable[tuple[Rat, Shift]]]]) -> "Slice":
+        """sum_s sum_j c_j m_j s over the (slice s, terms) of `parts`, with
+        each term a (coefficient c_j, `VarSpace.shift` m_j) pair; the slices
+        share one packing and total degree, and there is at least one."""
+        parts = [(s, [(c, shift) for c, shift in terms if c]) for s, terms in parts]
+        first = parts[0][0]
+        den = lcm(*(s.den for s, _ in parts))
+        cden = lcm(*(c.denominator for _, terms in parts for c, _ in terms))
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        summed = set()
+        top = [0] * len(first.top)
+        for s, terms in parts:
+            if not s.groups:
+                continue
+            grow = den // s.den
+            for c, shift in terms:
+                step, raised = s._raised(shift)
+                top = list(map(max, top, raised))
+                mult = c.numerator * (cden // c.denominator) * grow
+                for deg, src in s.groups.items():
+                    acc = groups.get(deg)
+                    if acc is None:
+                        groups[deg] = {key + step: num * mult for key, num in src.items()}
+                        continue
+                    summed.add(deg)
+                    get = acc.get
+                    for key, num in src.items():
+                        key += step
+                        acc[key] = get(key, 0) + num * mult
+        for deg in summed:
+            acc = {key: num for key, num in groups[deg].items() if num}
+            if acc:
+                groups[deg] = acc
+            else:
+                del groups[deg]
+        return Slice(first.packing, first.total, den * cden, groups, tuple(top))
+
 
 class Operand:
     """One factor of `series_product`, prepared once, one degree slice at a time.
 
     A slice holds the entries of one total degree, grouped by class, each
-    as (packed exponents, integer numerator of its EGF coefficient v/m!)
-    over the slice's least common denominator.  A product term is then one
-    int addition of keys and one int product of numerators, with no
-    binomial weight.  Entries above the packing's dmax are left out.
+    as (packed exponents, integer numerator of its ordinary coefficient
+    v/m!) over the slice's least common denominator: a `Slice` in lowest
+    terms, in lists.  A product term is then one int addition of keys and
+    one int product of numerators, with no binomial weight.  A level loop
+    `append`s the slices it derives from a packed level; `extend` prepares
+    and appends the slices of a table.  Entries above the packing's dmax
+    are left out.
     """
 
     __slots__ = ("packing", "slices", "size")
@@ -511,28 +698,27 @@ class Operand:
         return self.size
 
     def extend(self, t: SeriesTable) -> None:
-        """Prepare the slices of `t`; none of its total degrees may be here yet."""
-        pk = self.packing
-        if t.space != pk.space:
-            raise VariableMismatch(f"{t.space} vs {pk.space}")
-        by_total: dict[int, list[tuple[tuple[int, ...], int, int, int]]] = {}
-        for (deg, mono), num in t.nums.items():
-            total = sum(deg)
-            if total <= pk.dmax:
-                key, mfact = pk._packed.get(mono) or pk.pack(mono)
-                by_total.setdefault(total, []).append((deg, key, num, mfact))
-        for total, rows in by_total.items():
-            if total in self.slices:
-                raise ValueError(f"total degree {total} is already prepared")
-            # num / (t.den m!) over den = t.den * lcm(m!), then in lowest terms
-            top = lcm(*(mfact for *_, mfact in rows))
-            rows = [(deg, key, num * (top // mfact)) for deg, key, num, mfact in rows]
-            common = gcd(t.den * top, *(num for *_, num in rows))
-            groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-            for deg, key, num in rows:
-                groups.setdefault(deg, []).append((key, num // common))
-            self.slices[total] = (t.den * top // common, list(groups.items()))
-            self.size += len(rows)
+        """Prepare the slices of `t` and `append` them."""
+        for s in self.packing.prepare(t).values():
+            self.append(s)
+
+    def append(self, s: Slice) -> None:
+        """Add the slice `s` of this packing, reduced by the gcd of its
+        denominator and numerators; an empty slice adds nothing, and a total
+        degree is added once."""
+        if s.packing is not self.packing:
+            raise ValueError("a slice joins only an operand of its own packing")
+        if s.total in self.slices:
+            raise ValueError(f"total degree {s.total} is already prepared")
+        if not s.groups:
+            return
+        common = gcd(s.den, *(num for terms in s.groups.values() for num in terms.values()))
+        if common == 1:
+            groups = [(deg, list(terms.items())) for deg, terms in s.groups.items()]
+        else:
+            groups = [(deg, [(key, num // common) for key, num in terms.items()]) for deg, terms in s.groups.items()]
+        self.slices[s.total] = (s.den // common, groups)
+        self.size += sum(len(terms) for _, terms in groups)
 
 
 def series_product(f: SeriesTable | Operand, g: SeriesTable | Operand, *, total: int | None = None) -> SeriesTable:
@@ -607,10 +793,24 @@ class DiffOperator:
             packed.append((_as_rat(coef), tuple(sorted(mono.items())), var))
         return cls(tuple(packed))
 
+    def _plan(self, space: VarSpace) -> dict[str, list[tuple[Rat, Shift]]]:
+        """The terms by the variable they differentiate, each a (coefficient,
+        `VarSpace.shift` of its monomial) pair: the plan of `__call__` and
+        `image` alike."""
+        out: dict[str, list[tuple[Rat, Shift]]] = {}
+        for coef, mono, var in self.terms:
+            out.setdefault(var, []).append((coef, space.shift(dict(mono))))
+        return out
+
     def __call__(self, f: SeriesTable) -> SeriesTable:
-        """One partial of `f` per variable, added with its (coefficient,
-        monomial) terms to one `NumeratorSum`."""
+        """One partial of `f` per variable, added with its terms to one
+        `NumeratorSum`."""
         out = NumeratorSum(f.space, f.dmax)
-        for var in dict.fromkeys(var for _, _, var in self.terms):
-            out.add(f.partial(var), [(coef, dict(mono)) for coef, mono, v in self.terms if v == var])
+        for var, terms in self._plan(f.space).items():
+            out._add_shifted(f.partial(var), terms)
         return out.table()
+
+    def image(self, s: Slice) -> Slice:
+        """The operator on a prepared slice: one partial of `s` per variable,
+        with its terms as monomial shifts (`Slice.combine`)."""
+        return Slice.combine((s.partial(var), terms) for var, terms in self._plan(s.packing.space).items())

@@ -57,7 +57,18 @@ from . import descend
 from .geometry import CurveClass, TargetGeometry, builtin_name, in_box
 from .gw import GWTable, SeedConflict
 from .metric import inverse_metric, substitute_metric
-from .series import DiffOperator, NumeratorSum, Operand, Packing, Rat, SeriesTable, VarSpace, compositions, series_product
+from .series import (
+    DiffOperator,
+    NumeratorSum,
+    Operand,
+    Packing,
+    Rat,
+    SeriesTable,
+    Slice,
+    VarSpace,
+    compositions,
+    series_product,
+)
 
 __all__ = ["Surface"]
 
@@ -110,13 +121,18 @@ class Surface:
             out = out + f.partial(x)
         return out
 
-    def partials(self, f: SeriesTable) -> tuple[SeriesTable, ...]:
-        """(F_u, F_{x_1}, F_{x_2}, ...): the left-hand factors of <F, G>."""
+    def partials(self, f: SeriesTable | Slice) -> tuple:
+        """(F_u, F_{x_1}, F_{x_2}, ...): the left-hand factors of <F, G>, of
+        a table or of a prepared slice."""
         return (f.partial("u"), *(f.partial(x) for x in self.space.degree_vars))
 
     def images(self, g: SeriesTable) -> tuple[SeriesTable, ...]:
         """(P G, L_1 G, L_2 G, ...): the right-hand factors of <F, G>."""
         return (self.point(g), *(line(g) for line in self.lines))
+
+    def slice_images(self, g: Slice) -> tuple[Slice, ...]:
+        """`images` of a prepared slice."""
+        return (self.point.image(g), *(line.image(g) for line in self.lines))
 
     def packing(self, dmax: int, box: CurveClass | None = None) -> Packing:
         """A packing for every factor of a level loop to total degree dmax at
@@ -167,23 +183,21 @@ class Surface:
         Level n reads G below degree n only through the partials of
         G_s = ds(G) and G_u and the images of G_s and ds(G_s).  The maps are
         linear and keep the curve class, so these factors are product
-        operands that gain one degree slice per level, prepared once, and
-        level n convolves only the slice pairs (k, n - k).  A class reads
-        only classes below it, so the box needs no others, and the products
-        skip the class pairs that leave it.  The tangency product
-        <G_s, G_s> is read only at w = 0, and w adds up in products and is
-        never lowered by the operators, so G_s and its images keep only
-        their w = 0 part.  The operators have coefficients in v and w only,
-        so they commute with ds and with that cut: a level forms the images
-        of its G_s once.  A level is a `NumeratorSum`; a stratum reads its
-        product before the level's own numerator, and `put` divides.
+        operands that gain one degree slice per level, and level n convolves
+        only the slice pairs (k, n - k).  A class reads only classes below
+        it, so the box needs no others, and the products skip the class
+        pairs that leave it.  The tangency product <G_s, G_s> is read only
+        at w = 0, and w adds up in products and is never lowered by the
+        operators, so G_s and its images keep only their w = 0 part.  The
+        operators have coefficients in v and w only, so they commute with ds
+        and with that cut.  A solved level is packed once (`Packing.prepare`)
+        and every factor slice is derived from that one `Slice`: ds of a
+        slice of total degree n is n times it, so with S the level and I its
+        images, the factors are the partials of n S|w=0 and of S_u, n I|w=0
+        and n^2 I.  A level is a `NumeratorSum`; a stratum reads its product
+        before the level's own numerator, and `put` divides.
         """
         geom = self._geometry(gw)
-        w = self.space.exp_index("w")
-
-        def flat(t: SeriesTable) -> SeriesTable:
-            return t.filter_keys(lambda deg, mono: not mono[w])
-
         pk = self.packing(dmax, box)
         # the factors of <G_s, G_s> and <G_u, G_ss>
         factors = [[Operand(pk) for _ in range(1 + len(self.lines))] for _ in range(4)]
@@ -215,18 +229,17 @@ class Surface:
                         level.put((beta, (a, b, c)), num, den * level.den)
             new = level.table()
             out.add(new, [(1, {})])
-            if n < dmax:
-                new_s = self.ds(new)
-                images = self.images(new_s)
+            if n < dmax and (part := pk.prepare(new).get(n)) is not None:
+                images = self.slice_images(part)
                 slices = (
-                    self.partials(flat(new_s)),
-                    map(flat, images),
-                    self.partials(new.partial("u")),
-                    map(self.ds, images),
+                    self.partials(part.cut("w").scale(n)),
+                    [image.cut("w").scale(n) for image in images],
+                    self.partials(part.partial("u")),
+                    [image.scale(n * n) for image in images],
                 )
-                for operands, tables in zip(factors, slices):
-                    for operand, t in zip(operands, tables):
-                        operand.extend(t)
+                for operands, parts in zip(factors, slices):
+                    for operand, s in zip(operands, parts):
+                        operand.append(s)
         return out.table()
 
     def _genus1_block(self, f: SeriesTable) -> SeriesTable:
@@ -250,18 +263,24 @@ class Surface:
         tangency and a flag is solved by both equations, and unequal values
         raise SeedConflict.  The operators and B have coefficients in v and w
         only, so the images and B of G^0_x and G^0_u are the partials of
-        those of G^0, formed once; the images are operands prepared once,
-        and the partials of V gain one slice per level.  A level is a
-        `NumeratorSum` over its right sides' denominators."""
-        images, block = self.images(g0), self._genus1_block(g0)
+        those of G^0, formed once.  G^0 is packed once, slice by slice, and
+        the operands of its images are derived from those slices: ds of the
+        image of a slice of total degree n is n times it.  Only P G^0 is
+        formed as a table.  Each level of V is packed once, and the partials
+        of V gain its slice.  A level is a `NumeratorSum` over its right
+        sides' denominators."""
+        block = self._genus1_block(g0)
         block_s, block_u = self.ds(block), block.partial("u")
-        # no product reaches above the degrees that G^0 holds
+        # no product reaches above the degrees that G^0 holds, and a product
+        # at n <= pk.dmax reads images of total degree < n only
         pk = self.packing(min(dmax, g0.dmax))
-        images_s = [Operand(pk, self.ds(t)) for t in images]
-        images_u = [Operand(pk, t.partial("u")) for t in images]
-        lower = [Operand(pk) for _ in images_s]
+        images_s, images_u, lower = ([Operand(pk) for _ in range(1 + len(self.lines))] for _ in range(3))
+        for n, part in pk.prepare(g0, below=pk.dmax).items():
+            for image, op_s, op_u in zip(self.slice_images(part), images_s, images_u):
+                op_s.append(image.scale(n))
+                op_u.append(image.partial("u"))
         out = NumeratorSum(self.space, dmax)
-        out.add(images[0], [(Fraction(1, 24), {})])
+        out.add(self.point(g0), [(Fraction(1, 24), {})])
         for n in range(1, dmax + 1):
             level = NumeratorSum(self.space, dmax)
             qv = self.pair_operands(lower, images_s, n)
@@ -292,9 +311,9 @@ class Surface:
                         level.put((beta, (a, b, c)), vals[0], level.den)
             new = level.table()
             out.add(new, [(1, {})])
-            if n < dmax:
-                for operand, t in zip(lower, self.partials(new)):
-                    operand.extend(t)
+            if n < dmax and (part := pk.prepare(new).get(n)) is not None:
+                for operand, s in zip(lower, self.partials(part)):
+                    operand.append(s)
         return out.table()
 
     def genus1_virtual(

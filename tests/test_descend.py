@@ -26,7 +26,7 @@ from charnum.geometry import builtin_geometry, in_box
 from charnum.gw import class_splits, multiset_splits, wdvv_solve
 from charnum.oracles import hurwitz_bruteforce
 from charnum.seeds import default_gw_seeds, load_genus1_seeds, packaged_seed_text
-from charnum.series import NumeratorSum, Operand, SeriesTable, series_product
+from charnum.series import NumeratorSum, Operand, Packing, SeriesTable, Slice, series_product
 
 
 @pytest.fixture(scope="module")
@@ -413,16 +413,16 @@ def test_quadric_potential_residuals(quadric, gw_quadric):
     assert len(genus0_integrated_residual(quadric, g0, 3)) == 0
 
 
-def _partials_during(monkeypatch, run) -> list[tuple[SeriesTable, str]]:
-    """(table, variable) for every `SeriesTable.partial` call of run()."""
+def _partials_during(monkeypatch, run, cls=SeriesTable) -> list[tuple[SeriesTable | Slice, str]]:
+    """(table or slice, variable) for every `cls.partial` call of run()."""
     calls = []
-    partial = SeriesTable.partial
+    partial = cls.partial
 
     def spy(self, var):
         calls.append((self, var))  # holds the table, so no id is reused
         return partial(self, var)
 
-    monkeypatch.setattr(SeriesTable, "partial", spy)
+    monkeypatch.setattr(cls, "partial", spy)
     run()
     monkeypatch.undo()
     return calls
@@ -436,9 +436,10 @@ def _repeats(calls) -> int:
     "name, dmax, box", [("p1xp1", 5, (3, 2)), ("p2", 5, None), ("p3", 3, None), ("gr24", 1, None)]
 )
 def test_genus0_potential_differentiates_no_table_twice(monkeypatch, name, dmax, box):
+    """The potential differentiates packed slices only, each slice once per variable."""
     geom = builtin_geometry(name)
     gw = wdvv_solve(geom, default_gw_seeds(geom), dmax)
-    calls = _partials_during(monkeypatch, lambda: genus0_tangency_potential(TangencySpace(geom), gw, dmax, box))
+    calls = _partials_during(monkeypatch, lambda: genus0_tangency_potential(TangencySpace(geom), gw, dmax, box), Slice)
     assert calls
     assert _repeats(calls) == 0
 
@@ -450,25 +451,31 @@ def test_genus1_potential_differentiates_no_table_twice(monkeypatch, name, dmax,
     seeds = load_genus1_seeds(packaged_seed_text(f"{name}-genus1"), geom)
     ts = TangencySpace(geom)
     g0 = genus0_tangency_potential(ts, gw, dmax, box)
-    calls = _partials_during(monkeypatch, lambda: genus1_tangency_potential(ts, g0, seeds, dmax, box=box))
-    assert calls
-    assert _repeats(calls) == 0
+    for cls in (SeriesTable, Slice):
+        calls = _partials_during(monkeypatch, lambda: genus1_tangency_potential(ts, g0, seeds, dmax, box=box), cls)
+        assert calls
+        assert _repeats(calls) == 0
 
 
-def _extends_during(monkeypatch, run) -> list[tuple[Operand, list[int]]]:
-    """(operand, the total degrees it gains) for every `Operand.extend` call of run()."""
-    calls = []
-    extend = Operand.extend
+def _appends_during(monkeypatch, run) -> tuple[list[tuple[Operand, list[int]]], list[SeriesTable]]:
+    """(operand, the total degrees it gains) for every `Operand.append` call
+    of run(), and the table of every `Packing.prepare` call."""
+    calls, packed = [], []
+    append, prepare = Operand.append, Packing.prepare
 
-    def spy(self, t):
-        totals = sorted({sum(deg) for deg, _ in t.entries if sum(deg) <= self.packing.dmax})
-        calls.append((self, totals))  # holds the operand, so no id is reused
-        return extend(self, t)
+    def spy(self, s):
+        calls.append((self, [s.total] if s.groups else []))  # holds the operand, so no id is reused
+        return append(self, s)
 
-    monkeypatch.setattr(Operand, "extend", spy)
+    def prepare_spy(self, t, *args, **kwargs):
+        packed.append(t)
+        return prepare(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(Operand, "append", spy)
+    monkeypatch.setattr(Packing, "prepare", prepare_spy)
     run()
     monkeypatch.undo()
-    return calls
+    return calls, packed
 
 
 @pytest.mark.parametrize("name, dmax, box", [("p1xp1", 5, (3, 2)), ("p2", 5, None)])
@@ -482,12 +489,14 @@ def test_each_slice_of_each_stored_operand_is_prepared_once(monkeypatch, name, d
         lambda: genus0_tangency_potential(ts, gw, dmax, box),
         lambda: genus1_tangency_potential(ts, g0, seeds, dmax, box=box),
     ):
-        calls = _extends_during(monkeypatch, run)
+        calls, packed = _appends_during(monkeypatch, run)
         prepared = Counter((id(op), total) for op, totals in calls for total in totals)
         assert prepared and max(prepared.values()) == 1
         # the operands live through the call and gain one slice at a time
         assert all(len(totals) <= 1 for _, totals in calls)
         assert max(Counter(id(op) for op, totals in calls if totals).values()) == dmax - 1
+        # each added level is packed once, and every operand slice derives from it
+        assert packed and len({id(t) for t in packed}) == len(packed)
 
 
 def _x_partial(t: SeriesTable, idx) -> SeriesTable:

@@ -18,6 +18,7 @@ from charnum.series import (
     Operand,
     Packing,
     SeriesTable,
+    Slice,
     VarSpace,
     VariableMismatch,
     compositions,
@@ -584,6 +585,128 @@ def test_numerator_path_equals_adding_the_product_table(f, g, h, box, dmax, c):
         alone.add_product(*ops, n)
     inside = {k: v for k, v in naive_product(f, g).items() if in_box(k[0], box) and sum(k[0]) <= dmax}
     assert_exact(alone.table(), inside)
+
+
+# -- transforms of a prepared slice against the table route ---------------------
+
+P3 = TangencySpace(builtin_geometry("p3"))  # gamma has a coefficient 4/3 and raises y1 by up to 3
+
+
+def _rationals(op: Operand) -> dict:
+    """The values of an operand's slices as Fractions, by (class, packed key)."""
+    return {
+        (deg, key): Fraction(num, den)
+        for den, groups in op.slices.values()
+        for deg, terms in groups
+        for key, num in terms
+    }
+
+
+def _derived(pk: Packing, t: SeriesTable, transform) -> dict:
+    """The operand of `transform` applied to each prepared slice of t."""
+    op = Operand(pk)
+    for s in pk.prepare(t).values():
+        op.append(transform(s))
+    return _rationals(op)
+
+
+def _table_route(pk: Packing, t: SeriesTable) -> dict:
+    return _rationals(Operand(pk, t))
+
+
+def _cases(space):
+    """(table op, slice op) pairs that a level loop applies, for this space."""
+    degs, exps = space.degree_vars, space.exp_vars
+    same = [
+        lambda f: f.partial(degs[-1]),
+        lambda f: f.partial(exps[1]),
+        lambda f: f.partial(exps[0]).partial(degs[0]),
+    ]
+    cases = [(op, op) for op in same] + [
+        # ds of a slice of total degree n is n times it
+        (lambda t: _sum_partials(t, degs), lambda s: s.scale(s.total)),
+        (lambda t: t.filter_keys(lambda deg, mono: not mono[-1]), lambda s: s.cut(exps[-1])),
+    ]
+    if space == P3.space:
+        for e, row in P3.rows.items():
+            slice_op = lambda s, row=row: Slice.combine((s.partial(f"x{f}"), terms) for f, terms in row)  # noqa: E731
+            cases.append((lambda t, e=e: _contraction(t, e), slice_op))
+    else:
+        surface = PLANE if space == PLANE.space else QUADRIC
+        cases += [(op, op.image) for op in (surface.point, *surface.lines)]
+        cases.append((lambda t: surface.images(t)[0].partial("u"), lambda s: surface.slice_images(s)[0].partial("u")))
+    return cases
+
+
+def _sum_partials(t, degs):
+    out = t.partial(degs[0])
+    for x in degs[1:]:
+        out = out + t.partial(x)
+    return out
+
+
+def _contraction(t: SeriesTable, e: int) -> SeriesTable:
+    """sum_f gamma^{ef} t_{x_f} on tables."""
+    out = NumeratorSum(t.space, t.dmax)
+    for f in range(1, P3.geom.rank):
+        if P3.gamma[e][f]:
+            out.add(t.partial(f"x{f}"), P3.poly_terms(P3.gamma[e][f]))
+    return out.table()
+
+
+SLICE_SPACES = st.sampled_from([PLANE.space, QUADRIC.space, P3.space])
+
+
+@settings(max_examples=60, deadline=None)
+@given(SLICE_SPACES.flatmap(lambda sp: wide_tables(sp, top=3)))
+def test_slice_transforms_equal_the_table_route(t):
+    """Each map a level loop applies to a packed slice (a degree partial, an
+    exponent partial, ds as n times the slice, the w = 0 cut, an operator
+    image and a gamma contraction) gives, as rationals, the operand that
+    `Operand` prepares from the same map on the table."""
+    pk = Packing(t.space, t.dmax, [6] * len(t.space.exp_vars))
+    for table_op, slice_op in _cases(t.space):
+        assert _derived(pk, t, slice_op) == _table_route(pk, table_op(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    SLICE_SPACES.flatmap(
+        lambda sp: st.tuples(wide_tables(sp, top=3), st.sampled_from(sp.exp_vars), st.integers(1, 3))
+    )
+)
+@example(case=(SeriesTable(PLANE.space, 2, {((1,), (3, 0, 0)): 1, ((1,), (0, 2, 0)): 1}), "v", 1))
+def test_a_raised_slot_past_its_bound_raises_as_packing_does(case):
+    """A monomial that takes an entry past the packing's bound raises
+    ValueError on the slice path exactly when the table route raises."""
+    t, var, k = case
+    pk = Packing.fitting((t,))
+    shift = t.space.shift({var: k})
+    # as packed, and after a partial, where the bound a slice carries is loose
+    for before in (lambda f: f, lambda f: f.partial(t.space.exp_vars[0])):
+        raised = NumeratorSum(t.space, t.dmax)
+        raised.add(before(t), [(1, {var: k})])
+        route = lambda s, before=before: Slice.combine([(before(s), [(Fraction(1), shift)])])  # noqa: E731
+        try:
+            expected = _table_route(pk, raised.table())
+        except ValueError:
+            with pytest.raises(ValueError, match="exceed the packing bounds"):
+                _derived(pk, t, route)
+        else:
+            assert _derived(pk, t, route) == expected
+
+
+def test_an_operand_takes_only_slices_of_its_own_packing():
+    t = table({((1,), (1, 0, 0)): 1})
+    pk, other = Packing(SP, 3, [2, 2, 2]), Packing(SP, 3, [2, 2, 2])
+    with pytest.raises(ValueError, match="own packing"):
+        Operand(pk).append(other.prepare(t)[1])
+    op = Operand(pk)
+    op.append(Slice(pk, 1))  # an empty slice adds nothing
+    assert op.slices == {} and len(op) == 0
+    op.append(pk.prepare(t)[1])
+    with pytest.raises(ValueError, match="already prepared"):
+        op.append(pk.prepare(t)[1])
 
 
 def test_numerator_path_checks_its_space():

@@ -14,7 +14,7 @@ from charnum.oracles import hurwitz_bruteforce
 from charnum.planecurves import PLANE, charnum_genus0
 from charnum.quadric import QUADRIC, Q_SPACE, quadric_genus0
 from charnum.seeds import default_gw_seeds
-from charnum.series import DiffOperator, SeriesTable
+from charnum.series import DiffOperator, Operand, SeriesTable
 from charnum.surface import Surface
 from test_quadric import BOXES
 
@@ -115,19 +115,21 @@ def test_quadric_genus1_by_the_level_loop(gw_quadric, quadric_genus1_seeds, g1_q
 
 
 def test_operators_see_each_level_once(p2, monkeypatch):
-    """The line and point operators act on each degree slice a bounded number
-    of times, not on the whole lower table at every level."""
+    """The line and point operators act on each packed degree slice a bounded
+    number of times, not on the whole lower table at every level."""
     gw = wdvv_solve(p2, default_gw_seeds(p2), 7)
     seen = []
-    apply = DiffOperator.__call__
+    apply = DiffOperator.image
 
     def counted(op, f):
         seen.append(len(f))
         return apply(op, f)
 
-    monkeypatch.setattr(DiffOperator, "__call__", counted)
+    monkeypatch.setattr(DiffOperator, "image", counted)
     result = PLANE.genus0(gw, 7)
     assert sum(seen) <= 4 * len(result)
+    # each operator once on each of the levels 1..6, which feed the levels above
+    assert len(seen) == (1 + len(PLANE.lines)) * 6
 
 
 def _tables(space):
@@ -180,19 +182,54 @@ def _count_calls(monkeypatch, names):
     ids=["PLANE", "QUADRIC"],
 )
 def test_genus1_forms_the_images_and_block_of_g0_once(surface, g0, seeds, request, monkeypatch):
+    """B of G^0 once, and the images of each slice of G^0 once: the slices
+    of total degree 1..3 feed the products of levels 2..4."""
     g0, seeds = request.getfixturevalue(g0), request.getfixturevalue(seeds)
-    calls = _count_calls(monkeypatch, ("images", "_genus1_block"))
+    calls = _count_calls(monkeypatch, ("slice_images", "_genus1_block"))
     surface.genus1(g0, seeds, 4)
-    assert sorted(calls) == ["_genus1_block", "images"]
+    assert sorted(calls) == ["_genus1_block"] + ["slice_images"] * 3
 
 
 @pytest.mark.parametrize("surface, gw", [(PLANE, "gw_p2"), (QUADRIC, "gw_quadric")], ids=["PLANE", "QUADRIC"])
 def test_genus0_forms_the_images_once_per_level(surface, gw, request, monkeypatch):
     gw = request.getfixturevalue(gw)
-    calls = _count_calls(monkeypatch, ("images",))
+    calls = _count_calls(monkeypatch, ("slice_images",))
     surface.genus0(gw, 5)
     # the last level feeds no level above it
-    assert calls == ["images"] * 4
+    assert calls == ["slice_images"] * 4
+
+
+def _calls_during(monkeypatch, run, methods) -> dict[str, int]:
+    """The number of calls of each (class, method name) of `methods` in run()."""
+    counts = {f"{cls.__name__}.{name}": 0 for cls, name in methods}
+    for cls, name in methods:
+        method, label = getattr(cls, name), f"{cls.__name__}.{name}"
+
+        def spy(*args, _m=method, _label=label, **kwargs):
+            counts[_label] += 1
+            return _m(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+def test_level_loops_make_no_table_round_trip(p2, gw_quadric, quadric_genus1_seeds, monkeypatch):
+    """A level loop packs each solved level once and derives its factor
+    slices from it: the plane genus-0 loop prepares no table operand, takes
+    no table partial and applies no operator to a table, and the quadric
+    tangency potentials prepare no table operand."""
+    gw = wdvv_solve(p2, default_gw_seeds(p2), 8)
+    watched = [(Operand, "extend"), (SeriesTable, "partial"), (DiffOperator, "__call__"), (Operand, "append")]
+    counts = _calls_during(monkeypatch, lambda: PLANE.genus0(gw, 8), watched)
+    assert counts["Operand.append"] > 0
+    assert {k: v for k, v in counts.items() if k != "Operand.append"} == {
+        "Operand.extend": 0, "SeriesTable.partial": 0, "DiffOperator.__call__": 0
+    }
+    run = lambda: QUADRIC.genus1_virtual(gw_quadric, quadric_genus1_seeds, 5, (3, 2))  # noqa: E731
+    counts = _calls_during(monkeypatch, run, [(Operand, "extend"), (Operand, "append")])
+    assert counts["Operand.append"] > 0 and counts["Operand.extend"] == 0
 
 
 def test_surface_is_its_geometry_and_variables():
