@@ -8,9 +8,9 @@ fixed inputs, across cold and warm caches.
 
 Exit codes: 2 usage, 1 verification mismatch (seed data that two equations
 of a solve contradict), 3 missing seed data or an out-of-scope request
-(genus 2 below degree 4), 141 stdout closed before the output was written
-(as in `| head`; the status a shell reports for a writer killed by SIGPIPE),
-with nothing on stderr.
+(genus 2 below degree 4, a genus-1 descendant on a config target), 141
+stdout closed before the output was written (as in `| head`; the status a
+shell reports for a writer killed by SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -302,6 +302,12 @@ def cmd_descendant(args, out) -> int:
                 "(no higher-power genus-1 recursion is implemented)\n"
             )
             return EXIT_USAGE
+        if builtin_name(geom) is None:
+            # the genus-0 solve below reads the built-in seeds, and --seeds holds genus-1 ones
+            sys.stderr.write(
+                f"out of scope: no option supplies the genus-0 seeds of config target {geom.name!r} at genus 1\n"
+            )
+            return EXIT_MISSING_SEEDS
         seeds = _genus1_seed_table(geom, args, degrees)
         if seeds is None:
             return EXIT_MISSING_SEEDS

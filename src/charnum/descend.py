@@ -38,10 +38,11 @@ Both potentials take the `TangencySpace` of their target, which holds the
 variables, gamma (`metric.inverse_metric`), and gamma's rows and the genus-1
 term T as ready terms, so a caller that runs both shares one.
 They are solved one total degree at a time, and a level reads the levels
-below it only through the products of its quadratic term.  Their factors
-live in a `_SliceStore` for the call: it gains each completed level as one
-`SeriesTable` slice, packs it once, derives its x-partials and contractions
-from that packed slice, and appends each slice of each product operand once.
+below it only through the products of its quadratic term (and, at genus 1,
+through T).  Their factors live in a `_SliceStore` for the call: it packs
+each completed level once and holds it only as that packed `Slice`, derives
+its x-partials and contractions from it, and appends each slice of each
+product operand once.
 gamma depends on y only, so it commutes with the x-partials and the product,
 and sum_{e,f} L_{x_e} gamma^{ef} R_{x_f} is formed as r - 1 products
 sum_e L_{x_e} M_e against the contractions M_e = sum_f gamma^{ef} R_{x_f}.
@@ -315,7 +316,7 @@ class TangencySpace:
         # the row of each e >= 1 as (f, the terms of its entry as monomial shifts), f >= 1:
         # a contraction's factors
         self.rows = {e: [(f, self._shifts(gamma[e][f])) for f in range(1, r) if gamma[e][f]] for e in range(1, r)}
-        # T of `_genus1_top` as terms by the partial of G0 they read (its sorted x-indices)
+        # T of `_genus1_top` as terms by the partial of G0 they read (its sorted x-indices), monomials as shifts
         consts, top = genus1_degree0_constants(geom), {}
         for e in range(1, r):
             for f in range(1, r):
@@ -324,7 +325,7 @@ class TangencySpace:
                         acc = top.setdefault(idx, {})
                         for mono, c in gamma[e][f].items():
                             acc[mono] = acc.get(mono, 0) + coef * c
-        self.top = {idx: self.poly_terms(poly) for idx, poly in top.items()}
+        self.top = {idx: self._shifts(poly) for idx, poly in top.items()}
 
     def gated_keys(self, genus: int, beta: CurveClass) -> tuple[tuple[int, ...], ...]:
         """All exponent vectors satisfying the dimension constraint, in
@@ -441,61 +442,45 @@ def genus0_tangency_potential(ts: TangencySpace, gw: GWTable, dmax: int, box: Cu
         solved = level.table()
         out.add(solved, [(1, {})])
         if t < dmax:
-            store.add("G", t, solved)
+            store.add("G", solved)
     return out.table()
 
 
 class _SliceStore:
     """The tables that the equations of one potential call read, by name,
-    one degree slice at a time.
+    one degree slice at a time, each held only as its packed `Slice`.
 
-    A slice is added once, when its level is complete, and never changes.
-    Each added slice is packed once (`Packing.prepare`), and every product
-    operand slice is derived from that packed `Slice`: its x-partials are
-    memoized under their sorted indices (the partials commute), and a
-    contraction (name, idx, e), the sum over f of gamma^{ef} times the
-    x_f-partial of (name, idx), applies the terms of gamma's row e as
-    monomial shifts to those partials.  Each product operand, all over the
-    one `packing`, gains each slice once: `operand(key, t)` appends the
-    slices below t it does not hold yet; a key is a partial (name, idx) or
-    a contraction.  `partial` differentiates the added tables themselves,
-    for a caller that reads tables.  The store lives inside one potential
-    call.
+    A slice is added once, when its level is complete, and never changes:
+    `add` packs a table once (`Packing.prepare`), and every factor a level
+    reads is derived from those packed slices.  The x-partials are memoized
+    under their sorted indices (the partials commute), and a contraction
+    (name, idx, e), the sum over f of gamma^{ef} times the x_f-partial of
+    (name, idx), applies the terms of gamma's row e as monomial shifts to
+    those partials.  Each product operand, all over the one `packing`, gains
+    each slice once: `operand(key, t)` appends the slices below t it does
+    not hold yet; a key is a partial (name, idx) or a contraction.  The
+    store lives inside one potential call.
     """
 
     def __init__(self, ts: TangencySpace, packing: Packing):
         self.ts = ts
         self.packing = packing
-        # (name, sorted x-indices) -> total degree -> table
-        self.tables: dict[tuple[str, tuple[int, ...]], dict[int, SeriesTable]] = {}
         # (name, sorted x-indices) -> total degree -> packed slice
         self.slices: dict[tuple[str, tuple[int, ...]], dict[int, Slice]] = {}
         # operand key -> [operand, number of slices held]
         self.operands: dict[tuple, list] = {}
 
-    def add(self, name: str, total: int, part: SeriesTable) -> None:
-        """Add `part`, the slice of `name` at `total`, which nothing has read yet."""
-        by_total = self.tables.setdefault((name, ()), {})
-        if total in by_total:
-            raise ValueError(f"slice {total} of {name} is already in use")
-        by_total[total] = part
-
-    def partial(self, name: str, idx: tuple[int, ...], total: int) -> SeriesTable:
-        """The table of `name` at `total`, differentiated once by each x_i,
-        i in idx; a slice never added is zero."""
-        idx = tuple(sorted(idx))
-        by_total = self.tables.setdefault((name, idx), {})
-        hit = by_total.get(total)
-        if hit is None:
-            if idx:
-                hit = self.partial(name, idx[:-1], total).partial(f"x{idx[-1]}")
-            else:
-                hit = SeriesTable(self.ts.space, self.packing.dmax)
-            by_total[total] = hit
-        return hit
+    def add(self, name: str, t: SeriesTable) -> None:
+        """Add the slices of `t` to `name`; nothing has read them yet."""
+        by_total = self.slices.setdefault((name, ()), {})
+        for total, part in self.packing.prepare(t).items():
+            if total in by_total:
+                raise ValueError(f"slice {total} of {name} is already in use")
+            by_total[total] = part
 
     def packed(self, name: str, idx: tuple[int, ...], total: int) -> Slice:
-        """`partial` as a packed slice, derived from the packed added slice."""
+        """The slice of `name` at `total`, differentiated once by each x_i,
+        i in idx; a slice never added is zero."""
         idx = tuple(sorted(idx))
         by_total = self.slices.setdefault((name, idx), {})
         hit = by_total.get(total)
@@ -503,8 +488,7 @@ class _SliceStore:
             if idx:
                 hit = self.packed(name, idx[:-1], total).partial(f"x{idx[-1]}")
             else:
-                part = self.tables.get((name, ()), {}).get(total)
-                hit = part is not None and self.packing.prepare(part).get(total) or Slice(self.packing, total)
+                hit = Slice(self.packing, total)
             by_total[total] = hit
         return hit
 
@@ -627,11 +611,12 @@ def genus1_tangency_potential(
     solved, and only their seeds are read.  `g0` is the genus-0 potential of
     the same `ts`.
 
-    G0 is complete, so all its slices join the `_SliceStore` at once; each
-    level of G1 joins it once solved.  A level is a `NumeratorSum`, brought
-    over each right side's denominator as its y_k equation is formed; a
-    stratum forms every y_k right side it needs before it reads any, so
-    reading and comparing them is integer work over one denominator.
+    G0 is complete, so all its slices join the `_SliceStore` at once, less
+    its classes outside the box, which may exceed the packing; each level of
+    G1 joins it once solved.  A level is a `NumeratorSum`, brought over each
+    right side's denominator as its y_k equation is formed; a stratum forms
+    every y_k right side it needs before it reads any, so reading and
+    comparing them is integer work over one denominator.
     """
     geom = ts.geom
     seeded = {t: NumeratorSum(ts.space, dmax) for t in range(1, dmax + 1)}
@@ -646,16 +631,11 @@ def genus1_tangency_potential(
             seeded[sum(beta)].put((tuple(beta), slice_keys[0]), val.numerator, val.denominator)
 
     store = _SliceStore(ts, ts.packing(1, dmax, box))
-    g0_levels: dict[int, dict] = {}
-    for key, num in g0.nums.items():
-        if in_box(key[0], box):
-            g0_levels.setdefault(sum(key[0]), {})[key] = num
-    for total, part in g0_levels.items():
-        store.add("G0", total, SeriesTable._of(ts.space, dmax, part, g0.den))
+    store.add("G0", g0 if box is None else g0.filter_keys(lambda deg, _: in_box(deg, box)))
     out = NumeratorSum(ts.space, dmax)
     for t, level in seeded.items():
         rhs_by_k: dict[int, SeriesTable] = {}  # the right side of the y_k equation
-        top = None
+        top: Slice | None = None
         for beta in geom.curve_classes(t, box):
             for mono in ts.descendant_keys(1, beta):
                 choices = [k + 1 for k, b in enumerate(mono[ts.nx:]) if b]
@@ -676,27 +656,24 @@ def genus1_tangency_potential(
         solved = level.table()
         out.add(solved, [(1, {})])
         if t < dmax:
-            store.add("G1", t, solved)
+            store.add("G1", solved)
     return out.table()
 
 
-def _genus1_top(store: _SliceStore, t: int) -> SeriesTable:
+def _genus1_top(store: _SliceStore, t: int) -> Slice:
     """T = sum_{e,f} gamma^{ef} (c_f G0_{x_e} + G0_{x_e x_f} / 24) at degree t:
     the degree-0 constants c_f of G1_{x_f} times G0, and the 1/24 term.
     Both terms of the y_k equation are T_{x_k}, as gamma depends on y only.
     `TangencySpace.top` holds the terms that multiply one partial of G0, so
-    each partial is walked once."""
-    out = NumeratorSum(store.ts.space, t)
-    for idx, terms in store.ts.top.items():
-        out.add(store.partial("G0", idx, t), terms)
-    return out.table()
+    each packed partial is walked once."""
+    return Slice.combine((store.packed("G0", idx, t), terms) for idx, terms in store.ts.top.items())
 
 
-def _genus1_rhs(store: _SliceStore, top: SeriesTable, k_idx: int, t: int) -> SeriesTable:
+def _genus1_rhs(store: _SliceStore, top: Slice, k_idx: int, t: int) -> SeriesTable:
     """The right side of the y_k equation, degree t only: the metric sum of
     G0 and G1 (G1 has no degree-0 slice, so a product at t reads G0 below t
     only), plus T_{x_k} for T = `_genus1_top`."""
     out = NumeratorSum(store.ts.space, t)
     _metric_sum(store, out, ("G0", (k_idx,)), ("G1", ()), t)
-    out.add(top.partial(f"x{k_idx}"), [(1, {})])
+    out.add_slice(top.partial(f"x{k_idx}"))
     return out.table()

@@ -26,11 +26,12 @@ factorial factor; ds of a slice of total degree n is n times it; and the
 w = 0 cut keeps the keys with m_w = 0.  So a level loop packs each solved
 level once (`Packing.prepare`), derives every factor slice from it and
 `Operand.append`s it, and reuses it at every level above: `Surface.genus0`,
-`Surface.genus1` and both tangency potentials of `descend`.  A
-`DiffOperator` has one term plan, variable -> (coefficient, shift), for
-tables and slices alike.  The potentials add their products to a
-`NumeratorSum` with `add_product`, straight from the kernel's integer
-numerators.
+`Surface.genus1` and both tangency potentials of `descend`, which hold a
+solved level as its packed slice only.  A `DiffOperator` has one term plan,
+variable -> (coefficient, shift), for tables and slices alike.  The level
+loops add their products to a `NumeratorSum` with `add_product`, straight
+from the kernel's integer numerators, and a slice that enters a sum as a
+term (P G^0, the genus-1 term T) with `add_slice`, the inverse of `prepare`.
 
 A table holds its values as nonzero integer numerators over one least
 common denominator, and every operation reads and returns numerators.  A
@@ -406,10 +407,25 @@ class NumeratorSum:
             raise VariableMismatch(f"{pk.space} vs {self.space}")
         if total is not None and total > self.dmax:
             return
-        den, by_class = _convolve(f, g, total)
-        if not by_class:
+        self._add_packed(pk, *_convolve(f, g, total))
+
+    def add_slice(self, s: Slice, c: Rat | int = 1) -> None:
+        """Add c times the slice `s`, the inverse of `Packing.prepare`: the
+        numerator at exponents m adds c m! num / den; a slice above `dmax`
+        adds nothing."""
+        pk = s.packing
+        if pk.space != self.space:
+            raise VariableMismatch(f"{pk.space} vs {self.space}")
+        if s.total <= self.dmax:
+            c = _as_rat(c)
+            self._add_packed(pk, s.den * c.denominator, s.groups, c.numerator)
+
+    def _add_packed(self, pk: Packing, den: int, by_class: dict[tuple[int, ...], dict[int, int]], c: int = 1) -> None:
+        """Add c times the numerators {class: {packed exponents: num}} over
+        `den`, each times the factorials of its exponents."""
+        if not by_class or not c:
             return
-        rest = self.over(den)
+        rest = self.over(den) * c
         acc = self.acc
         for deg, nums in by_class.items():
             for key, num in nums.items():
@@ -500,17 +516,16 @@ class Packing:
             hit = self._unpacked[key] = (tuple(mono), prod(map(factorial, mono)))
         return hit
 
-    def prepare(self, t: SeriesTable, below: int | None = None) -> dict[int, "Slice"]:
-        """The slices of `t` by total degree, up to `dmax` (and below
-        `below` if given): an entry N at exponents m becomes the numerator
-        of N/m! over the slice's denominator t.den * lcm(m!)."""
+    def prepare(self, t: SeriesTable) -> dict[int, "Slice"]:
+        """The slices of `t` by total degree, up to `dmax`: an entry N at
+        exponents m becomes the numerator of N/m! over the slice's
+        denominator t.den * lcm(m!).  `NumeratorSum.add_slice` inverts it."""
         if t.space != self.space:
             raise VariableMismatch(f"{t.space} vs {self.space}")
-        last = self.dmax if below is None else min(self.dmax, below - 1)
         by_total: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]] = {}
         for (deg, mono), num in t.nums.items():
             total = sum(deg)
-            if total <= last:
+            if total <= self.dmax:
                 by_total.setdefault(total, []).append((deg, mono, num))
         out = {}
         for total, rows in by_total.items():
@@ -553,9 +568,6 @@ class Slice:
         self.den = den
         self.groups: dict[tuple[int, ...], dict[int, int]] = groups or {}
         self.top = top or (0,) * len(packing.bounds)
-
-    def __len__(self) -> int:
-        return sum(map(len, self.groups.values()))
 
     def _with(self, groups: dict[tuple[int, ...], dict[int, int]], top: tuple[int, ...] | None = None) -> "Slice":
         return Slice(self.packing, self.total, self.den, groups, self.top if top is None else top)
@@ -680,7 +692,8 @@ class Operand:
     terms, in lists.  A product term is then one int addition of keys and
     one int product of numerators, with no binomial weight.  A level loop
     `append`s the slices it derives from a packed level; `extend` prepares
-    and appends the slices of a table.  Entries above the packing's dmax
+    and appends the slices of a table, for a product of tables
+    (`series_product`, `Surface.pair`).  Entries above the packing's dmax
     are left out.
     """
 

@@ -264,23 +264,26 @@ class Surface:
         raise SeedConflict.  The operators and B have coefficients in v and w
         only, so the images and B of G^0_x and G^0_u are the partials of
         those of G^0, formed once.  G^0 is packed once, slice by slice, and
-        the operands of its images are derived from those slices: ds of the
-        image of a slice of total degree n is n times it.  Only P G^0 is
-        formed as a table.  Each level of V is packed once, and the partials
-        of V gain its slice.  A level is a `NumeratorSum` over its right
-        sides' denominators."""
+        the images of each slice are formed once: P's image enters the sum as
+        the term (1/24) P G^0 (`NumeratorSum.add_slice`), and the images of
+        the slices below the top one give the product operands: ds of the
+        image of a slice of total degree n is n times it.  Each level of V is
+        packed once, and the partials of V gain its slice.  A level is a
+        `NumeratorSum` over its right sides' denominators."""
         block = self._genus1_block(g0)
         block_s, block_u = self.ds(block), block.partial("u")
         # no product reaches above the degrees that G^0 holds, and a product
         # at n <= pk.dmax reads images of total degree < n only
         pk = self.packing(min(dmax, g0.dmax))
         images_s, images_u, lower = ([Operand(pk) for _ in range(1 + len(self.lines))] for _ in range(3))
-        for n, part in pk.prepare(g0, below=pk.dmax).items():
-            for image, op_s, op_u in zip(self.slice_images(part), images_s, images_u):
-                op_s.append(image.scale(n))
-                op_u.append(image.partial("u"))
         out = NumeratorSum(self.space, dmax)
-        out.add(self.point(g0), [(Fraction(1, 24), {})])
+        for n, part in pk.prepare(g0).items():
+            images = self.slice_images(part)
+            out.add_slice(images[0], Fraction(1, 24))
+            if n < pk.dmax:
+                for image, op_s, op_u in zip(images, images_s, images_u):
+                    op_s.append(image.scale(n))
+                    op_u.append(image.partial("u"))
         for n in range(1, dmax + 1):
             level = NumeratorSum(self.space, dmax)
             qv = self.pair_operands(lower, images_s, n)

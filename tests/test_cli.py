@@ -191,6 +191,23 @@ def test_genus0_descendant_on_a_config_target_reads_its_seed_file(tmp_path):
         assert capture(argv) == on_p2
 
 
+@pytest.mark.parametrize("with_seeds", [False, True], ids=["no-seeds", "seeds"])
+def test_genus1_descendant_on_a_config_target_is_out_of_scope(tmp_path, capsys, with_seeds):
+    """Its genus-0 seeds come from no option (--seeds holds the genus-1 ones),
+    so the request is refused in one line before any seed file is read."""
+    geom = tmp_path / "myplane.geom"
+    geom.write_text(builtin_geometry("p2").to_text().replace("name p2", "name myplane"))
+    seeds = tmp_path / "genus1.seeds"
+    seeds.write_text(packaged_seed_text("p2-genus1"))
+    argv = ["descendant", "tau0(T2)^8 tau1(T1) @ g=1 d=3", "--target", str(geom)]
+    capsys.readouterr()
+    assert capture([*argv, *(["--seeds", str(seeds)] if with_seeds else [])]) == (3, "")
+    assert capsys.readouterr().err == (
+        "out of scope: no option supplies the genus-0 seeds of config target 'myplane' at genus 1\n"
+    )
+    assert capture(["descendant", "tau0(T2)^8 tau1(T1) @ g=1 d=3"]) == (0, "0\n")
+
+
 def test_usage_error_exit2(capsys):
     code, _ = capture(["compute", "--target", "p2", "--genus", "5", "--dmax", "2"])
     assert code == 2

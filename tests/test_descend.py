@@ -451,10 +451,12 @@ def test_genus1_potential_differentiates_no_table_twice(monkeypatch, name, dmax,
     seeds = load_genus1_seeds(packaged_seed_text(f"{name}-genus1"), geom)
     ts = TangencySpace(geom)
     g0 = genus0_tangency_potential(ts, gw, dmax, box)
-    for cls in (SeriesTable, Slice):
-        calls = _partials_during(monkeypatch, lambda: genus1_tangency_potential(ts, g0, seeds, dmax, box=box), cls)
-        assert calls
-        assert _repeats(calls) == 0
+    run = lambda: genus1_tangency_potential(ts, g0, seeds, dmax, box=box)  # noqa: E731
+    # G0 and each level of G1 are held as packed slices only, so no table is differentiated
+    assert _partials_during(monkeypatch, run, SeriesTable) == []
+    calls = _partials_during(monkeypatch, run, Slice)
+    assert calls
+    assert _repeats(calls) == 0
 
 
 def _appends_during(monkeypatch, run) -> tuple[list[tuple[Operand, list[int]]], list[SeriesTable]]:
@@ -517,8 +519,7 @@ def test_contracted_metric_sum_equals_the_double_sum(name, dmax, box):
     ts = TangencySpace(geom)
     g0 = genus0_tangency_potential(ts, wdvv_solve(geom, default_gw_seeds(geom), dmax), dmax, box)
     store = _SliceStore(ts, ts.packing(0, dmax, box))
-    for total in range(1, dmax + 1):
-        store.add("G", total, g0.filter_keys(lambda deg, _: sum(deg) == total))
+    store.add("G", g0)
     r = geom.rank
     for t in range(1, dmax + 1):
         below = g0.filter_keys(lambda deg, _: sum(deg) < t)
@@ -565,6 +566,21 @@ def test_genus1_missing_seed_defaults_to_zero(p2, gw_p2):
     g0 = genus0_tangency_potential(ts, gw_p2, 2)
     g1 = genus1_tangency_potential(ts, g0, {}, 2)
     assert g1.coeff((1,), (3, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("box", [(3, 2), (2, 1)])
+def test_genus1_potential_reads_only_the_boxed_part_of_g0(quadric, box):
+    """With a box, the classes of G0 outside it are dropped where G0 enters:
+    an unboxed G0 gives the table a boxed one gives.  Below total degree
+    dmax = 5 the box (2, 1) has no class of total degree 4 or 5, so the
+    packing has no room for those of G0."""
+    gw = wdvv_solve(quadric, default_gw_seeds(quadric), 5)
+    seeds = load_genus1_seeds(packaged_seed_text("p1xp1-genus1"), quadric)
+    ts = TangencySpace(quadric)
+    boxed, whole = genus0_tangency_potential(ts, gw, 5, box), genus0_tangency_potential(ts, gw, 5)
+    assert len(whole) > len(boxed)
+    expected = genus1_tangency_potential(ts, boxed, seeds, 5, box=box)
+    assert expected.nums and genus1_tangency_potential(ts, whole, seeds, 5, box=box) == expected
 
 
 def test_gr24_first_descendants_match_engine():

@@ -73,6 +73,7 @@ REQUESTS = [
     (["descendant", "tau0(T2)^4 tau1(T1) @ g=0 d=2"], 0),
     (["descendant", "tau0(T3)^2 tau1(T2)^2 @ g=0 d=1,1 target=p1xp1", "--no-cache"], 0),
     (["descendant", "tau0(T2)^8 tau1(T1) @ g=1 d=3"], 0),
+    (["descendant", "tau0(T2)^8 tau1(T1) @ g=1 d=3", "--target", "{dir}/myplane.geom"], 3),
     (["descendant", "tau2(T1)^2 @ g=1 d=3"], 2),
     (["descendant", "tau0(T2)^2 @ g=2 d=1"], 2),
     (["descendant", "tau0(T2)^2 @ g=0 d=1", "--seeds", "{dir}/conflict.seeds"], 2),

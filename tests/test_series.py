@@ -709,6 +709,30 @@ def test_an_operand_takes_only_slices_of_its_own_packing():
         op.append(pk.prepare(t)[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(SLICE_SPACES.flatmap(lambda sp: wide_tables(sp, top=3)), COEFS, st.integers(0, 5))
+@example(t=SeriesTable(PLANE.space, 3, {((1,), (2, 0, 0)): 3, ((3,), (1, 2, 3)): -5}), c=Fraction(2, 3), dmax=1)
+def test_add_slice_inverts_prepare(t, c, dmax):
+    """c times each prepared slice of t, summed with `add_slice`, is c t cut
+    to the sum's dmax; a slice above that dmax adds nothing."""
+    pk = Packing(t.space, t.dmax, [3] * len(t.space.exp_vars))
+    slices = pk.prepare(t)
+    acc, whole = NumeratorSum(t.space, dmax), NumeratorSum(t.space, dmax)
+    for s in slices.values():
+        acc.add_slice(s, c)
+        whole.add_slice(s)
+    assert acc.table() == t.scale(c).truncate(dmax)
+    assert whole.table() == t.truncate(dmax)
+    for s in slices.values():
+        if s.total > dmax:
+            above = NumeratorSum(t.space, dmax)
+            above.add_slice(s, c)
+            assert above.acc == {} and above.den == 1
+    other = next(sp for sp in (PLANE.space, QUADRIC.space, P3.space) if sp != t.space)
+    with pytest.raises(VariableMismatch):
+        NumeratorSum(other, dmax).add_slice(Slice(pk, 0), c)
+
+
 def test_numerator_path_checks_its_space():
     pk = Packing(SP, 3, [2, 2, 2])
     f = Operand(pk, table({((1,), (1, 0, 0)): Fraction(1, 3)}))
